@@ -28,6 +28,7 @@ from .errors import (
 from .fileio import (
     parse_edges_text,
     parse_matrix_text,
+    render_edges_text,
     render_matrix_text,
     sha256_hex,
 )
@@ -78,8 +79,7 @@ def _load(src, want):
         if want == "system":
             text = render_matrix_text(obj.a_matrix.to_lists(), obj.labels)
         else:
-            text = f"{obj.edge_count} {obj.vertex_count}\n" + "".join(
-                f"{t} {h}\n" for t, h in obj.edges)
+            text = render_edges_text(obj)
         return obj, sha256_hex(text)
     with open(src, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -1,10 +1,11 @@
 """Plain-text and JSON input formats.
 
 Matrix files: first non-comment line "N n", then N lines of n signed
-integers; '#' starts a comment line.  A comment of the form
-"# labels: a b c" carries row labels and survives a parse/render round
-trip.  A JSON object {"rows": [[...]], "labels": [...]} is accepted
-anywhere a matrix file is.  Edge-list files:
+decimal integers ([+-]?[0-9]+); '#' starts a comment line.  A comment of
+the form "# labels: a b c" carries row labels and survives a parse/render
+round trip.  A JSON object {"rows": [[...]], "labels": [...]} is accepted
+anywhere a matrix file is; its entries must be JSON integers (no floats or
+booleans).  Edge-list files:
 first line "m N" (vertices, edges), then N lines "tail head" with 1-indexed
 vertex ids.
 """
@@ -13,13 +14,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 from .errors import PreconditionError
 from .graphs import Multigraph
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def sha256_hex(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _int(token):
+    """int(token) for a plain decimal token, else ValueError.
+
+    int() alone would also take "1_0", padded or non-ASCII digits.
+    """
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def _data_lines(text):
@@ -43,14 +58,16 @@ def parse_matrix_text(text):
         if not isinstance(obj, dict) or "rows" not in obj:
             raise PreconditionError('JSON matrix needs a "rows" key')
         rows = obj["rows"]
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        if (not isinstance(rows, list)
+                or not all(isinstance(r, list) for r in rows)
+                or not all(type(x) is int for r in rows for x in r)):
             raise PreconditionError('"rows" must be a list of integer lists')
         labels = obj.get("labels")
         if labels is not None:
             if len(labels) != len(rows):
                 raise PreconditionError("labels length must match the row count")
             labels = tuple(str(x) for x in labels)
-        return [tuple(int(x) for x in r) for r in rows], labels
+        return [tuple(r) for r in rows], labels
     labels = None
     for line in text.splitlines():
         s = line.strip()
@@ -63,7 +80,7 @@ def parse_matrix_text(text):
     if len(head) != 2:
         raise PreconditionError('matrix header must be "N n"')
     try:
-        nrows, ncols = int(head[0]), int(head[1])
+        nrows, ncols = _int(head[0]), _int(head[1])
     except ValueError:
         raise PreconditionError('matrix header must be "N n"') from None
     if len(lines) - 1 != nrows:
@@ -76,7 +93,7 @@ def parse_matrix_text(text):
             raise PreconditionError(
                 f"expected {ncols} entries per row, got {len(parts)}: {line!r}")
         try:
-            rows.append(tuple(int(x) for x in parts))
+            rows.append(tuple(_int(x) for x in parts))
         except ValueError:
             raise PreconditionError(f"non-integer matrix entry in {line!r}") from None
     if labels is not None and len(labels) != nrows:
@@ -114,7 +131,7 @@ def parse_edges_text(text):
     if len(head) != 2:
         raise PreconditionError('edge header must be "m N"')
     try:
-        m, nedges = int(head[0]), int(head[1])
+        m, nedges = _int(head[0]), _int(head[1])
     except ValueError:
         raise PreconditionError('edge header must be "m N"') from None
     if len(lines) - 1 != nedges:
@@ -125,7 +142,7 @@ def parse_edges_text(text):
         if len(parts) != 2:
             raise PreconditionError(f'edge line must be "tail head": {line!r}')
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_int(parts[0]), _int(parts[1])))
         except ValueError:
             raise PreconditionError(f"non-integer vertex id in {line!r}") from None
     return Multigraph.build(m, edges)

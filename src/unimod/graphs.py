@@ -172,7 +172,7 @@ def _tree_walk(edges, parent, src, dst):
     return walk
 
 
-def graphic_system(g, cap=None):
+def graphic_system(g):
     """The system of edges acting on the cycle space of g.
 
     The base is the set of fundamental cycles of the BFS tree, one per
@@ -204,7 +204,7 @@ def graphic_system(g, cap=None):
                        labels=[f"e{f + 1}" for f in kept])
 
 
-def cographic_system(g, cap=None):
+def cographic_system(g):
     """The system of edges acting on the cut space of g.
 
     The base is the set of fundamental cuts of the BFS tree, one per tree

@@ -6,6 +6,9 @@ maximal linearly independent subset of the input rows.  Construction
 re-expands every row over that base with exact integer arithmetic and then
 certifies total unimodularity (every square minor in {0, 1, -1}), which is
 equivalent to all maximal independent row subsets generating the same group.
+Certification scans only the non-base (tail) rows, whose minors it expands
+row by row from those of each row set's prefix; a rejection still names the
+first bad minor in the order of a scan over every square minor.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration, direct sums, splitting off unit summands, Gale duality, and
@@ -20,8 +23,7 @@ from itertools import combinations
 
 from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
-from .intlinalg import (IntMatrix, _det_dense, adjugate, determinant, rank,
-                        vecmat)
+from .intlinalg import IntMatrix, adjugate, determinant, rank, vecmat
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -84,21 +86,59 @@ def _first_base(m):
     return picked
 
 
-def _tu_witness(m):
-    """First square minor outside {0,1,-1}, scanning sizes small to large.
+def _tu_witness(m, base):
+    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
 
-    Returns (row_set, col_set, value) or None.  1x1 minors are the entries,
-    so this also rejects out-of-range coefficients immediately.
+    The order is that of a full scan of m: sizes small to large, then row
+    sets, then column sets, each lexicographic.  m is in standard form, so
+    the rows listed in base are unit vectors.  A minor through base row e_p
+    is 0 when p is not among its columns and otherwise +- the smaller minor
+    without that row and column.  So every bad minor of the smallest bad
+    size uses tail rows only, and only tail rows are scanned.
+
+    The scan walks ascending tail-row tuples depth first; the preorder meets
+    the row sets of each size lexicographically.  Each row set keeps its
+    nonzero minors keyed by column bitmask.  Extending it by a row gives
+    every larger minor by Laplace expansion along that (last) row, O(k) per
+    minor instead of an elimination.  A row set whose minors are all 0 has
+    only zero extensions and is not extended.  Once a bad minor of size k is
+    found, only smaller sizes are searched, so a later find is strictly
+    smaller and replaces it.  Extended row sets thus hold only 0/+-1 minors.
     """
     rows = m.row_list()
-    for k in range(1, min(m.rows, m.cols) + 1):
-        for rs in combinations(range(m.rows), k):
-            picked = [rows[i] for i in rs]
-            for cs in combinations(range(m.cols), k):
-                d = _det_dense([[pr[j] for j in cs] for pr in picked])
-                if d not in (0, 1, -1):
-                    return rs, cs, d
-    return None
+    skip = set(base)
+    tail = [i for i in range(m.rows) if i not in skip]
+    best = None
+    limit = min(len(tail), m.cols)  # largest minor size still searched
+
+    def visit(start, rs, minors):
+        nonlocal best, limit
+        k = len(rs)
+        for t in range(start, len(tail)):
+            if k >= limit:
+                return
+            grown = {}
+            for c, x in enumerate(rows[tail[t]]):
+                if not x:
+                    continue
+                bit = 1 << c
+                x = -x if k % 2 else x
+                for cs, v in minors.items():
+                    if not cs & bit:
+                        # sign (-1)^(k+p), p = position of c in cs | bit
+                        w = -x * v if (cs & (bit - 1)).bit_count() % 2 else x * v
+                        grown[cs | bit] = grown.get(cs | bit, 0) + w
+            grown = {cs: v for cs, v in grown.items() if v}
+            bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
+                   for cs, v in grown.items() if v not in (1, -1)]
+            if bad:
+                best = ((*rs, tail[t]), *min(bad))
+                limit = k
+            elif grown:
+                visit(t + 1, (*rs, tail[t]), grown)
+
+    visit(0, (), {0: 1})
+    return best
 
 
 def from_matrix(raw, labels=None):
@@ -108,9 +148,12 @@ def from_matrix(raw, labels=None):
     (exact adjugate division); a row whose expansion is non-integer does not
     lie in the group generated by the base, so the maximal subsets generate
     different groups and the input is rejected.  The expanded matrix is then
-    certified totally unimodular, with the first offending minor reported as
-    a witness.  Scalar presentations collapse: [[2]] is accepted as the unit
-    system, since the single row is a base of the group it generates.
+    certified totally unimodular.  Only its tail rows are scanned, each minor
+    expanded from its row set's prefix (see _tu_witness), and the witness is
+    the first offending minor in the order of a scan over every square minor
+    (size, then rows, then columns).  Scalar presentations collapse: [[2]] is
+    accepted as the unit system, since the single row is a base of the group
+    it generates.
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
@@ -137,7 +180,7 @@ def from_matrix(raw, labels=None):
                 f"different groups", rows=(*base, i))
         out.append(tuple(x // d for x in num))
     a = IntMatrix.from_rows(out)
-    witness = _tu_witness(a)
+    witness = _tu_witness(a, base)
     if witness is not None:
         rs, cs, val = witness
         raise NotUnimodularError(

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
+from unimod.catalog import make
 from unimod.cli import run
+from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
 
 BAD_MINOR_MATRIX = "4 2\n1 0\n0 1\n1 1\n1 -1\n"
 
@@ -260,12 +262,19 @@ def test_catalog_listing(capsys):
 
 def test_catalog_and_file_fingerprints_agree(tmp_path, capsys):
     """A catalog reference and its rendered file hash identically."""
-    out_file = tmp_path / "sys.txt"
-    run(["dual", "catalog:sigma:2", "-o", str(out_file)])
-    capsys.readouterr()
-    run(["check", "catalog:triangle3", "--json"])
-    ref = json.loads(capsys.readouterr().out)["inputs"][0]["sha256"]
-    assert len(ref) == 64
+    s = make("triangle3")
+    sys_file = tmp_path / "sys.txt"
+    sys_file.write_text(render_matrix_text(s.a_matrix.to_lists(), s.labels))
+    graph_file = tmp_path / "k4.txt"
+    graph_file.write_text(render_edges_text(make("complete", 4)))
+    for argv, path in (
+            (["check", "catalog:triangle3"], sys_file),
+            (["graph", "catalog:complete:4", "--graphic"], graph_file)):
+        digests = []
+        for src in (argv[1], str(path)):
+            assert run([argv[0], src, *argv[2:], "--json"]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["inputs"][0]["sha256"])
+        assert digests == [sha256_hex(path.read_text())] * 2
 
 
 def test_module_entry_point_subprocess():

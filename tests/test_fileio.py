@@ -2,6 +2,7 @@
 
 import pytest
 
+from unimod.cli import run
 from unimod.errors import PreconditionError
 from unimod.fileio import (
     parse_edges_text,
@@ -40,10 +41,32 @@ def test_parse_matrix_json_form():
     "1 1\n1.5\n",             # non-integer entry
     "2 1\n1\n1\n# labels: a\n",  # label count mismatch
     '{"cols": []}',           # json without rows
+    '{"rows": [[1.7, 0], [0, true]]}',  # float and boolean entries
+    '{"rows": [[1.0]]}',      # integral float
+    '{"rows": [[false]]}',    # boolean alone
+    "1 1\n1_0\n",             # underscore digit grouping
+    "1 1\n\u0661\n",          # non-ASCII digit
+    "1_0 1\n1\n",             # underscore in the header
 ])
 def test_parse_matrix_rejects_malformed(bad):
     with pytest.raises(PreconditionError):
         parse_matrix_text(bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": [[1.7, 0], [0, true]]}',
+    "2 2\n1_0 0\n0 1\n",
+])
+def test_non_integer_matrix_files_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "m.txt"
+    f.write_text(text, encoding="utf-8")
+    assert run(["check", str(f)]) == 2
+    assert "error:" in capsys.readouterr().out
+
+
+def test_parse_edges_rejects_non_decimal_ids():
+    with pytest.raises(PreconditionError):
+        parse_edges_text("2 1\n1 2_0\n")
 
 
 def test_matrix_text_round_trip():

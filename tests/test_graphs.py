@@ -178,6 +178,19 @@ def test_graphic_cographic_complexity_equal():
         assert complexity(graphic_system(g)) == complexity(cographic_system(g))
 
 
+@pytest.mark.parametrize("build,k", [
+    (graphic_system, 6), (cographic_system, 7), (cographic_system, 8)])
+def test_complete_graph_systems_at_the_certification_frontier(build, k):
+    """Certified construction reaches K6 graphic and K8 cographic.
+
+    A scan over every square minor of the standard form needs C(N+n, n)
+    determinants: about 3.3 million for graphic K6 alone.
+    """
+    s = build(make("complete", k))
+    assert s.N == k * (k - 1) // 2
+    assert complexity(s) == k ** (k - 2)  # Cayley / Kirchhoff tree count
+
+
 # ---------------------------------------------------------------------------
 # stabilization
 

@@ -3,10 +3,13 @@
 Each test draws small random multigraphs (or systems derived from them)
 with a fixed seed and confirms that independently computed quantities
 agree: tree counts against Gram determinants, duals against cut-space
-derivations, scans against their defining inequalities.
+derivations, scans against their defining inequalities, and the tail-row
+total-unimodularity scan against a scan over every square minor.
 """
 
+import math
 import random
+from itertools import combinations
 
 from unimod.catalog import make
 from unimod.graphs import (
@@ -17,9 +20,10 @@ from unimod.graphs import (
     spanning_trees,
     stabilize,
 )
-from unimod.intlinalg import determinant
+from unimod.intlinalg import IntMatrix, _det_dense, determinant
 from unimod.lattice import polytope_points, short_vector_census
 from unimod.systems import (
+    _tu_witness,
     are_isomorphic,
     complexity,
     direct_sum,
@@ -131,3 +135,65 @@ def test_sign_scrambled_copy_is_isomorphic():
         corr = are_isomorphic(s, t)
         assert corr is not None and corr.verify(s, t)
         assert complexity(t) == complexity(s)
+
+
+def full_scan_tu_witness(m):
+    """Reference scan over every square minor of m (test-only oracle).
+
+    First square minor outside {0,1,-1}, scanning sizes small to large.
+    Returns (row_set, col_set, value) or None.
+    """
+    rows = m.row_list()
+    for k in range(1, min(m.rows, m.cols) + 1):
+        for rs in combinations(range(m.rows), k):
+            picked = [rows[i] for i in rs]
+            for cs in combinations(range(m.cols), k):
+                d = _det_dense([[pr[j] for j in cs] for pr in picked])
+                if d not in (0, 1, -1):
+                    return rs, cs, d
+    return None
+
+
+def random_standard_form(rng):
+    """A matrix whose n unit rows sit at random positions, plus base.
+
+    Tail entries lie in {-2..2}; some tails use only 0/+-1.  Half of the
+    tails carry a planted signed cycle block of size k >= 2: its determinant
+    is +-2 and all its smaller minors are 0/+-1, so witnesses of every size
+    turn up, not only entries and 2x2 minors.
+    """
+    n = rng.randint(1, 4)
+    tail_count = rng.randint(0, 4)
+    pool = rng.choice(((-2, -1, 0, 1, 2), (-1, 0, 1), (-1, 0, 0, 0, 1)))
+    tail = [[rng.choice(pool) for _ in range(n)] for _ in range(tail_count)]
+    if min(n, tail_count) >= 2 and rng.random() < 0.5:
+        k = rng.randint(2, min(n, tail_count))
+        rs, cs = rng.sample(range(tail_count), k), rng.sample(range(n), k)
+        signs = [rng.choice((1, -1)) for _ in range(2 * k - 1)]
+        # det = (prod of diagonal signs) + (-1)^(k-1) (prod of cycle signs)
+        signs.append(math.prod(signs) * (-1) ** (k - 1))
+        for j in range(k):
+            row = tail[rs[j]]
+            for c in cs:
+                row[c] = 0
+            row[cs[j]] = signs[2 * j]
+            row[cs[(j + 1) % k]] = signs[2 * j + 1]
+    base = sorted(rng.sample(range(n + tail_count), n))
+    rest = iter(tail)
+    rows = [tuple(int(c == base.index(i)) for c in range(n)) if i in base
+            else tuple(next(rest)) for i in range(n + tail_count)]
+    return IntMatrix.from_rows(rows), base
+
+
+def test_tail_scan_matches_full_scan_witness():
+    """The tail-row scan returns the full scan's witness, or None with it."""
+    rng = random.Random(170809)
+    by_size = {}
+    for _ in range(3000):
+        m, base = random_standard_form(rng)
+        want = full_scan_tu_witness(m)
+        assert _tu_witness(m, base) == want, (m.to_lists(), base)
+        size = 0 if want is None else len(want[0])
+        by_size[size] = by_size.get(size, 0) + 1
+    # good matrices and bad ones of every size up to 4x4
+    assert sorted(by_size) == [0, 1, 2, 3, 4] and min(by_size.values()) >= 20, by_size
