@@ -22,7 +22,7 @@ from .lattice import (FacetPair, LatticeModel, PolytopePoint, PolytopeReport,
                       ShortVectorCensus, build_polytope_report, discriminant,
                       facets, generation_index, lattice_generated_by,
                       lattice_of, polytope_points, short_vector_census,
-                      vertex_test, zonotope_check)
+                      vertex_test, zonotope_check, zonotope_witness)
 from .systems import (EMPTY_SYSTEM, SignedCorrespondence, UnimodularSystem,
                       UpsilonSplit, are_isomorphic, automorphism_count,
                       complexity, direct_sum, enumerate_bases, form_pairing_matrix,
@@ -47,5 +47,5 @@ __all__ = [
     "lattice_of", "loops", "multiplicity_classes", "polytope_points", "rank",
     "short_vector_census", "solve_unimodular", "spanning_trees",
     "split_upsilon", "square_minors", "stabilize", "vertex_test",
-    "zonotope_check",
+    "zonotope_check", "zonotope_witness",
 ]

@@ -35,7 +35,6 @@ from .fileio import (
 from .graphs import Multigraph, cographic_system, graphic_system, stabilize
 from .lattice import (
     DEFAULT_SCAN_CAP,
-    DEFAULT_SIGN_CAP,
     build_polytope_report,
     short_vector_census,
 )
@@ -259,9 +258,7 @@ def _cmd_polytope(args):
     report = build_polytope_report(
         system,
         scan_cap=cap or DEFAULT_SCAN_CAP,
-        sign_cap=cap or DEFAULT_SIGN_CAP,
-        enum_cap=cap or DEFAULT_ENUMERATION_CAP,
-        workers=args.threads)
+        enum_cap=cap or DEFAULT_ENUMERATION_CAP)
     lines = ["origin 1"]
     for sq, cnt in report.by_square().items():
         lines.append(f"square {sq} count {cnt}")
@@ -345,8 +342,6 @@ def _build_parser():
                         help="emit a single JSON document")
     common.add_argument("--cap", type=int, metavar="N",
                         help="override enumeration/scan size caps")
-    common.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="worker processes for the sign-vector scan")
 
     parser = argparse.ArgumentParser(
         prog="unimod",

@@ -2,34 +2,36 @@
 
 The span W of the form columns is embedded in Z^N so that coordinate i of a
 point is the value the i-th form takes on it.  The lattice L = W cap Z^N is
-generated by the columns of the standard-form matrix (saturation comes from
+generated by the columns of the standard-form matrix A (saturation comes from
 total unimodularity), and the polytope D = {w in W : every |coordinate| <= 1}
-is a reflexive lattice polytope whose lattice points all live in {-1,0,1}^N.
-That makes an exact census possible: scan the cube, keep the points
-orthogonal to a saturated basis of the complement.  The scan is also a
-complete certificate for lattice vectors of square <= 3.
+is a reflexive lattice polytope.  Every point of L is w = A x for one integer
+x, and the base rows of A are unit vectors, so x = w_B, the point's values
+on the base forms.  A point of D therefore has w_B in {-1,0,1}^n, and an
+exact census is a search over these base coordinates: depth first, cut as
+soon as some form can no longer come back to [-1, 1].  The census is also a
+complete certificate for lattice vectors of square <= 3, all of which lie
+in D.
 
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
-whether D equals Z, projecting with a single common denominator (the
-discriminant) so that the verdict takes integer comparisons only; False is
-an exact answer, not a failure of the computation.
+whether D equals Z by a closed form on the projection matrix, scaled by a
+single common denominator (the discriminant) so that the verdict takes
+integer comparisons only; False is an exact answer, not a failure of the
+computation, and zonotope_witness names a sign vector that projects
+outside D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from multiprocessing import get_context
 
 from .errors import CapError, MembershipError, PreconditionError
-from .intlinalg import (IntMatrix, adjugate, determinant, dot, hermite_form,
-                        kernel_basis, matvec, rank, vecmat)
-from .systems import (DEFAULT_ENUMERATION_CAP, complexity, enumerate_bases,
+from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
+                        matvec, rank)
+from .systems import (DEFAULT_ENUMERATION_CAP, _walk_bases, complexity,
                       form_pairing_matrix, gram_matrix, multiplicity_classes)
 
 DEFAULT_SCAN_CAP = 18
-DEFAULT_SIGN_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -60,31 +62,50 @@ def discriminant(lat):
 
 
 # ---------------------------------------------------------------------------
-# cube scan
+# points
 
 
-def _cube_scan(n_coords, kernel):
-    """All z in {-1,0,1}^n_coords orthogonal to every kernel vector.
+def _box_points(cols, n_rows, values):
+    """All (x, w) with every x_j in values and w = sum_j x_j cols[j] in the
+    box [-1, 1]^n_rows.
 
-    Meet-in-the-middle: index half-assignments by their partial products
-    against the kernel, then join halves whose partials cancel.
+    Depth first over j.  Choosing x_j moves w only on the support of
+    cols[j]; there a coordinate may stray at most 1 + (its absolute sum
+    over the later columns) and still come back into [-1, 1], so a branch
+    is cut as soon as one strays further.  After a coordinate's last column
+    that bound is 1, so every leaf lies in the box.
     """
-    if n_coords == 0:
-        return [()]
-    half = n_coords // 2
-    left_len, right_len = half, n_coords - half
-    kl = [k[:half] for k in kernel]
-    kr = [k[half:] for k in kernel]
-    table = {}
-    for left in product((-1, 0, 1), repeat=left_len):
-        key = tuple(dot(left, k) for k in kl)
-        table.setdefault(key, []).append(left)
+    n = len(cols)
+    rest = [0] * n_rows
+    steps = [()] * n  # per column: (x_j, ((row, change, bound), ...)) pairs
+    for j in range(n - 1, -1, -1):
+        support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
+        for i, c, _ in support:
+            rest[i] += abs(c)
+        steps[j] = tuple((v, tuple((i, v * c, b) for i, c, b in support))
+                         for v in values)
+    w = [0] * n_rows
+    x = [0] * n
     out = []
-    for right in product((-1, 0, 1), repeat=right_len):
-        need = tuple(-dot(right, k) for k in kr)
-        for left in table.get(need, ()):
-            out.append(left + right)
-    out.sort()
+
+    def visit(j):
+        if j == n:
+            out.append((tuple(x), tuple(w)))
+            return
+        for v, move in steps[j]:
+            inside = True
+            for i, d, b in move:
+                t = w[i] + d
+                w[i] = t
+                if t > b or t < -b:
+                    inside = False
+            if inside:
+                x[j] = v
+                visit(j + 1)
+            for i, d, _ in move:
+                w[i] -= d
+
+    visit(0)
     return out
 
 
@@ -110,19 +131,18 @@ def _coefficients(sys, z):
 def polytope_points(sys, cap=DEFAULT_SCAN_CAP):
     """All lattice points of D, sorted lexicographically.
 
-    Complete by the cube argument: a point of D has every form value in
-    {-1,0,1}, and membership in W is equivalent to orthogonality against a
-    saturated basis of the complement.
+    Complete by the base-coordinate argument: every point w of D has w_B in
+    {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
+    box meets each point once, with x as its coefficients.  The cap bounds N,
+    as it did for the scan over the cube {-1,0,1}^N this search replaced.
     """
     if sys.N > cap:
-        raise CapError(f"cube scan over 3^{sys.N} points exceeds cap {cap}")
-    kernel = kernel_basis(sys.a_matrix)
-    pts = []
-    for z in _cube_scan(sys.N, kernel):
-        pts.append(PolytopePoint(vector=z,
-                                 square=sum(1 for x in z if x),
-                                 coefficients=_coefficients(sys, z)))
-    return tuple(pts)
+        raise CapError(f"point scan over {sys.N} forms exceeds cap {cap}")
+    cols = [sys.a_matrix.col(j) for j in range(sys.n)]
+    found = sorted((w, x) for x, w in _box_points(cols, sys.N, (-1, 0, 1)))
+    return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t),
+                               coefficients=x)
+                 for w, x in found)
 
 
 def vertex_test(sys, point):
@@ -148,9 +168,8 @@ class FacetPair:
     minus_vertices: tuple
 
 
-def facets(sys, cap=DEFAULT_SCAN_CAP):
-    """One facet pair per distinct form (up to sign), with their points."""
-    pts = polytope_points(sys, cap=cap)
+def _facet_pairs(sys, pts, vertices):
+    """Facet pairs from the point list; vertices is the set of vertex vectors."""
     out = []
     for cls in multiplicity_classes(sys):
         rep = cls[0]
@@ -159,61 +178,49 @@ def facets(sys, cap=DEFAULT_SCAN_CAP):
         out.append(FacetPair(
             rep_row=rep, class_rows=cls,
             plus_points=plus, minus_points=minus,
-            plus_vertices=tuple(v for v in plus if vertex_test(sys, v)),
-            minus_vertices=tuple(v for v in minus if vertex_test(sys, v))))
+            plus_vertices=tuple(v for v in plus if v in vertices),
+            minus_vertices=tuple(v for v in minus if v in vertices)))
     return tuple(out)
+
+
+def facets(sys, cap=DEFAULT_SCAN_CAP):
+    """One facet pair per distinct form (up to sign), with their points."""
+    pts = polytope_points(sys, cap=cap)
+    return _facet_pairs(sys, pts, {p.vector for p in pts
+                                   if vertex_test(sys, p.vector)})
 
 
 # ---------------------------------------------------------------------------
 # zonotope property
 
 
-def _sign_ok(prows, d, s):
-    for pr in prows:
-        acc = 0
-        for a, b in zip(pr, s):
-            if b == 1:
-                acc += a
-            else:
-                acc -= a
-        if acc > d or acc < -d:
-            return False
-    return True
+def zonotope_witness(sys):
+    """A sign vector whose projection leaves D, or None when D equals Z.
+
+    The projection of s is (P s)/d with P = A adj(A^T A) A^T and
+    d = det(A^T A).  Over s in {-1,1}^N the largest (P s)_i is the absolute
+    sum of row i of P, reached at that row's sign pattern.  So Z lies in D,
+    and D = Z, exactly when no row's absolute sum exceeds d; otherwise the
+    sign pattern of the first row that does (zeros read as +1) projects to
+    a point whose i-th form value is above 1.
+    """
+    p, d = form_pairing_matrix(sys)
+    for row in p.row_list():
+        if sum(abs(x) for x in row) > d:
+            return tuple(-1 if x < 0 else 1 for x in row)
+    return None
 
 
-def _zono_block(args):
-    prows, d, prefix, suffix_len = args
-    for suffix in product((1, -1), repeat=suffix_len):
-        if not _sign_ok(prows, d, prefix + suffix):
-            return False
-    return True
-
-
-def zonotope_check(sys, cap=DEFAULT_SIGN_CAP, workers=1):
+def zonotope_check(sys):
     """Whether D equals the cube's shadow Z = pi([-1,1]^N).
 
     D is always contained in Z, so they are equal exactly when every +-1
-    sign vector projects into D.  The projection of s is (P s)/d with
-    P = A adj(A^T A) A^T and d = det(A^T A), so membership is the integer
-    condition max_i |(P s)_i| <= d; opposite sign vectors are equivalent,
-    so s_1 = +1.  The answer is exact either way: False means some sign
-    vector projects strictly outside D, which happens for many unimodular
-    systems (the plane triangle system among them).
+    sign vector projects into D; zonotope_witness decides that in closed
+    form.  The answer is exact either way: False means some sign vector
+    projects strictly outside D, which happens for many unimodular systems
+    (the plane triangle system among them).
     """
-    if sys.N > cap:
-        raise CapError(f"sign scan over 2^{sys.N} vectors exceeds cap {cap}")
-    if sys.N == 0:
-        return True
-    p, d = form_pairing_matrix(sys)
-    prows = p.row_list()
-    rest = sys.N - 1
-    if workers > 1 and rest >= 2:
-        split = min(4, rest)
-        tasks = [(prows, d, (1,) + pre, rest - split)
-                 for pre in product((1, -1), repeat=split)]
-        with get_context("fork").Pool(workers) as pool:
-            return all(pool.map(_zono_block, tasks))
-    return _zono_block((prows, d, (1,), rest))
+    return zonotope_witness(sys) is None
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +231,10 @@ def zonotope_check(sys, cap=DEFAULT_SIGN_CAP, workers=1):
 class ShortVectorCensus:
     """Counts of lattice vectors of square 1, 2, 3 (both signs counted).
 
-    The cube scan sees *every* lattice vector of square <= 3, so the counts
-    are exact.  min_nonzero_square is the minimum over the nonzero points of
-    D; when all counts vanish the true lattice minimum is only certified to
-    be >= 4, attained exactly if a square-4 point of D exists.
+    The points of D include *every* lattice vector of square <= 3, so the
+    counts are exact.  min_nonzero_square is the minimum over the nonzero
+    points of D; when all counts vanish the true lattice minimum is only
+    certified to be >= 4, attained exactly if a square-4 point of D exists.
     """
 
     counts: dict
@@ -250,8 +257,7 @@ class ShortVectorCensus:
         return ">= 4"
 
 
-def short_vector_census(sys, cap=DEFAULT_SCAN_CAP):
-    pts = polytope_points(sys, cap=cap)
+def _census(pts):
     counts = {1: 0, 2: 0, 3: 0}
     min_sq = None
     for p in pts:
@@ -264,34 +270,32 @@ def short_vector_census(sys, cap=DEFAULT_SCAN_CAP):
     return ShortVectorCensus(counts=counts, min_nonzero_square=min_sq)
 
 
+def short_vector_census(sys, cap=DEFAULT_SCAN_CAP):
+    return _census(polytope_points(sys, cap=cap))
+
+
 # ---------------------------------------------------------------------------
 # generation
 
 
-def lattice_generated_by(lat, vectors):
-    """Whether the given lattice vectors generate L (index-1 Hermite check)."""
+def generation_index(lat, vectors):
+    """Index in L of the sublattice the vectors generate (0 if lower rank).
+
+    Each vector must have the ambient dimension N (MembershipError
+    otherwise) and plain integer entries (PreconditionError otherwise, so
+    1.5 or True is never read as 1).
+    """
     sys = lat.system
     coords = []
     for v in vectors:
-        v = tuple(int(x) for x in v)
+        v = tuple(v)
         if len(v) != lat.ambient_dim:
-            raise MembershipError("vector has the wrong ambient dimension")
+            raise MembershipError(
+                f"{v} has {len(v)} coordinates, the lattice lives in "
+                f"Z^{lat.ambient_dim}")
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in v):
+            raise PreconditionError(f"{v} has a non-integer entry")
         coords.append(_coefficients(sys, v))
-    if not coords:
-        return sys.n == 0
-    h, _, rk = hermite_form(IntMatrix.from_rows(coords))
-    if rk < sys.n:
-        return False
-    index = 1
-    for i in range(sys.n):
-        index *= h[i, i]
-    return index == 1
-
-
-def generation_index(lat, vectors):
-    """Index in L of the sublattice the vectors generate (0 if lower rank)."""
-    sys = lat.system
-    coords = [_coefficients(sys, tuple(int(x) for x in v)) for v in vectors]
     if not coords:
         return 1 if sys.n == 0 else 0
     h, _, rk = hermite_form(IntMatrix.from_rows(coords))
@@ -301,6 +305,11 @@ def generation_index(lat, vectors):
     for i in range(sys.n):
         index *= h[i, i]
     return index
+
+
+def lattice_generated_by(lat, vectors):
+    """Whether the given lattice vectors generate L (index-1 Hermite check)."""
+    return generation_index(lat, vectors) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +366,35 @@ class PolytopeReport:
 def _basic_vertices(sys, cap):
     """Vertices of D the dual way: feasible basic solutions of n active rows.
 
-    For every base S and sign pattern e, the system (rows S) x = e has a
-    unique solution, integral because base minors are +-1; it is a vertex of
-    D exactly when all coordinates of the lifted point lie in [-1, 1].
+    For a base S with tableau T = A A_S^-1 (see _walk_bases), the point at
+    which the rows of S take the values e in {-1,1}^n is T e, integral
+    because T has entries 0 and +-1.  It is a vertex of D exactly when all
+    its coordinates lie in [-1, 1]; the same pruned search as for the
+    points finds those e.
     """
-    a = sys.a_matrix
     verts = set()
-    for base in enumerate_bases(sys, cap=cap):
-        b = a.take_rows(base)
-        d = determinant(b)           # +-1 by total unimodularity
-        adj_t = adjugate(b.transpose())
-        for eps in product((1, -1), repeat=sys.n):
-            x = tuple(v * d for v in vecmat(eps, adj_t))
-            w = matvec(a, x)
-            if all(-1 <= c <= 1 for c in w):
-                verts.add(w)
+    for _, cols in _walk_bases(sys, cap=cap):
+        verts.update(w for _, w in _box_points(cols, sys.N, (1, -1)))
     return verts
 
 
 def build_polytope_report(sys, scan_cap=DEFAULT_SCAN_CAP,
-                          sign_cap=DEFAULT_SIGN_CAP,
-                          enum_cap=DEFAULT_ENUMERATION_CAP, workers=1):
+                          enum_cap=DEFAULT_ENUMERATION_CAP):
     """Assemble the full polytope report with both verification routes.
 
-    Reflexivity is certified by agreement of two independent vertex
-    computations (cube scan + active-rank test vs. feasible basic solutions,
-    which are integral because base determinants are +-1) plus nonemptiness
-    of every facet; the zonotope flag is zonotope_check's exact verdict on
-    whether D equals the cube's shadow.
+    The points come from one base-coordinate search (polytope_points); the
+    vertices, facet pairs and census are derived from that list, with one
+    active-rank test per point.  Reflexivity is certified by agreement of
+    two independent vertex computations (that rank test vs. feasible basic
+    solutions, which are integral because base determinants are +-1) plus
+    nonemptiness of every facet; the zonotope flag is zonotope_check's
+    exact verdict on whether D equals the cube's shadow.
     """
     pts = polytope_points(sys, cap=scan_cap)
     vertices = tuple(p.vector for p in pts if vertex_test(sys, p.vector))
-    fp = facets(sys, cap=scan_cap)
-    census = short_vector_census(sys, cap=scan_cap)
-    zono = zonotope_check(sys, cap=sign_cap, workers=workers)
-    basic = _basic_vertices(sys, cap=enum_cap)
-    reflexive = (set(vertices) == basic)
+    vertex_set = set(vertices)
+    fp = _facet_pairs(sys, pts, vertex_set)
+    reflexive = vertex_set == _basic_vertices(sys, cap=enum_cap)
     if sys.n > 0:
         reflexive = reflexive and all(
             f.plus_vertices and f.minus_vertices for f in fp)
@@ -401,6 +403,6 @@ def build_polytope_report(sys, scan_cap=DEFAULT_SCAN_CAP,
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          census=census,
-                          zonotope_verified=zono,
+                          census=_census(pts),
+                          zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

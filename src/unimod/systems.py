@@ -11,15 +11,15 @@ row by row from those of each row set's prefix; a rejection still names the
 first bad minor in the order of a scan over every square minor.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
-enumeration, direct sums, splitting off unit summands, Gale duality, and
-signed isomorphism / automorphism search with exact invariant pruning.
+enumeration by +-1 pivots over the base graph, direct sums, splitting off
+unit summands, Gale duality, and signed isomorphism / automorphism search
+with exact invariant pruning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
@@ -209,16 +209,65 @@ def complexity(sys):
     return determinant(gram_matrix(sys))
 
 
-def enumerate_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
-    """All n-subsets of rows with nonzero determinant, lexicographically."""
+def _pivot(cols, p, r):
+    """Tableau after row r enters the base at position p: T' = T M.
+
+    M is the column operation that makes row r the unit vector e_p; the
+    pivot entry is +-1, so dividing by it is multiplying by it.
+    """
+    t = cols[p][r]
+    piv = cols[p] if t == 1 else tuple(-x for x in cols[p])
+    out = []
+    for q, col in enumerate(cols):
+        f = col[r]
+        if q == p:
+            out.append(piv)
+        elif f:
+            out.append(tuple(x - f * y for x, y in zip(col, piv)))
+        else:
+            out.append(col)
+    return tuple(out)
+
+
+def _walk_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+    """Yield (rows, cols) once for every base, walking the base graph.
+
+    rows[p] is the base row at position p and cols are the columns of the
+    tableau T = A B^-1, B the base rows of A, so row rows[p] of T is e_p.
+    By Cramer's rule T[r][p] is the determinant of the rows with rows[p]
+    swapped for r, divided by det B: 0 or +-1 by total unimodularity, and
+    nonzero exactly when the swap gives a base.  The walk starts from the
+    standard form, whose tableau is A itself, and reaches every base
+    because the base graph of a matroid is connected; each new base costs
+    one O(N n) pivot.
+    """
     if sys.N > cap:
         raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
-    m = sys.a_matrix
-    out = []
-    for rs in combinations(range(sys.N), sys.n):
-        if determinant(m.submatrix(rs, range(sys.n))) != 0:
-            out.append(rs)
-    return out
+    start = tuple(sys.base_rows)
+    mask = sum(1 << r for r in start)
+    seen = {mask}
+    stack = [(start, tuple(sys.a_matrix.col(j) for j in range(sys.n)), mask)]
+    while stack:
+        rows, cols, mask = stack.pop()
+        yield rows, cols
+        for p, col in enumerate(cols):
+            for r, x in enumerate(col):
+                if not x or mask >> r & 1:
+                    continue
+                swapped = mask ^ (1 << rows[p]) | (1 << r)
+                if swapped not in seen:
+                    seen.add(swapped)
+                    stack.append((rows[:p] + (r,) + rows[p + 1:],
+                                  _pivot(cols, p, r), swapped))
+
+
+def enumerate_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+    """All bases as ascending row tuples, lexicographically ordered.
+
+    The bases come from the pivot walk over the base graph (_walk_bases),
+    so the work grows with the number of bases, not with C(N, n).
+    """
+    return sorted(tuple(sorted(rows)) for rows, _ in _walk_bases(sys, cap))
 
 
 @lru_cache(maxsize=None)

@@ -139,11 +139,15 @@ def test_polytope_text_verdict_lines(capsys):
 
 
 def test_reports_are_deterministic_modulo_timing(capsys):
-    run(["polytope", "catalog:bixby_seymour"])
-    first = capsys.readouterr().out
-    run(["polytope", "catalog:bixby_seymour", "--threads", "2"])
-    second = capsys.readouterr().out
-    assert without_timing(first) == without_timing(second)
+    runs = []
+    for _ in range(2):
+        run(["polytope", "catalog:bixby_seymour"])
+        text = without_timing(capsys.readouterr().out)
+        run(["polytope", "catalog:bixby_seymour", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("elapsed_ms")
+        runs.append((text, doc))
+    assert runs[0] == runs[1]
 
 
 def test_json_deterministic_modulo_timing(capsys):

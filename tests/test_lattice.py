@@ -21,8 +21,12 @@ from unimod.lattice import (
     short_vector_census,
     vertex_test,
     zonotope_check,
+    zonotope_witness,
 )
 from unimod.systems import EMPTY_SYSTEM, complexity, gale_dual
+
+from test_acceptance import _shadow_inside_section, catalog_sweep
+from test_properties import sign_scan_zonotope_check
 
 GOLDEN = Path(__file__).parent / "golden" / "bixby_seymour_polytope.json"
 
@@ -82,7 +86,7 @@ def test_discriminant_equals_complexity_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# point scan / vertices / facets
+# points / vertices / facets
 
 
 def test_segment_census():
@@ -126,6 +130,12 @@ def test_scan_cap():
         polytope_points(make("bixby_seymour"), cap=8)
 
 
+def test_report_enumeration_cap():
+    # the basic-vertex route walks the bases under the enumeration cap
+    with pytest.raises(CapError):
+        build_polytope_report(make("bixby_seymour"), enum_cap=9)
+
+
 def test_facet_pairs_segment():
     fp = facets(make("sigma", 3))
     assert len(fp) == 1
@@ -139,7 +149,7 @@ def test_facet_pairs_k4():
 
 
 # ---------------------------------------------------------------------------
-# zonotope scan
+# zonotope verdict
 
 
 def test_zonotope_check_matches_fraction_oracle():
@@ -169,14 +179,32 @@ def test_zonotope_check_section_strictly_inside_shadow():
     assert not zonotope_check(cographic_system(make("complete", 4)))
 
 
-def test_zonotope_check_workers_agree():
+def test_zonotope_closed_form_matches_sign_scan():
     s = make("bixby_seymour")
-    assert zonotope_check(s, workers=4) == zonotope_check(s)
+    assert zonotope_check(s) == sign_scan_zonotope_check(s) is False
 
 
-def test_zonotope_cap():
-    with pytest.raises(CapError):
-        zonotope_check(make("bixby_seymour"), cap=9)
+def test_zonotope_check_beyond_the_old_sign_cap():
+    # the sign scan stopped at N = 16; the closed form has no cap
+    assert zonotope_check(make("sigma", 20))
+    s = cographic_system(make("complete", 7))
+    assert s.N == 21
+    assert zonotope_check(s) == _shadow_inside_section(s)
+
+
+def test_zonotope_witness_projects_outside():
+    tri = make("triangle3")
+    assert zonotope_witness(tri) == (1, -1, 1)
+    assert _orthogonal_projection(tri, (1, -1, 1))[0] == Fraction(4, 3)
+    escaped = 0
+    for label, s in catalog_sweep():
+        w = zonotope_witness(s)
+        assert zonotope_check(s) == (w is None), label
+        if w is not None:
+            escaped += 1
+            assert set(w) <= {1, -1} and len(w) == s.N, label
+            assert max(abs(x) for x in _orthogonal_projection(s, w)) > 1, label
+    assert escaped == 15
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +239,27 @@ def test_lattice_generated_by_basis_and_membership():
     assert lattice_generated_by(lat, cols)
     with pytest.raises(MembershipError):
         lattice_generated_by(lat, [(1,) + (0,) * 9])
+
+
+def test_generation_index_rejects_short_vectors():
+    lat = lattice_of(make("bixby_seymour"))
+    for bad in ([(1, 0, 0)], [(0,) * 11]):
+        with pytest.raises(MembershipError):
+            generation_index(lat, bad)
+        with pytest.raises(MembershipError):
+            lattice_generated_by(lat, bad)
+
+
+def test_generation_index_rejects_non_integer_entries():
+    s = make("bixby_seymour")
+    lat = lattice_of(s)
+    col = list(s.a_matrix.col(0))
+    for x in (1.5, 1.0, True, "1"):
+        bad = [tuple([x] + col[1:])]
+        with pytest.raises(PreconditionError):
+            generation_index(lat, bad)
+        with pytest.raises(PreconditionError):
+            lattice_generated_by(lat, bad)
 
 
 def test_generation_indices_of_bs_shells():
@@ -259,3 +308,12 @@ def test_golden_report_spot_values():
     assert golden["min_nonzero_square"] == "4 (attained)"
     assert golden["zonotope_verified"] is False
     assert golden["reflexive_verified"] is True
+
+
+def test_complete_graph_reports_at_the_polytope_frontier():
+    rep = build_polytope_report(cographic_system(make("complete", 6)))
+    assert (len(rep.points), len(rep.vertices)) == (63, 62)
+    assert rep.reflexive_verified
+    rep = build_polytope_report(graphic_system(make("complete", 6)))
+    assert (len(rep.points), len(rep.vertices)) == (7839, 3594)
+    assert rep.reflexive_verified

@@ -3,15 +3,20 @@
 Each test draws small random multigraphs (or systems derived from them)
 with a fixed seed and confirms that independently computed quantities
 agree: tree counts against Gram determinants, duals against cut-space
-derivations, scans against their defining inequalities, and the tail-row
-total-unimodularity scan against a scan over every square minor.
+derivations, scans against their defining inequalities, and each fast path
+against the slow routine it replaced, kept here as a test-only oracle: the
+tail-row total-unimodularity scan against a scan over every square minor,
+the base-coordinate point search against the cube scan, the base-graph
+walker against a scan over all row subsets, and the closed-form zonotope
+verdict against the sign-vector scan.
 """
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from unimod.catalog import make
+from unimod.errors import CapError
 from unimod.graphs import (
     Multigraph,
     cographic_system,
@@ -20,18 +25,40 @@ from unimod.graphs import (
     spanning_trees,
     stabilize,
 )
-from unimod.intlinalg import IntMatrix, _det_dense, determinant
-from unimod.lattice import polytope_points, short_vector_census
+from unimod.intlinalg import (
+    IntMatrix,
+    _det_dense,
+    adjugate,
+    determinant,
+    dot,
+    kernel_basis,
+    matvec,
+    vecmat,
+)
+from unimod.lattice import (
+    DEFAULT_SCAN_CAP,
+    PolytopePoint,
+    _basic_vertices,
+    _coefficients,
+    polytope_points,
+    short_vector_census,
+    zonotope_check,
+)
 from unimod.systems import (
+    DEFAULT_ENUMERATION_CAP,
     _tu_witness,
+    _walk_bases,
     are_isomorphic,
     complexity,
     direct_sum,
     enumerate_bases,
+    form_pairing_matrix,
     from_matrix,
     gale_dual,
     split_upsilon,
 )
+
+from test_acceptance import catalog_sweep
 
 
 def random_connected_multigraph(rng, nverts, extra):
@@ -197,3 +224,181 @@ def test_tail_scan_matches_full_scan_witness():
         by_size[size] = by_size.get(size, 0) + 1
     # good matrices and bad ones of every size up to 4x4
     assert sorted(by_size) == [0, 1, 2, 3, 4] and min(by_size.values()) >= 20, by_size
+
+
+# ---------------------------------------------------------------------------
+# oracles for the polytope report: the routines the report used before the
+# base-coordinate search, the base-graph walker and the closed-form zonotope
+# verdict replaced them, bodies unchanged except where noted
+
+
+def _cube_scan(n_coords, kernel):
+    """All z in {-1,0,1}^n_coords orthogonal to every kernel vector.
+
+    Meet-in-the-middle: index half-assignments by their partial products
+    against the kernel, then join halves whose partials cancel.
+    """
+    if n_coords == 0:
+        return [()]
+    half = n_coords // 2
+    left_len, right_len = half, n_coords - half
+    kl = [k[:half] for k in kernel]
+    kr = [k[half:] for k in kernel]
+    table = {}
+    for left in product((-1, 0, 1), repeat=left_len):
+        key = tuple(dot(left, k) for k in kl)
+        table.setdefault(key, []).append(left)
+    out = []
+    for right in product((-1, 0, 1), repeat=right_len):
+        need = tuple(-dot(right, k) for k in kr)
+        for left in table.get(need, ()):
+            out.append(left + right)
+    out.sort()
+    return out
+
+
+def cube_scan_polytope_points(sys, cap=DEFAULT_SCAN_CAP):
+    """All lattice points of D, sorted lexicographically.
+
+    Complete by the cube argument: a point of D has every form value in
+    {-1,0,1}, and membership in W is equivalent to orthogonality against a
+    saturated basis of the complement.
+    """
+    if sys.N > cap:
+        raise CapError(f"cube scan over 3^{sys.N} points exceeds cap {cap}")
+    kernel = kernel_basis(sys.a_matrix)
+    pts = []
+    for z in _cube_scan(sys.N, kernel):
+        pts.append(PolytopePoint(vector=z,
+                                 square=sum(1 for x in z if x),
+                                 coefficients=_coefficients(sys, z)))
+    return tuple(pts)
+
+
+def combinations_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+    """All n-subsets of rows with nonzero determinant, lexicographically."""
+    if sys.N > cap:
+        raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
+    m = sys.a_matrix
+    out = []
+    for rs in combinations(range(sys.N), sys.n):
+        if determinant(m.submatrix(rs, range(sys.n))) != 0:
+            out.append(rs)
+    return out
+
+
+def adjugate_basic_vertices(sys, cap):
+    """Vertices of D the dual way: feasible basic solutions of n active rows.
+
+    For every base S and sign pattern e, the system (rows S) x = e has a
+    unique solution, integral because base minors are +-1; it is a vertex of
+    D exactly when all coordinates of the lifted point lie in [-1, 1].
+    (The bases come from combinations_bases, not from the walker.)
+    """
+    a = sys.a_matrix
+    verts = set()
+    for base in combinations_bases(sys, cap=cap):
+        b = a.take_rows(base)
+        d = determinant(b)           # +-1 by total unimodularity
+        adj_t = adjugate(b.transpose())
+        for eps in product((1, -1), repeat=sys.n):
+            x = tuple(v * d for v in vecmat(eps, adj_t))
+            w = matvec(a, x)
+            if all(-1 <= c <= 1 for c in w):
+                verts.add(w)
+    return verts
+
+
+def _sign_ok(prows, d, s):
+    for pr in prows:
+        acc = 0
+        for a, b in zip(pr, s):
+            if b == 1:
+                acc += a
+            else:
+                acc -= a
+        if acc > d or acc < -d:
+            return False
+    return True
+
+
+def _zono_block(args):
+    prows, d, prefix, suffix_len = args
+    for suffix in product((1, -1), repeat=suffix_len):
+        if not _sign_ok(prows, d, prefix + suffix):
+            return False
+    return True
+
+
+def sign_scan_zonotope_check(sys):
+    """Whether every +-1 sign vector projects into D, by scanning them all.
+
+    The projection of s is (P s)/d, so membership is max_i |(P s)_i| <= d;
+    opposite sign vectors are equivalent, so s_1 = +1.  (The cap and the
+    worker pool of the original are left out.)
+    """
+    if sys.N == 0:
+        return True
+    p, d = form_pairing_matrix(sys)
+    return _zono_block((p.row_list(), d, (1,), sys.N - 1))
+
+
+def scrambled_copies(rng, systems, count):
+    """Seeded copies: rows permuted and sign-flipped, a unimodular base change."""
+    out = []
+    for _ in range(count):
+        s = rng.choice(systems)
+        n = s.n
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            sign = rng.choice((1, -1))
+            u[i] = [x + sign * y for x, y in zip(u[i], u[j])]
+        rows = (s.a_matrix @ IntMatrix.from_rows(u)).to_lists()
+        signs = [rng.choice((1, -1)) for _ in rows]
+        rows = [[signs[i] * x for x in rows[i]]
+                for i in rng.sample(range(s.N), s.N)]
+        out.append(from_matrix(rows))
+    return out
+
+
+def _systems_under_test(seed):
+    sweep = [s for _, s in catalog_sweep()]
+    return sweep + scrambled_copies(random.Random(seed), sweep[3:], 12)
+
+
+def test_points_match_cube_scan():
+    for s in _systems_under_test(170810):
+        assert polytope_points(s) == cube_scan_polytope_points(s), s
+
+
+def test_walker_visits_each_base_once():
+    for s in _systems_under_test(170811):
+        visited = [tuple(sorted(rows)) for rows, _ in _walk_bases(s)]
+        assert len(visited) == len(set(visited)) == complexity(s), s
+        assert enumerate_bases(s) == combinations_bases(s), s
+
+
+def test_walker_tableaux_are_the_base_inverses():
+    # T = A B^-1: the base rows of each tableau are the unit vectors, and
+    # T B = A row by row
+    for s in _systems_under_test(170812)[:20]:
+        a = s.a_matrix
+        for rows, cols in _walk_bases(s):
+            t = IntMatrix.from_rows(zip(*cols))
+            for p, r in enumerate(rows):
+                assert t.row(r) == tuple(int(q == p) for q in range(s.n))
+            assert t @ a.take_rows(rows) == a
+
+
+def test_basic_vertices_match_adjugate_route():
+    for s in _systems_under_test(170813):
+        cap = DEFAULT_ENUMERATION_CAP
+        assert _basic_vertices(s, cap) == adjugate_basic_vertices(s, cap), s
+
+
+def test_zonotope_closed_form_matches_sign_scan():
+    systems = [make("sigma", n) for n in range(1, 17)]
+    systems += [s for _, s in catalog_sweep()]
+    for s in systems:
+        assert zonotope_check(s) == sign_scan_zonotope_check(s), s
