@@ -394,10 +394,8 @@ def _build_parser():
                    help="delete loops and contract bridges first")
     p.add_argument("-o", "--output", metavar="FILE")
 
-    p = sub.add_parser("catalog", parents=[common],
-                       help="list built-in systems and graphs")
-    p.add_argument("--list", action="store_true",
-                   help="list entries (default action)")
+    sub.add_parser("catalog", parents=[common],
+                   help="list built-in systems and graphs")
 
     return parser
 

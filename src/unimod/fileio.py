@@ -3,11 +3,11 @@
 Matrix files: first non-comment line "N n", then N lines of n signed
 decimal integers ([+-]?[0-9]+); '#' starts a comment line.  A comment of
 the form "# labels: a b c" carries row labels and survives a parse/render
-round trip.  A JSON object {"rows": [[...]], "labels": [...]} is accepted
-anywhere a matrix file is; its entries must be JSON integers (no floats or
-booleans).  Edge-list files:
-first line "m N" (vertices, edges), then N lines "tail head" with 1-indexed
-vertex ids.
+round trip, so each label must be a nonempty word without whitespace.  A
+JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
+matrix file is; its entries must be JSON integers (no floats or booleans).
+Edge-list files: first line "m N" (vertices, edges), then N lines
+"tail head" with 1-indexed vertex ids.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import re
 
 from .errors import PreconditionError
 from .graphs import Multigraph
+from .systems import check_labels
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -64,9 +65,9 @@ def parse_matrix_text(text):
             raise PreconditionError('"rows" must be a list of integer lists')
         labels = obj.get("labels")
         if labels is not None:
-            if len(labels) != len(rows):
-                raise PreconditionError("labels length must match the row count")
-            labels = tuple(str(x) for x in labels)
+            if not isinstance(labels, list):
+                raise PreconditionError('"labels" must be a list')
+            labels = check_labels(labels, len(rows))
         return [tuple(r) for r in rows], labels
     labels = None
     for line in text.splitlines():
@@ -96,8 +97,8 @@ def parse_matrix_text(text):
             rows.append(tuple(_int(x) for x in parts))
         except ValueError:
             raise PreconditionError(f"non-integer matrix entry in {line!r}") from None
-    if labels is not None and len(labels) != nrows:
-        raise PreconditionError("labels length must match the row count")
+    if labels is not None:
+        labels = check_labels(labels, nrows)
     return rows, labels
 
 

@@ -12,14 +12,19 @@ first bad minor in the order of a scan over every square minor.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration by +-1 pivots over the base graph, direct sums, splitting off
-unit summands, Gale duality, and signed isomorphism / automorphism search
-with exact invariant pruning.
+unit summands, Gale duality, and signed isomorphism search with exact
+invariant pruning.  Automorphisms are counted down a stabilizer chain: the
+orbit of each base row under the symmetries that fix the earlier base
+rows, one witness search per candidate image, times the permutations of
+tail rows equal up to sign that remain once every base row is fixed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial, prod
 
 from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
@@ -141,6 +146,23 @@ def _tu_witness(m, base):
     return best
 
 
+def check_labels(labels, count):
+    """Row labels as a tuple of count strings, each one nonempty word.
+
+    Labels are written as a single "# labels:" comment line and read back
+    by splitting it on whitespace, so an empty label or one containing
+    whitespace would not survive the round trip.
+    """
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != count:
+        raise PreconditionError("labels length must match the row count")
+    for x in labels:
+        if x.split() != [x]:
+            raise PreconditionError(
+                f"label {x!r} is empty or contains whitespace")
+    return labels
+
+
 def from_matrix(raw, labels=None):
     """Construct and fully verify a unimodular system from integer row data.
 
@@ -187,9 +209,7 @@ def from_matrix(raw, labels=None):
             f"minor on rows {rs}, columns {cs} equals {val}",
             rows=rs, cols=cs, value=val)
     if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != N:
-            raise PreconditionError("labels length must match the row count")
+        labels = check_labels(labels, N)
     return UnimodularSystem(n=n, a_matrix=a, base_rows=tuple(base), labels=labels)
 
 
@@ -442,61 +462,48 @@ def _iso_prefilter(a, b):
     return True
 
 
-def _search_correspondences(a, b, *, count_all):
-    """Backtracking over signed images of a's base rows in b.
+def _correspondence_search(a, b):
+    """A function first(prefix=()): the first signed correspondence a -> b.
 
-    Assignments must preserve the exact form pairings (P/d matrices), which
-    prunes hard; a complete assignment forces the base change, and the
-    remaining rows are matched as a multiset.  Yields either the first
-    witness (count_all=False) or the total number of correspondences.
+    first backtracks over signed images (t, eps) of a's base rows in b, row
+    t ascending and eps = 1 before -1, and returns None if no assignment
+    completes.  Assignments must preserve the exact form pairings (P/d
+    matrices), which prunes hard; a complete assignment forces the base
+    change, and the remaining rows are matched as a multiset.  prefix forces
+    the images of the first len(prefix) base rows; each forced choice still
+    has to pass the same tests.  The tables are built once per pair, so
+    repeated searches with different prefixes share them.
     """
     n, N = a.n, a.N
-    pa, _ = form_pairing_matrix(a)
-    pb, _ = form_pairing_matrix(b)
+    pa = form_pairing_matrix(a)[0].row_list()
+    pb = form_pairing_matrix(b)[0].row_list()
     ba = a.base_rows
+    rest_a = a.tail_rows()
+    a_rows = a.a_matrix.row_list()
     b_rows = b.a_matrix.row_list()
-    by_norm = {}
-    for i, r in enumerate(b_rows):
-        by_norm.setdefault(_normalize_row(r), []).append(i)
-
-    total = 0
     targets = [0] * n
     signs = [0] * n
 
     def complete():
-        nonlocal total
         g = IntMatrix.from_rows(
             [tuple(signs[j] * x for x in b_rows[targets[j]]) for j in range(n)])
         if determinant(g) == 0:
             return None
         used = set(targets)
-        rest_a = [i for i in range(N) if i not in set(ba)]
-        rest_b_count = {}
-        for i in range(N):
-            if i not in used:
-                rest_b_count[_normalize_row(b_rows[i])] = \
-                    rest_b_count.get(_normalize_row(b_rows[i]), 0) + 1
-        need = {}
-        images = {}
-        for i in rest_a:
-            w = vecmat(a.row(i), g)
-            key = _normalize_row(w)
-            images[i] = w
-            need[key] = need.get(key, 0) + 1
-        if need != rest_b_count:
-            return None
-        if count_all:
-            ways = 1
-            for cnt in need.values():
-                for t in range(2, cnt + 1):
-                    ways *= t
-            total += ways
-            return None
-        # build the first witness: smallest free b-row per a-row, ascending
         free = {}
         for i in range(N):
             if i not in used:
                 free.setdefault(_normalize_row(b_rows[i]), []).append(i)
+        need = {}
+        images = {}
+        for i in rest_a:
+            w = vecmat(a_rows[i], g)
+            key = _normalize_row(w)
+            images[i] = w
+            need[key] = need.get(key, 0) + 1
+        if need != {key: len(rows) for key, rows in free.items()}:
+            return None
+        # the first witness: smallest free b-row per a-row, ascending
         row_map = [None] * N
         sgn = [0] * N
         for j in range(n):
@@ -509,36 +516,26 @@ def _search_correspondences(a, b, *, count_all):
             sgn[i] = 1 if b_rows[t] == w else -1
         return SignedCorrespondence(tuple(row_map), tuple(sgn), g)
 
-    def dfs(j):
-        nonlocal total
+    def first(prefix=(), j=0):
         if j == n:
-            found = complete()
-            return found
+            return complete()
         aj = ba[j]
-        for t in range(N):
-            if t in targets[:j]:
+        choices = (prefix[j:j + 1] if j < len(prefix)
+                   else [(t, eps) for t in range(N) for eps in (1, -1)])
+        for t, eps in choices:
+            if t in targets[:j] or pb[t][t] != pa[aj][aj]:
                 continue
-            if pb[t, t] != pa[aj, aj]:
+            if any(pa[ba[i]][aj] != signs[i] * eps * pb[targets[i]][t]
+                   for i in range(j)):
                 continue
-            for eps in (1, -1):
-                ok = True
-                for i in range(j):
-                    if pa[ba[i], aj] != signs[i] * eps * pb[targets[i], t]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                targets[j] = t
-                signs[j] = eps
-                found = dfs(j + 1)
-                if found is not None and not count_all:
-                    return found
-        targets[j] = 0
-        signs[j] = 0
+            targets[j] = t
+            signs[j] = eps
+            found = first(prefix, j + 1)
+            if found is not None:
+                return found
         return None
 
-    witness = dfs(0)
-    return total if count_all else witness
+    return first
 
 
 def are_isomorphic(a, b, cap=DEFAULT_ENUMERATION_CAP):
@@ -554,13 +551,34 @@ def are_isomorphic(a, b, cap=DEFAULT_ENUMERATION_CAP):
     if a.a_matrix == b.a_matrix:
         return SignedCorrespondence(tuple(range(a.N)), (1,) * a.N,
                                     IntMatrix.identity(a.n))
-    return _search_correspondences(a, b, count_all=False)
+    return _correspondence_search(a, b)()
 
 
 def automorphism_count(sys, cap=DEFAULT_ENUMERATION_CAP):
-    """Number of signed self-correspondences (global flip included)."""
+    """Number of signed self-correspondences (global flip included).
+
+    The correspondences form a group of signed row permutations, counted
+    down its stabilizer chain (Sims): |Aut| = |G_n| * prod_{j<n} |O_j|.
+    G_j fixes the base rows ba[0..j-1], each with sign 1, and O_j is the
+    orbit of (ba[j], 1) under G_j: the signed rows (t, eps) for which the
+    search with the prefix (ba[0], 1), ..., (ba[j-1], 1), (t, eps) finds a
+    witness.  An element of G_n fixes every base row, so its base change is
+    the identity and it only permutes tail rows that are equal up to sign:
+    |G_n| is the product of cnt! over those classes.  The global flip lies
+    in G_0, so O_0 holds (t, -1) exactly when it holds (t, 1).  The work is
+    one witness search per candidate orbit element, not one search leaf per
+    automorphism.
+    """
     if sys.N == 0:
         return 1
     if sys.N > cap:
         raise CapError(f"automorphism search over {sys.N} rows exceeds cap {cap}")
-    return _search_correspondences(sys, sys, count_all=True)
+    classes = Counter(_normalize_row(sys.row(i)) for i in sys.tail_rows())
+    count = prod(factorial(cnt) for cnt in classes.values())
+    first = _correspondence_search(sys, sys)
+    fixed = tuple((r, 1) for r in sys.base_rows)
+    count *= 2 * sum(1 for t in range(sys.N) if first(((t, 1),)) is not None)
+    for j in range(1, sys.n):
+        count *= sum(1 for t in range(sys.N) for eps in (1, -1)
+                     if first(fixed[:j] + ((t, eps),)) is not None)
+    return count

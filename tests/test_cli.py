@@ -264,6 +264,16 @@ def test_catalog_listing(capsys):
         assert any(l.startswith(name) for l in payload(out))
 
 
+@pytest.mark.parametrize("argv", [["catalog", "--list"],
+                                  ["polytope", "catalog:triangle3",
+                                   "--threads", "2"]])
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_catalog_and_file_fingerprints_agree(tmp_path, capsys):
     """A catalog reference and its rendered file hash identically."""
     s = make("triangle3")

@@ -47,6 +47,9 @@ def test_parse_matrix_json_form():
     "1 1\n1_0\n",             # underscore digit grouping
     "1 1\n\u0661\n",          # non-ASCII digit
     "1_0 1\n1\n",             # underscore in the header
+    '{"rows": [[1], [1]], "labels": ["a b", "c"]}',  # label with a space
+    '{"rows": [[1], [1]], "labels": ["", "c"]}',     # empty label
+    '{"rows": [[1], [1]], "labels": "ab"}',          # labels not a list
 ])
 def test_parse_matrix_rejects_malformed(bad):
     with pytest.raises(PreconditionError):
@@ -62,6 +65,15 @@ def test_non_integer_matrix_files_exit_2(tmp_path, capsys, text):
     f.write_text(text, encoding="utf-8")
     assert run(["check", str(f)]) == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_label_with_whitespace_exits_2(tmp_path, capsys):
+    # "# labels: a b c" could not be read back as two labels
+    f = tmp_path / "m.json"
+    f.write_text('{"rows": [[1], [1]], "labels": ["a b", "c"]}',
+                 encoding="utf-8")
+    assert run(["check", str(f)]) == 2
+    assert "whitespace" in capsys.readouterr().out
 
 
 def test_parse_edges_rejects_non_decimal_ids():

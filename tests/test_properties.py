@@ -7,8 +7,9 @@ derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
 tail-row total-unimodularity scan against a scan over every square minor,
 the base-coordinate point search against the cube scan, the base-graph
-walker against a scan over all row subsets, and the closed-form zonotope
-verdict against the sign-vector scan.
+walker against a scan over all row subsets, the closed-form zonotope
+verdict against the sign-vector scan, and the stabilizer-chain automorphism
+count against the search that visits one leaf per automorphism.
 """
 
 import math
@@ -46,9 +47,12 @@ from unimod.lattice import (
 )
 from unimod.systems import (
     DEFAULT_ENUMERATION_CAP,
+    SignedCorrespondence,
+    _normalize_row,
     _tu_witness,
     _walk_bases,
     are_isomorphic,
+    automorphism_count,
     complexity,
     direct_sum,
     enumerate_bases,
@@ -402,3 +406,130 @@ def test_zonotope_closed_form_matches_sign_scan():
     systems += [s for _, s in catalog_sweep()]
     for s in systems:
         assert zonotope_check(s) == sign_scan_zonotope_check(s), s
+
+
+def enumerate_correspondences(a, b, *, count_all):
+    """Backtracking over signed images of a's base rows in b (test-only
+    oracle: the search that counted one leaf per automorphism).
+
+    Assignments must preserve the exact form pairings (P/d matrices), which
+    prunes hard; a complete assignment forces the base change, and the
+    remaining rows are matched as a multiset.  Yields either the first
+    witness (count_all=False) or the total number of correspondences.
+    """
+    n, N = a.n, a.N
+    pa, _ = form_pairing_matrix(a)
+    pb, _ = form_pairing_matrix(b)
+    ba = a.base_rows
+    b_rows = b.a_matrix.row_list()
+    by_norm = {}
+    for i, r in enumerate(b_rows):
+        by_norm.setdefault(_normalize_row(r), []).append(i)
+
+    total = 0
+    targets = [0] * n
+    signs = [0] * n
+
+    def complete():
+        nonlocal total
+        g = IntMatrix.from_rows(
+            [tuple(signs[j] * x for x in b_rows[targets[j]]) for j in range(n)])
+        if determinant(g) == 0:
+            return None
+        used = set(targets)
+        rest_a = [i for i in range(N) if i not in set(ba)]
+        rest_b_count = {}
+        for i in range(N):
+            if i not in used:
+                rest_b_count[_normalize_row(b_rows[i])] = \
+                    rest_b_count.get(_normalize_row(b_rows[i]), 0) + 1
+        need = {}
+        images = {}
+        for i in rest_a:
+            w = vecmat(a.row(i), g)
+            key = _normalize_row(w)
+            images[i] = w
+            need[key] = need.get(key, 0) + 1
+        if need != rest_b_count:
+            return None
+        if count_all:
+            ways = 1
+            for cnt in need.values():
+                for t in range(2, cnt + 1):
+                    ways *= t
+            total += ways
+            return None
+        # build the first witness: smallest free b-row per a-row, ascending
+        free = {}
+        for i in range(N):
+            if i not in used:
+                free.setdefault(_normalize_row(b_rows[i]), []).append(i)
+        row_map = [None] * N
+        sgn = [0] * N
+        for j in range(n):
+            row_map[ba[j]] = targets[j]
+            sgn[ba[j]] = signs[j]
+        for i in rest_a:
+            w = images[i]
+            t = free[_normalize_row(w)].pop(0)
+            row_map[i] = t
+            sgn[i] = 1 if b_rows[t] == w else -1
+        return SignedCorrespondence(tuple(row_map), tuple(sgn), g)
+
+    def dfs(j):
+        nonlocal total
+        if j == n:
+            found = complete()
+            return found
+        aj = ba[j]
+        for t in range(N):
+            if t in targets[:j]:
+                continue
+            if pb[t, t] != pa[aj, aj]:
+                continue
+            for eps in (1, -1):
+                ok = True
+                for i in range(j):
+                    if pa[ba[i], aj] != signs[i] * eps * pb[targets[i], t]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                targets[j] = t
+                signs[j] = eps
+                found = dfs(j + 1)
+                if found is not None and not count_all:
+                    return found
+        targets[j] = 0
+        signs[j] = 0
+        return None
+
+    witness = dfs(0)
+    return total if count_all else witness
+
+
+def enumerate_automorphism_count(sys):
+    """Automorphisms counted one search leaf at a time (test-only oracle)."""
+    if sys.N == 0:
+        return 1
+    return enumerate_correspondences(sys, sys, count_all=True)
+
+
+def test_automorphism_count_matches_enumeration():
+    # the sweep holds sigma:1..8, theta/cycle graphs and bixby_seymour
+    systems = _systems_under_test(170814)
+    systems += [graphic_system(make("complete", 6)),
+                cographic_system(make("complete", 6))]
+    for s in systems:
+        assert automorphism_count(s) == enumerate_automorphism_count(s), s
+
+
+def test_isomorphism_witness_matches_enumeration():
+    rng = random.Random(170815)
+    for _, s in catalog_sweep():
+        t = scrambled_copies(rng, [s], 1)[0]
+        corr = are_isomorphic(s, t)
+        if s.a_matrix == t.a_matrix:
+            assert corr.row_map == tuple(range(s.N))
+        else:
+            assert corr == enumerate_correspondences(s, t, count_all=False), s

@@ -1,5 +1,6 @@
 """Construction, verification, duality and isomorphism of systems."""
 
+import math
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from unimod.catalog import make
 from unimod.errors import CapError, NotUnimodularError, PreconditionError, RankError
+from unimod.graphs import cographic_system, graphic_system
 from unimod.intlinalg import IntMatrix, determinant
 from unimod.systems import (
     EMPTY_SYSTEM,
@@ -93,6 +95,9 @@ def test_from_matrix_label_validation():
     assert s.label(1) == "b"
     with pytest.raises(PreconditionError):
         from_matrix([[1], [1]], labels=("only-one",))
+    for bad in (("a b", "c"), ("", "c"), ("a", "\tb")):
+        with pytest.raises(PreconditionError):
+            from_matrix([[1], [1]], labels=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +277,18 @@ def test_sigma_automorphism_count(n, expect):
 def test_triangle_automorphism_count():
     # the hexagon's symmetry group: 3! permutations x 2 global signs
     assert automorphism_count(make("triangle3")) == 12
+
+
+def test_automorphism_counts_at_the_frontier():
+    # theta:12 (twelve parallel edges) and the 12-cycle: every permutation
+    # of the 12 edges is a symmetry, times the global sign, 2 * 12! in all;
+    # far beyond a search that visits one leaf per automorphism
+    for s in (graphic_system(make("theta", 12)),
+              cographic_system(make("cycle", 12))):
+        assert automorphism_count(s) == 2 * math.factorial(12) == 958003200
+    # K6: the 6! vertex permutations and the global sign
+    for derive in (graphic_system, cographic_system):
+        assert automorphism_count(derive(make("complete", 6))) == 1440
 
 
 def test_empty_system_conventions():
