@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from .catalog import entries, lookup, make, parse_reference
 from .errors import (
@@ -254,11 +255,7 @@ def _cmd_lattice(args):
 
 def _cmd_polytope(args):
     system, digest = _load(args.src, "system")
-    cap = args.cap
-    report = build_polytope_report(
-        system,
-        scan_cap=cap or DEFAULT_SCAN_CAP,
-        enum_cap=cap or DEFAULT_ENUMERATION_CAP)
+    report = build_polytope_report(system, cap=args.cap or DEFAULT_SCAN_CAP)
     lines = ["origin 1"]
     for sq, cnt in report.by_square().items():
         lines.append(f"square {sq} count {cnt}")
@@ -336,7 +333,9 @@ _HANDLERS = {
 # parser / entry point
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on first use and shared by every run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON document")

@@ -73,6 +73,8 @@ def parse_matrix_text(text):
     for line in text.splitlines():
         s = line.strip()
         if s.startswith("#") and s[1:].lstrip().startswith("labels:"):
+            if labels is not None:
+                raise PreconditionError("more than one '# labels:' line")
             labels = tuple(s[1:].lstrip()[len("labels:"):].split())
     lines = _data_lines(text)
     if not lines:

@@ -31,12 +31,20 @@ class Multigraph:
 
     @classmethod
     def build(cls, vertex_count, edges):
-        vertex_count = int(vertex_count)
+        """Validated multigraph; the vertex count and every endpoint must be
+        plain integers (PreconditionError otherwise, so 3.9 or True is never
+        truncated)."""
+        if not isinstance(vertex_count, int) or isinstance(vertex_count, bool):
+            raise PreconditionError(
+                f"vertex count {vertex_count!r} is not an integer")
         if vertex_count < 1:
             raise PreconditionError("a multigraph needs at least one vertex")
         out = []
         for t, h in edges:
-            t, h = int(t), int(h)
+            if any(not isinstance(x, int) or isinstance(x, bool)
+                   for x in (t, h)):
+                raise PreconditionError(
+                    f"edge ({t!r}, {h!r}) has a non-integer endpoint")
             if not (1 <= t <= vertex_count and 1 <= h <= vertex_count):
                 raise PreconditionError(
                     f"edge ({t},{h}) outside vertex range 1..{vertex_count}")

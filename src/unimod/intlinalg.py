@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DimensionError, PreconditionError, RankError
+from .errors import DimensionError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -293,19 +293,6 @@ def adjugate(m):
             # adjugate = transpose of the cofactor matrix
             out[j][i] = (-1) ** (i + j) * _det_dense(sub)
     return IntMatrix.from_rows(out)
-
-
-def expand_over_rows(b, v):
-    """Coefficients x with sum_i x_i * row_i(b) = v, as (numerators, denominator).
-
-    b must be square and nonsingular.  The exact solution is
-    v @ adjugate(b) / det(b); callers decide what to do when the division
-    is not integral.  Returns (tuple_of_ints, det) with det != 0.
-    """
-    d = determinant(b)
-    if d == 0:
-        raise RankError("singular matrix where a base was required")
-    return vecmat(v, adjugate(b)), d
 
 
 def solve_unimodular(b, v):

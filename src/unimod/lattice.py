@@ -4,7 +4,9 @@ The span W of the form columns is embedded in Z^N so that coordinate i of a
 point is the value the i-th form takes on it.  The lattice L = W cap Z^N is
 generated by the columns of the standard-form matrix A (saturation comes from
 total unimodularity), and the polytope D = {w in W : every |coordinate| <= 1}
-is a reflexive lattice polytope.  Every point of L is w = A x for one integer
+is a reflexive lattice polytope: its inequalities are primitive, and total
+unimodularity makes its vertices lattice points (Hoffman-Kruskal), so the
+census below holds them all.  Every point of L is w = A x for one integer
 x, and the base rows of A are unit vectors, so x = w_B, the point's values
 on the base forms.  A point of D therefore has w_B in {-1,0,1}^n, and an
 exact census is a search over these base coordinates: depth first, cut as
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from .errors import CapError, MembershipError, PreconditionError
 from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
                         matvec, rank)
-from .systems import (DEFAULT_ENUMERATION_CAP, _walk_bases, complexity,
-                      form_pairing_matrix, gram_matrix, multiplicity_classes)
+from .systems import (complexity, form_pairing_matrix, gram_matrix,
+                      multiplicity_classes)
 
 DEFAULT_SCAN_CAP = 18
 
@@ -65,9 +67,9 @@ def discriminant(lat):
 # points
 
 
-def _box_points(cols, n_rows, values):
-    """All (x, w) with every x_j in values and w = sum_j x_j cols[j] in the
-    box [-1, 1]^n_rows.
+def _box_points(cols, n_rows):
+    """All (x, w) with x in {-1,0,1}^n and w = sum_j x_j cols[j] in the box
+    [-1, 1]^n_rows.
 
     Depth first over j.  Choosing x_j moves w only on the support of
     cols[j]; there a coordinate may stray at most 1 + (its absolute sum
@@ -83,7 +85,7 @@ def _box_points(cols, n_rows, values):
         for i, c, _ in support:
             rest[i] += abs(c)
         steps[j] = tuple((v, tuple((i, v * c, b) for i, c, b in support))
-                         for v in values)
+                         for v in (-1, 0, 1))
     w = [0] * n_rows
     x = [0] * n
     out = []
@@ -139,7 +141,7 @@ def polytope_points(sys, cap=DEFAULT_SCAN_CAP):
     if sys.N > cap:
         raise CapError(f"point scan over {sys.N} forms exceeds cap {cap}")
     cols = [sys.a_matrix.col(j) for j in range(sys.n)]
-    found = sorted((w, x) for x, w in _box_points(cols, sys.N, (-1, 0, 1)))
+    found = sorted((w, x) for x, w in _box_points(cols, sys.N))
     return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t),
                                coefficients=x)
                  for w, x in found)
@@ -363,41 +365,25 @@ class PolytopeReport:
         }
 
 
-def _basic_vertices(sys, cap):
-    """Vertices of D the dual way: feasible basic solutions of n active rows.
+def build_polytope_report(sys, cap=DEFAULT_SCAN_CAP):
+    """Assemble the full polytope report from one point search.
 
-    For a base S with tableau T = A A_S^-1 (see _walk_bases), the point at
-    which the rows of S take the values e in {-1,1}^n is T e, integral
-    because T has entries 0 and +-1.  It is a vertex of D exactly when all
-    its coordinates lie in [-1, 1]; the same pruned search as for the
-    points finds those e.
+    The points come from one base-coordinate search (polytope_points), under
+    the same cap; the vertices, facet pairs and census are derived from that
+    list, with one active-rank test per point.  The list holds every vertex
+    of D: the system was certified totally unimodular when it was built, so
+    by Hoffman-Kruskal (Schrijver, Theory of Linear and Integer Programming,
+    ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is integral, a
+    lattice point.  The inequalities |f_i| <= 1 are primitive, so D is
+    reflexive; reflexive_verified further checks that every facet pair has
+    vertices on both sides.  The zonotope flag is zonotope_check's exact
+    verdict on whether D equals the cube's shadow.
     """
-    verts = set()
-    for _, cols in _walk_bases(sys, cap=cap):
-        verts.update(w for _, w in _box_points(cols, sys.N, (1, -1)))
-    return verts
-
-
-def build_polytope_report(sys, scan_cap=DEFAULT_SCAN_CAP,
-                          enum_cap=DEFAULT_ENUMERATION_CAP):
-    """Assemble the full polytope report with both verification routes.
-
-    The points come from one base-coordinate search (polytope_points); the
-    vertices, facet pairs and census are derived from that list, with one
-    active-rank test per point.  Reflexivity is certified by agreement of
-    two independent vertex computations (that rank test vs. feasible basic
-    solutions, which are integral because base determinants are +-1) plus
-    nonemptiness of every facet; the zonotope flag is zonotope_check's
-    exact verdict on whether D equals the cube's shadow.
-    """
-    pts = polytope_points(sys, cap=scan_cap)
+    pts = polytope_points(sys, cap=cap)
     vertices = tuple(p.vector for p in pts if vertex_test(sys, p.vector))
-    vertex_set = set(vertices)
-    fp = _facet_pairs(sys, pts, vertex_set)
-    reflexive = vertex_set == _basic_vertices(sys, cap=enum_cap)
-    if sys.n > 0:
-        reflexive = reflexive and all(
-            f.plus_vertices and f.minus_vertices for f in fp)
+    fp = _facet_pairs(sys, pts, set(vertices))
+    reflexive = sys.n == 0 or all(
+        f.plus_vertices and f.minus_vertices for f in fp)
     return PolytopeReport(system=sys,
                           discriminant=complexity(sys),
                           points=pts,

@@ -175,9 +175,17 @@ def from_matrix(raw, labels=None):
     the first offending minor in the order of a scan over every square minor
     (size, then rows, then columns).  Scalar presentations collapse: [[2]] is
     accepted as the unit system, since the single row is a base of the group
-    it generates.
+    it generates.  Raw rows must hold plain integers (PreconditionError
+    otherwise, so 1.7 or True is never read as 1).
     """
-    m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
+    if isinstance(raw, IntMatrix):
+        m = raw
+    else:
+        rows = [tuple(r) for r in raw]
+        for i, r in enumerate(rows):
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in r):
+                raise PreconditionError(f"row {i} {r} has a non-integer entry")
+        m = IntMatrix.from_rows(rows)
     N, n = m.rows, m.cols
     if n < 1:
         raise PreconditionError("a system needs at least one coordinate")

@@ -11,10 +11,11 @@ fails if any assertion fails or if it runs over its budget.
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from unimod.catalog import make
+from unimod.errors import CapError
 from unimod.graphs import (
     Multigraph,
     cographic_system,
@@ -24,10 +25,12 @@ from unimod.graphs import (
 )
 from unimod.intlinalg import (
     IntMatrix,
+    adjugate,
     determinant,
     hermite_form,
     matvec,
     square_minors,
+    vecmat,
 )
 from unimod.lattice import (
     build_polytope_report,
@@ -38,6 +41,7 @@ from unimod.lattice import (
     short_vector_census,
 )
 from unimod.systems import (
+    DEFAULT_ENUMERATION_CAP,
     are_isomorphic,
     automorphism_count,
     complexity,
@@ -82,6 +86,41 @@ def catalog_sweep():
         out.append((f"graphic({label})", graphic_system(g)))
         out.append((f"cographic({label})", cographic_system(g)))
     return [(label, s) for label, s in out if s.N <= 12]
+
+
+def combinations_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+    """All n-subsets of rows with nonzero determinant, lexicographically."""
+    if sys.N > cap:
+        raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
+    m = sys.a_matrix
+    out = []
+    for rs in combinations(range(sys.N), sys.n):
+        if determinant(m.submatrix(rs, range(sys.n))) != 0:
+            out.append(rs)
+    return out
+
+
+def adjugate_basic_vertices(sys, cap=DEFAULT_ENUMERATION_CAP):
+    """Vertices of D the dual way: feasible basic solutions of n active rows.
+
+    For every base S and sign pattern e, the system (rows S) x = e has a
+    unique solution, integral because base minors are +-1; it is a vertex of
+    D exactly when all coordinates of the lifted point lie in [-1, 1].
+    (Test-only oracle: the bases come from combinations_bases, so it shares
+    no code with the base walker or with vertex_test.)
+    """
+    a = sys.a_matrix
+    verts = set()
+    for base in combinations_bases(sys, cap=cap):
+        b = a.take_rows(base)
+        d = determinant(b)           # +-1 by total unimodularity
+        adj_t = adjugate(b.transpose())
+        for eps in product((1, -1), repeat=sys.n):
+            x = tuple(v * d for v in vecmat(eps, adj_t))
+            w = matvec(a, x)
+            if all(-1 <= c <= 1 for c in w):
+                verts.add(w)
+    return verts
 
 
 def _criterion(num, label, budget_s, body):
@@ -287,11 +326,17 @@ def test_criterion_09_projection_and_reflexivity():
     # normal u of Z has entries in {0, +-1}, Z's facet <x, u> <= |u|_1 is
     # <x, u> <= u.u, so 2 Vor(L) lies in Z.  Those normals are the
     # minimal-support points of D.  D lies in Z (pi fixes it), and D = Z,
-    # the report's zonotope flag, holds iff Z lies in D.
+    # the report's zonotope flag, holds iff Z lies in D.  The report reads
+    # the vertices of D off its lattice points, which holds all of them by
+    # total unimodularity (Hoffman-Kruskal); the feasible basic solutions
+    # give the vertices a second, independent way.
     def body():
         for label, s in catalog_sweep():
             rep = build_polytope_report(s)
             assert rep.reflexive_verified, f"reflexivity fails for {label}"
+            assert set(rep.vertices) == adjugate_basic_vertices(s), (
+                f"{label}: the report's vertices differ from the feasible "
+                "basic solutions")
             normals = _cube_shadow_facet_normals(s)
             assert all(x in (-1, 0, 1) for u in normals for x in u), (
                 f"{label}: a facet normal of the cube shadow leaves "

@@ -6,12 +6,15 @@ points behave the same way.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import unimod
 from unimod.catalog import make
 from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
@@ -96,6 +99,20 @@ def test_cap_exceeded_exits_3(capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "error:" in out
+
+
+def test_polytope_beyond_the_base_walk_cap(capsys):
+    # N = 18 is past the base walk's cap of 16; the report no longer walks
+    # the bases, so only the point scan's cap (N <= 18) applies
+    rc = run(["polytope", "catalog:sigma:18"])
+    body = payload(capsys.readouterr().out)
+    assert rc == 0
+    assert "points 3" in body
+    assert "vertices 2" in body
+    assert "reflexive yes" in body
+    rc = run(["polytope", "catalog:sigma:19"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().out
 
 
 def test_json_error_document(capsys):
@@ -292,9 +309,11 @@ def test_catalog_and_file_fingerprints_agree(tmp_path, capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same copy of the package as this process
+    env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "unimod.cli", "complexity", "catalog:sigma:5"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert payload(proc.stdout) == ["5"]
 

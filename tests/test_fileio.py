@@ -50,6 +50,7 @@ def test_parse_matrix_json_form():
     '{"rows": [[1], [1]], "labels": ["a b", "c"]}',  # label with a space
     '{"rows": [[1], [1]], "labels": ["", "c"]}',     # empty label
     '{"rows": [[1], [1]], "labels": "ab"}',          # labels not a list
+    "2 1\n1\n1\n# labels: a b\n# labels: c d\n",  # second labels line
 ])
 def test_parse_matrix_rejects_malformed(bad):
     with pytest.raises(PreconditionError):

@@ -50,6 +50,20 @@ def test_build_validates_endpoints():
         Multigraph.build(0, [])
 
 
+@pytest.mark.parametrize("vertex_count, edges", [
+    (3.9, [(1, 2), (2, 3)]),       # float vertex count, truncated to 3
+    (3.0, [(1, 2)]),               # integral float
+    (True, []),                    # boolean vertex count
+    (3, [(1.2, 2), (2, 3)]),       # float endpoint
+    (3, [(1, 2), (2, 3.0)]),       # integral float endpoint
+    (3, [(True, 2)]),              # boolean endpoint
+    (3, [("1", 2)]),               # string endpoint
+])
+def test_build_rejects_non_integer_ids(vertex_count, edges):
+    with pytest.raises(PreconditionError):
+        Multigraph.build(vertex_count, edges)
+
+
 def test_incidence_matrix_signs():
     g = Multigraph.build(3, [(1, 2), (3, 2), (1, 1)])
     m = incidence_matrix(g)

@@ -6,12 +6,11 @@ from math import gcd
 
 import pytest
 
-from unimod.errors import DimensionError, PreconditionError, RankError
+from unimod.errors import DimensionError, PreconditionError
 from unimod.intlinalg import (
     IntMatrix,
     adjugate,
     determinant,
-    expand_over_rows,
     hermite_form,
     kernel_basis,
     rank,
@@ -178,20 +177,6 @@ _Q_HEAD = [[1, 1, 0, 0, 0],
            [0, 0, 1, 1, 0],
            [0, 0, 0, 1, 1],
            [1, 0, 0, 0, 1]]
-
-
-def test_expand_over_rows_divisibility():
-    b = IntMatrix.from_rows(_Q_HEAD)
-    num, det = expand_over_rows(b, (1, 0, 1, 0, 0))
-    assert det == 2
-    assert [v // det for v in num] == [0, 0, 1, -1, 1]
-    assert all(v % det == 0 for v in num)
-
-
-def test_expand_over_rows_singular():
-    b = IntMatrix.from_rows([[1, 2], [2, 4]])
-    with pytest.raises(RankError):
-        expand_over_rows(b, (1, 1))
 
 
 def test_solve_unimodular_row_combination():

@@ -130,12 +130,6 @@ def test_scan_cap():
         polytope_points(make("bixby_seymour"), cap=8)
 
 
-def test_report_enumeration_cap():
-    # the basic-vertex route walks the bases under the enumeration cap
-    with pytest.raises(CapError):
-        build_polytope_report(make("bixby_seymour"), enum_cap=9)
-
-
 def test_facet_pairs_segment():
     fp = facets(make("sigma", 3))
     assert len(fp) == 1

@@ -29,24 +29,21 @@ from unimod.graphs import (
 from unimod.intlinalg import (
     IntMatrix,
     _det_dense,
-    adjugate,
     determinant,
     dot,
     kernel_basis,
-    matvec,
     vecmat,
 )
 from unimod.lattice import (
     DEFAULT_SCAN_CAP,
     PolytopePoint,
-    _basic_vertices,
     _coefficients,
+    build_polytope_report,
     polytope_points,
     short_vector_census,
     zonotope_check,
 )
 from unimod.systems import (
-    DEFAULT_ENUMERATION_CAP,
     SignedCorrespondence,
     _normalize_row,
     _tu_witness,
@@ -62,7 +59,11 @@ from unimod.systems import (
     split_upsilon,
 )
 
-from test_acceptance import catalog_sweep
+from test_acceptance import (
+    adjugate_basic_vertices,
+    catalog_sweep,
+    combinations_bases,
+)
 
 
 def random_connected_multigraph(rng, nverts, extra):
@@ -279,40 +280,6 @@ def cube_scan_polytope_points(sys, cap=DEFAULT_SCAN_CAP):
     return tuple(pts)
 
 
-def combinations_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
-    """All n-subsets of rows with nonzero determinant, lexicographically."""
-    if sys.N > cap:
-        raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
-    m = sys.a_matrix
-    out = []
-    for rs in combinations(range(sys.N), sys.n):
-        if determinant(m.submatrix(rs, range(sys.n))) != 0:
-            out.append(rs)
-    return out
-
-
-def adjugate_basic_vertices(sys, cap):
-    """Vertices of D the dual way: feasible basic solutions of n active rows.
-
-    For every base S and sign pattern e, the system (rows S) x = e has a
-    unique solution, integral because base minors are +-1; it is a vertex of
-    D exactly when all coordinates of the lifted point lie in [-1, 1].
-    (The bases come from combinations_bases, not from the walker.)
-    """
-    a = sys.a_matrix
-    verts = set()
-    for base in combinations_bases(sys, cap=cap):
-        b = a.take_rows(base)
-        d = determinant(b)           # +-1 by total unimodularity
-        adj_t = adjugate(b.transpose())
-        for eps in product((1, -1), repeat=sys.n):
-            x = tuple(v * d for v in vecmat(eps, adj_t))
-            w = matvec(a, x)
-            if all(-1 <= c <= 1 for c in w):
-                verts.add(w)
-    return verts
-
-
 def _sign_ok(prows, d, s):
     for pr in prows:
         acc = 0
@@ -396,9 +363,11 @@ def test_walker_tableaux_are_the_base_inverses():
 
 
 def test_basic_vertices_match_adjugate_route():
+    # the report's vertices come from the point search and the rank test;
+    # the feasible basic solutions are computed independently
     for s in _systems_under_test(170813):
-        cap = DEFAULT_ENUMERATION_CAP
-        assert _basic_vertices(s, cap) == adjugate_basic_vertices(s, cap), s
+        rep = build_polytope_report(s)
+        assert set(rep.vertices) == adjugate_basic_vertices(s), s
 
 
 def test_zonotope_closed_form_matches_sign_scan():

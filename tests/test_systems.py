@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -98,6 +99,18 @@ def test_from_matrix_label_validation():
     for bad in (("a b", "c"), ("", "c"), ("a", "\tb")):
         with pytest.raises(PreconditionError):
             from_matrix([[1], [1]], labels=bad)
+
+
+@pytest.mark.parametrize("raw", [
+    [[1.7, 0], [0, 1], [True, 1]],  # float and boolean, read as [[1, 0], ...]
+    [[1.0, 0], [0, 1]],             # integral float
+    [[1, 0], [0, True]],            # boolean alone
+    [[1, 0], [0, "1"]],             # string
+    [[Fraction(2, 2)]],             # integral fraction
+])
+def test_from_matrix_rejects_non_integer_entries(raw):
+    with pytest.raises(PreconditionError):
+        from_matrix(raw)
 
 
 # ---------------------------------------------------------------------------
