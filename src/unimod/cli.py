@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure (a witness is printed),
 """
 
 import argparse
-import json
 import sys
 import time
 from functools import lru_cache
@@ -30,6 +29,7 @@ from .fileio import (
     parse_edges_text,
     parse_matrix_text,
     render_edges_text,
+    render_json,
     render_matrix_text,
     sha256_hex,
 )
@@ -90,6 +90,11 @@ def _load(src, want):
     return from_matrix(rows, labels), digest
 
 
+def _cap(args, default):
+    """The --cap value, or the default when it is not given (0 is a cap)."""
+    return default if args.cap is None else args.cap
+
+
 def _sources(args):
     """The <src>-like argument values of a parsed command line."""
     for attr in ("src", "a", "b", "edges"):
@@ -117,7 +122,7 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
         else:
             doc["result"] = result
         doc["elapsed_ms"] = elapsed_ms
-        print(json.dumps(doc, indent=2))
+        print(render_json(doc))
     else:
         print(f"# unimod {args.command}")
         for s, h in inputs:
@@ -169,7 +174,7 @@ def _cmd_complexity(args):
     lines = [str(c)]
     doc = {"complexity": c}
     if args.enumerate:
-        bases = enumerate_bases(system, cap=args.cap or DEFAULT_ENUMERATION_CAP)
+        bases = enumerate_bases(system, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
         lines.append(f"bases {len(bases)}")
         lines.append(f"agree {'yes' if len(bases) == c else 'no'}")
         doc["bases"] = len(bases)
@@ -211,7 +216,7 @@ def _cmd_decompose(args):
 def _cmd_isomorphic(args):
     sys_a, dig_a = _load(args.a, "system")
     sys_b, dig_b = _load(args.b, "system")
-    cap = args.cap or DEFAULT_ENUMERATION_CAP
+    cap = _cap(args, DEFAULT_ENUMERATION_CAP)
     corr = are_isomorphic(sys_a, sys_b, cap=cap)
     inputs = [(args.a, dig_a), (args.b, dig_b)]
     if corr is None:
@@ -227,14 +232,14 @@ def _cmd_isomorphic(args):
 
 def _cmd_aut(args):
     system, digest = _load(args.src, "system")
-    count = automorphism_count(system, cap=args.cap or DEFAULT_ENUMERATION_CAP)
+    count = automorphism_count(system, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
     return [(args.src, digest)], [str(count)], {"automorphisms": count}
 
 
 def _cmd_lattice(args):
     system, digest = _load(args.src, "system")
     gram = gram_matrix(system)
-    census = short_vector_census(system, cap=args.cap or DEFAULT_SCAN_CAP)
+    census = short_vector_census(system, cap=_cap(args, DEFAULT_SCAN_CAP))
     lines = [f"n {system.n}", f"N {system.N}"]
     lines.append("# gram")
     for i in range(system.n):
@@ -255,7 +260,7 @@ def _cmd_lattice(args):
 
 def _cmd_polytope(args):
     system, digest = _load(args.src, "system")
-    report = build_polytope_report(system, cap=args.cap or DEFAULT_SCAN_CAP)
+    report = build_polytope_report(system, cap=_cap(args, DEFAULT_SCAN_CAP))
     lines = ["origin 1"]
     for sq, cnt in report.by_square().items():
         lines.append(f"square {sq} count {cnt}")
@@ -333,13 +338,24 @@ _HANDLERS = {
 # parser / entry point
 
 
+def _cap_value(text):
+    """A --cap argument: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be nonnegative: {value}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built on first use and shared by every run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON document")
-    common.add_argument("--cap", type=int, metavar="N",
+    common.add_argument("--cap", type=_cap_value, metavar="N",
                         help="override enumeration/scan size caps")
 
     parser = argparse.ArgumentParser(

@@ -7,7 +7,8 @@ round trip, so each label must be a nonempty word without whitespace.  A
 JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
 matrix file is; its entries must be JSON integers (no floats or booleans).
 Edge-list files: first line "m N" (vertices, edges), then N lines
-"tail head" with 1-indexed vertex ids.
+"tail head" with 1-indexed vertex ids.  Reports are written as JSON by
+render_json, which gives the bytes of json.dumps(doc, indent=2) faster.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import PreconditionError
 from .graphs import Multigraph
@@ -122,7 +124,47 @@ def render_matrix_json(rows, labels=None):
     obj = {"rows": [list(r) for r in rows]}
     if labels is not None:
         obj["labels"] = list(labels)
-    return json.dumps(obj, indent=2) + "\n"
+    return render_json(obj) + "\n"
+
+
+def render_json(doc):
+    """Exactly json.dumps(doc, indent=2), with the leaves encoded in C.
+
+    With indent set, json.dumps runs its pure-Python encoder.  Here the
+    nesting is walked in Python, but a list of plain ints (no bools) is
+    written in one join and strings go through the C string encoder, so a
+    report's many point lists cost one call each.  Every dict key must be a
+    str (TypeError otherwise); json.dumps would convert some other keys.
+    """
+    return _render(doc, "\n")
+
+
+def _render(x, nl):
+    """x as indented JSON text; nl is the newline plus the current indent."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return str(x)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        parts = []
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON key {k!r} is not a str")
+            parts.append(encode_basestring_ascii(k) + ": " + _render(v, inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if set(map(type, x)) == {int}:
+            items = map(str, x)
+        else:
+            items = [_render(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(x)
 
 
 def parse_edges_text(text):

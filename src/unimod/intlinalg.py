@@ -11,7 +11,7 @@ a unique Hermite-reduced form with positive leading entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DimensionError, PreconditionError
 
@@ -26,16 +26,22 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        """Build from an iterable of row iterables (validates rectangularity)."""
-        rows = [tuple(int(x) for x in r) for r in rows]
+        """Build from an iterable of row iterables.
+
+        Rows must be of equal length (DimensionError) and hold plain ints
+        (PreconditionError otherwise, so 1.7 or True is never read as 1).
+        """
+        rows = [tuple(r) for r in rows]
+        for i, r in enumerate(rows):
+            if not set(map(type, r)) <= {int}:
+                raise PreconditionError(f"row {i} {r} has a non-integer entry")
         if rows:
             c = len(rows[0])
             if any(len(r) != c for r in rows):
                 raise DimensionError("ragged rows")
         else:
             c = 0
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), c, flat)
+        return cls(len(rows), c, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n):
@@ -74,7 +80,11 @@ class IntMatrix:
                          tuple(self[i, j] for i in row_idx for j in col_idx))
 
     def take_rows(self, row_idx):
-        return IntMatrix.from_rows([self.row(i) for i in row_idx])
+        row_idx = tuple(row_idx)
+        if not all(0 <= i < self.rows for i in row_idx):
+            raise DimensionError(f"row index out of range in {row_idx}")
+        return IntMatrix(len(row_idx), self.cols,
+                         tuple(chain.from_iterable(map(self.row, row_idx))))
 
     def __matmul__(self, other):
         if self.cols != other.rows:

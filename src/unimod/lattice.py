@@ -6,13 +6,15 @@ generated by the columns of the standard-form matrix A (saturation comes from
 total unimodularity), and the polytope D = {w in W : every |coordinate| <= 1}
 is a reflexive lattice polytope: its inequalities are primitive, and total
 unimodularity makes its vertices lattice points (Hoffman-Kruskal), so the
-census below holds them all.  Every point of L is w = A x for one integer
-x, and the base rows of A are unit vectors, so x = w_B, the point's values
-on the base forms.  A point of D therefore has w_B in {-1,0,1}^n, and an
-exact census is a search over these base coordinates: depth first, cut as
-soon as some form can no longer come back to [-1, 1].  The census is also a
-complete certificate for lattice vectors of square <= 3, all of which lie
-in D.
+census below holds them all.  A point of D is a vertex when its active
+forms have rank n, and that rank is taken over GF(2), valid because the
+system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
+it is odd.  Every point of L is w = A x for one integer x, and the base rows
+of A are unit vectors, so x = w_B, the point's values on the base forms.  A
+point of D therefore has w_B in {-1,0,1}^n, and an exact census is a search
+over these base coordinates: depth first, cut as soon as some form can no
+longer come back to [-1, 1].  The census is also a complete certificate for
+lattice vectors of square <= 3, all of which lie in D.
 
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
@@ -26,10 +28,11 @@ outside D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapError, MembershipError, PreconditionError
 from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
-                        matvec, rank)
+                        matvec)
 from .systems import (complexity, form_pairing_matrix, gram_matrix,
                       multiplicity_classes)
 
@@ -147,15 +150,45 @@ def polytope_points(sys, cap=DEFAULT_SCAN_CAP):
                  for w, x in found)
 
 
+@lru_cache(maxsize=None)
+def _odd_rows(sys):
+    """The form matrix mod 2: bit j of row i is set when A[i, j] is odd."""
+    return tuple(sum(1 << j for j, x in enumerate(sys.row(i)) if x & 1)
+                 for i in range(sys.N))
+
+
 def vertex_test(sys, point):
-    """Whether a lattice point of D is a vertex: active rows have full rank."""
+    """Whether a lattice point of D is a vertex: active rows have rank n.
+
+    The rank is the GF(2) rank, valid because the system is TU: a TU matrix
+    has the same rank over every field (Tutte 1958; Schrijver, Theory of
+    Linear and Integer Programming, ch. 19).  The active rows, as bitmasks
+    mod 2, are reduced against an XOR basis keyed by leading bit, stopping
+    as soon as the rank reaches n.
+    """
     point = tuple(point)
     if len(point) != sys.N or any(x not in (-1, 0, 1) for x in point):
         raise PreconditionError("vertex_test expects a point of D")
+    n = sys.n
+    if n == 0:
+        return True
     active = [i for i, x in enumerate(point) if x]
-    if len(active) < sys.n:
+    if len(active) < n:
         return False
-    return rank(sys.a_matrix.take_rows(active)) == sys.n
+    rows = _odd_rows(sys)
+    basis = {}  # leading bit -> basis row
+    for i in active:
+        v = rows[i]
+        while v:
+            top = v.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                if len(basis) == n:
+                    return True
+                break
+            v ^= b
+    return False
 
 
 @dataclass(frozen=True)
@@ -370,11 +403,11 @@ def build_polytope_report(sys, cap=DEFAULT_SCAN_CAP):
 
     The points come from one base-coordinate search (polytope_points), under
     the same cap; the vertices, facet pairs and census are derived from that
-    list, with one active-rank test per point.  The list holds every vertex
-    of D: the system was certified totally unimodular when it was built, so
-    by Hoffman-Kruskal (Schrijver, Theory of Linear and Integer Programming,
-    ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is integral, a
-    lattice point.  The inequalities |f_i| <= 1 are primitive, so D is
+    list, with one vertex_test per point (GF(2) rank, valid because the
+    system is TU).  The list holds every vertex of D: the system was
+    certified totally unimodular when it was built, so by Hoffman-Kruskal
+    (Schrijver, Theory of Linear and Integer Programming, ch. 19) every
+    vertex of D = {w in W : |f_i(w)| <= 1} is integral, a lattice point.  The inequalities |f_i| <= 1 are primitive, so D is
     reflexive; reflexive_verified further checks that every facet pair has
     vertices on both sides.  The zonotope flag is zonotope_check's exact
     verdict on whether D equals the cube's shadow.

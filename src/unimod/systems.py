@@ -178,14 +178,7 @@ def from_matrix(raw, labels=None):
     it generates.  Raw rows must hold plain integers (PreconditionError
     otherwise, so 1.7 or True is never read as 1).
     """
-    if isinstance(raw, IntMatrix):
-        m = raw
-    else:
-        rows = [tuple(r) for r in raw]
-        for i, r in enumerate(rows):
-            if any(not isinstance(x, int) or isinstance(x, bool) for x in r):
-                raise PreconditionError(f"row {i} {r} has a non-integer entry")
-        m = IntMatrix.from_rows(rows)
+    m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
     if n < 1:
         raise PreconditionError("a system needs at least one coordinate")

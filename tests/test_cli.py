@@ -101,6 +101,25 @@ def test_cap_exceeded_exits_3(capsys):
     assert "error:" in out
 
 
+def test_cap_zero_is_a_cap(capsys):
+    # --cap 0 bounds the scan at N <= 0; it does not fall back to the default
+    rc = run(["polytope", "catalog:sigma:3", "--cap", "0"])
+    assert rc == 3
+    assert "exceeds cap 0" in capsys.readouterr().out
+    rc = run(["aut", "catalog:sigma:3", "--cap", "0", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert doc["error"]["kind"] == "CapError"
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_cap_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["polytope", "catalog:sigma:3", "--cap", value])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_polytope_beyond_the_base_walk_cap(capsys):
     # N = 18 is past the base walk's cap of 16; the report no longer walks
     # the bases, so only the point scan's cap (N <= 18) applies

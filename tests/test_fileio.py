@@ -1,13 +1,20 @@
-"""Matrix/edge-list text formats: parsing, rendering, round-trips."""
+"""Matrix/edge-list text formats: parsing, rendering, round-trips, and the
+JSON writer against json.dumps."""
+
+import json
+import random
+from pathlib import Path
 
 import pytest
 
+import unimod.cli
 from unimod.cli import run
 from unimod.errors import PreconditionError
 from unimod.fileio import (
     parse_edges_text,
     parse_matrix_text,
     render_edges_text,
+    render_json,
     render_matrix_json,
     render_matrix_text,
     sha256_hex,
@@ -111,3 +118,100 @@ def test_parse_edges_rejects_bad_endpoint():
 def test_sha256_stable():
     assert sha256_hex("3 1\n1\n1\n1\n") == (
         "049067cecdf4bb739983545c64473b8a4795065f87dbf13c6b56a54f60a85ebe")
+
+
+# ---------------------------------------------------------------------------
+# render_json writes the bytes of json.dumps(doc, indent=2)
+
+
+def test_render_json_matches_golden_report():
+    path = Path(__file__).parent / "golden" / "bixby_seymour_polytope.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def _sweep_argvs(tmp_path):
+    """Every subcommand with --json over the sweep, failures included."""
+    from test_acceptance import catalog_sweep
+
+    argvs = [["catalog"]]
+    for i, (_, s) in enumerate(catalog_sweep()):
+        f = tmp_path / f"s{i}.txt"
+        f.write_text(render_matrix_text(s.a_matrix.to_lists(), s.labels),
+                     encoding="utf-8")
+        f = str(f)
+        argvs += [["check", f], ["complexity", f, "--enumerate"],
+                  ["dual", f], ["decompose", f], ["isomorphic", f, f],
+                  ["aut", f], ["lattice", f], ["polytope", f]]
+    graphs = [f"theta:{k}" for k in range(2, 7)]
+    graphs += [f"cycle:{k}" for k in range(3, 7)] + ["complete:4", "complete:5"]
+    for g in graphs:
+        for mode in ("--graphic", "--cographic"):
+            argvs += [["graph", f"catalog:{g}", mode],
+                      ["graph", f"catalog:{g}", mode, "--stabilize"]]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 2\n1 0\n0 1\n1 1\n1 -1\n", encoding="utf-8")
+    argvs += [["check", str(bad)],                         # exit 1, witness
+              ["complexity", "catalog:no_such_thing"],     # exit 2
+              ["check", str(tmp_path / "missing.txt")],    # exit 2
+              ["polytope", "catalog:bixby_seymour", "--cap", "8"]]  # exit 3
+    return [a + ["--json"] for a in argvs]
+
+
+def test_render_json_matches_json_dumps_on_every_report(tmp_path, capsys,
+                                                       monkeypatch):
+    docs = []
+
+    def checked(doc):
+        text = render_json(doc)
+        assert text == json.dumps(doc, indent=2)
+        docs.append(doc)
+        return text
+
+    monkeypatch.setattr(unimod.cli, "render_json", checked)
+    codes = set()
+    for argv in _sweep_argvs(tmp_path):
+        codes.add(run(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(docs[-1], indent=2) + "\n"
+    assert codes == {0, 1, 2, 3}
+
+
+def _fuzz_value(rng, depth):
+    strings = ["", "plain", 'quote " and \\ backslash', "tab\tnew\nline",
+               "\x00\x1f\x7f", "caf\u00e9", "\u2200x", "\U0001d4b5",
+               "\ud800", "</script>"]
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice(strings)
+    if kind == 1:
+        return rng.randint(-10**30, 10**30)
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1.5, -2.25e-7, 1e300, 0.1,
+                           float("inf"), float("-inf")])
+    if kind == 3:
+        return rng.choice([None, True, False])
+    if kind == 4:   # int lists, some with a bool or a float among the ints
+        xs = [rng.randint(-3, 3) for _ in range(rng.randrange(5))]
+        if xs and rng.random() < 0.4:
+            xs[rng.randrange(len(xs))] = rng.choice([True, False, 2.0, None])
+        return xs if rng.random() < 0.8 else tuple(xs)
+    if kind == 5:
+        return rng.choice([[], {}, ()])
+    if kind in (6, 7):
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {rng.choice(strings) + str(i): _fuzz_value(rng, depth + 1)
+            for i in range(rng.randrange(4))}
+
+
+def test_render_json_matches_json_dumps_on_fuzzed_documents():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        doc = _fuzz_value(rng, 0)
+        assert render_json(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": [{None: 0}]}, {("t",): 1}])
+def test_render_json_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)

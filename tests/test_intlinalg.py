@@ -158,6 +158,31 @@ def test_square_minors_bad_order():
         list(square_minors(m, 0))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.7, True]],        # float and boolean, once truncated to [[1, 1]]
+    [[1, 0], [0, 1.0]],   # integral float
+    [[False]],            # boolean alone
+    [[1, "2"]],           # string
+])
+def test_from_rows_rejects_non_integer_entries(rows):
+    with pytest.raises(PreconditionError):
+        IntMatrix.from_rows(rows)
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(DimensionError):
+        IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_take_rows_keeps_entries_and_checks_indices():
+    m = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert m.take_rows([2, 0]) == IntMatrix.from_rows([[5, 6], [1, 2]])
+    assert m.take_rows([]) == IntMatrix(0, 2, ())
+    for bad in ([3], [-1]):
+        with pytest.raises(DimensionError):
+            m.take_rows(bad)
+
+
 def test_adjugate_identity_law():
     for n in (1, 2, 3, 4):
         for _ in range(10):

@@ -8,8 +8,9 @@ against the slow routine it replaced, kept here as a test-only oracle: the
 tail-row total-unimodularity scan against a scan over every square minor,
 the base-coordinate point search against the cube scan, the base-graph
 walker against a scan over all row subsets, the closed-form zonotope
-verdict against the sign-vector scan, and the stabilizer-chain automorphism
-count against the search that visits one leaf per automorphism.
+verdict against the sign-vector scan, the stabilizer-chain automorphism
+count against the search that visits one leaf per automorphism, and the
+GF(2) vertex test against the Hermite rank of the active rows.
 """
 
 import math
@@ -32,6 +33,7 @@ from unimod.intlinalg import (
     determinant,
     dot,
     kernel_basis,
+    rank,
     vecmat,
 )
 from unimod.lattice import (
@@ -41,9 +43,11 @@ from unimod.lattice import (
     build_polytope_report,
     polytope_points,
     short_vector_census,
+    vertex_test,
     zonotope_check,
 )
 from unimod.systems import (
+    EMPTY_SYSTEM,
     SignedCorrespondence,
     _normalize_row,
     _tu_witness,
@@ -368,6 +372,28 @@ def test_basic_vertices_match_adjugate_route():
     for s in _systems_under_test(170813):
         rep = build_polytope_report(s)
         assert set(rep.vertices) == adjugate_basic_vertices(s), s
+
+
+def hermite_vertex_test(sys, point):
+    """Whether a point of D is a vertex, by the exact rank of its active rows.
+
+    The rank comes from the Hermite form over Z, so this oracle does not
+    rely on total unimodularity, as the GF(2) rank in vertex_test does.
+    """
+    active = [i for i, x in enumerate(point) if x]
+    if len(active) < sys.n:
+        return False
+    return rank(sys.a_matrix.take_rows(active)) == sys.n
+
+
+def test_gf2_vertex_test_matches_hermite_rank():
+    k6 = make("complete", 6)
+    systems = _systems_under_test(170814)
+    systems += [graphic_system(k6), cographic_system(k6), EMPTY_SYSTEM]
+    for s in systems:
+        for p in polytope_points(s):
+            assert vertex_test(s, p.vector) == hermite_vertex_test(
+                s, p.vector), (s, p.vector)
 
 
 def test_zonotope_closed_form_matches_sign_scan():

@@ -113,6 +113,13 @@ def test_from_matrix_rejects_non_integer_entries(raw):
         from_matrix(raw)
 
 
+def test_from_matrix_of_an_int_matrix_rejects_a_float_entry():
+    # IntMatrix.from_rows checks the entries, so an IntMatrix handed to
+    # from_matrix cannot carry a truncated float
+    with pytest.raises(PreconditionError):
+        from_matrix(IntMatrix.from_rows([[1, 0], [0, 1], [1.7, 1]]))
+
+
 # ---------------------------------------------------------------------------
 # complexity / bases
 
