@@ -4,8 +4,12 @@ Edges act as functions on the cycle space (graphic system) or the cut space
 (cographic system).  Bases are the fundamental cycles / fundamental cuts of
 a deterministic BFS spanning tree, so the derived matrices are reproducible;
 bridges vanish on all cycles and loops vanish on all cuts, and those zero
-rows are omitted.  Also provides spanning-tree enumeration, Laplacians, and
-the contract-bridges/delete-loops stabilization.
+rows are omitted.  Such a system is totally unimodular by theorem (network
+matrices, Poincare), so it is certified in O(N n) by checking its standard
+form against a spanning tree of the graph, not by the minor scan; a failed
+certificate falls back to the scan.  Also provides spanning-tree
+enumeration, Laplacians, and the contract-bridges/delete-loops
+stabilization.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import combinations
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
 from .intlinalg import IntMatrix
-from .systems import from_matrix
+from .systems import _standardize, from_matrix
 
 DEFAULT_TREE_CAP = 16
 
@@ -180,13 +184,26 @@ def _tree_walk(edges, parent, src, dst):
     return walk
 
 
-def graphic_system(g):
-    """The system of edges acting on the cycle space of g.
+def _edge_rows(g, vectors):
+    """Rows of the edges on which some vector is nonzero, and those edges.
 
-    The base is the set of fundamental cycles of the BFS tree, one per
-    non-tree edge and oriented along it, so non-tree edge rows come out as
-    unit vectors.  Bridges lie on no cycle and are dropped.  A tree (no
-    cycles at all) is degenerate.
+    vectors are the base cycles or cuts as edge coefficient maps; row f
+    reads edge f off each of them.
+    """
+    rows = []
+    kept = []
+    for f in range(g.edge_count):
+        row = tuple(v.get(f, 0) for v in vectors)
+        if any(row):
+            rows.append(row)
+            kept.append(f)
+    return rows, kept
+
+
+def _cycle_rows(g):
+    """Raw graphic rows: every non-bridge edge on the BFS fundamental cycles.
+
+    Returns (rows, kept) with kept[i] the edge of row i.
     """
     tree, parent = bfs_tree(g)
     non_tree = [k for k in range(g.edge_count) if k not in set(tree)]
@@ -201,15 +218,119 @@ def graphic_system(g):
             for k, direction in _tree_walk(g.edges, parent, h, t):
                 coeff[k] = coeff.get(k, 0) + direction
         cycles.append(coeff)
-    rows = []
-    kept = []
-    for f in range(g.edge_count):
-        row = tuple(c.get(f, 0) for c in cycles)
-        if any(row):
-            rows.append(row)
-            kept.append(f)
-    return from_matrix(IntMatrix.from_rows(rows),
-                       labels=[f"e{f + 1}" for f in kept])
+    return _edge_rows(g, cycles)
+
+
+def _cut_rows(g):
+    """Raw cographic rows: every non-loop edge on the BFS fundamental cuts.
+
+    Returns (rows, kept) with kept[i] the edge of row i.
+    """
+    tree, _ = bfs_tree(g)
+    if not tree:
+        raise DegenerateSystemError(
+            "the graph has no spanning-tree edges: its cut space is zero")
+    cuts = []
+    for e in tree:
+        # vertex side V'' = component of (tree - e) containing head(e)
+        rest = [g.edges[k] for k in tree if k != e]
+        comp = _components(g.vertex_count, rest)
+        side = comp[g.edges[e][1]]
+        cuts.append({f: (comp[h] == side) - (comp[t] == side)
+                     for f, (t, h) in enumerate(g.edges)})
+    return _edge_rows(g, cuts)
+
+
+def _spans_tree(g, tree):
+    """Whether the edge indices in tree form a spanning tree of g."""
+    edges = [g.edges[k] for k in tree]
+    return (len(edges) == g.vertex_count - 1
+            and len(set(_components(g.vertex_count, edges).values())) == 1)
+
+
+def _is_cycle_matrix(g, kept, sys):
+    """Whether sys is the fundamental-cycle matrix of a spanning tree of g.
+
+    Row i is edge kept[i].  The tree is every edge but the base-row edges,
+    so it holds the tail-row edges and the edges left out.  Each column,
+    read as an edge vector that is 0 on the edges left out, must be a
+    circulation: zero signed sum at every vertex.  Its base-row entries are
+    those of a unit vector, so it is then the fundamental cycle of its base
+    edge, and sys is [I; network matrix] up to row order: totally
+    unimodular.  O(N n).
+    """
+    base_edges = {kept[r] for r in sys.base_rows}
+    if not _spans_tree(g, [k for k in range(g.edge_count)
+                           if k not in base_edges]):
+        return False
+    excess = [[0] * sys.n for _ in range(g.vertex_count + 1)]
+    for f, row in zip(kept, sys.a_matrix.row_list()):
+        t, h = g.edges[f]
+        at_t, at_h = excess[t], excess[h]
+        for j, x in enumerate(row):
+            if x:
+                at_h[j] += x
+                at_t[j] -= x
+    return not any(map(any, excess))
+
+
+def _is_cut_matrix(g, kept, sys):
+    """Whether sys is the fundamental-cut matrix of a spanning tree of g.
+
+    Row i is edge kept[i], and the base-row edges must form the tree.  For
+    each column, potentials p are integrated along the tree from vertex 1
+    so that p[head] - p[tail] is the column's entry on every tree edge;
+    then every row must read p[head] - p[tail] as well.  The column is the
+    cut of a unit tree edge, so sys is [I; transposed network matrix] up to
+    row order: totally unimodular.  O(N n).
+    """
+    if not _spans_tree(g, [kept[r] for r in sys.base_rows]):
+        return False
+    rows = sys.a_matrix.row_list()
+    around = {v: [] for v in range(1, g.vertex_count + 1)}
+    for r in sys.base_rows:
+        t, h = g.edges[kept[r]]
+        around[t].append((h, rows[r]))
+        around[h].append((t, tuple(-x for x in rows[r])))
+    potential = {1: (0,) * sys.n}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w, step in around[u]:
+            if w not in potential:
+                potential[w] = tuple(x + y for x, y in zip(potential[u], step))
+                stack.append(w)
+    return all(row == tuple(x - y for x, y in zip(potential[h], potential[t]))
+               for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
+
+
+def _tree_certified(g, rows, kept, certificate):
+    """The system of rows, labelled by edge, certified by its spanning tree.
+
+    The rows are put in standard form without the minor scan, and the
+    certificate checks that form against g.  Should it fail, which would
+    mean a construction bug, the rows go through the full from_matrix
+    verification, so the verdict is never weaker than the scan's.
+    """
+    labels = [f"e{f + 1}" for f in kept]
+    sys = _standardize(rows, labels)
+    if certificate(g, kept, sys):
+        return sys
+    return from_matrix(rows, labels)
+
+
+def graphic_system(g):
+    """The system of edges acting on the cycle space of g.
+
+    The base is the set of fundamental cycles of the BFS tree, one per
+    non-tree edge and oriented along it, so non-tree edge rows come out as
+    unit vectors.  Bridges lie on no cycle and are dropped.  A tree (no
+    cycles at all) is degenerate.  The standard form is certified totally
+    unimodular by checking in O(N n) that it is the fundamental-cycle
+    matrix of a spanning tree (see _is_cycle_matrix), not by a minor scan.
+    """
+    rows, kept = _cycle_rows(g)
+    return _tree_certified(g, rows, kept, _is_cycle_matrix)
 
 
 def cographic_system(g):
@@ -217,34 +338,13 @@ def cographic_system(g):
 
     The base is the set of fundamental cuts of the BFS tree, one per tree
     edge e (oriented so e crosses positively).  Loops vanish on every cut
-    and are dropped.  A single-vertex graph has a zero cut space.
+    and are dropped.  A single-vertex graph has a zero cut space.  The
+    standard form is certified totally unimodular by checking in O(N n)
+    that it is the fundamental-cut matrix of a spanning tree (see
+    _is_cut_matrix), not by a minor scan.
     """
-    tree, _ = bfs_tree(g)
-    if not tree:
-        raise DegenerateSystemError(
-            "the graph has no spanning-tree edges: its cut space is zero")
-    tree_set = set(tree)
-    cuts = []
-    for e in tree:
-        # vertex side V'' = component of (tree - e) containing head(e)
-        rest = [g.edges[k] for k in tree if k != e]
-        comp = _components(g.vertex_count, rest)
-        t0, h0 = g.edges[e]
-        side = comp[h0]
-        cut = []
-        for (t, h) in g.edges:
-            v = (1 if comp[h] == side else 0) - (1 if comp[t] == side else 0)
-            cut.append(v)
-        cuts.append(cut)
-    rows = []
-    kept = []
-    for f in range(g.edge_count):
-        row = tuple(c[f] for c in cuts)
-        if any(row):
-            rows.append(row)
-            kept.append(f)
-    return from_matrix(IntMatrix.from_rows(rows),
-                       labels=[f"e{f + 1}" for f in kept])
+    rows, kept = _cut_rows(g)
+    return _tree_certified(g, rows, kept, _is_cut_matrix)
 
 
 def laplacian(g):

@@ -1,17 +1,19 @@
 """Exact linear algebra over the integers.
 
 Everything here works on arbitrary-precision Python ints; no floats anywhere.
-The workhorses are a fraction-free Bareiss determinant, a row Hermite normal
-form with unimodular transform (which yields exact rank and *saturated*
-integer kernels), adjugate-based unimodular solves, and a streaming minor
-enumerator.  All outputs are deterministic; kernel bases are canonicalized to
-a unique Hermite-reduced form with positive leading entries.
+The workhorses are a fraction-free Bareiss determinant and adjugate (by
+Gauss-Jordan on [M | I]), a row Hermite normal form with unimodular
+transform (which yields exact rank and *saturated* integer kernels),
+adjugate-based unimodular solves, and a streaming minor enumerator.  All
+outputs are deterministic; kernel bases are canonicalized to a unique
+Hermite-reduced form with positive leading entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import mul
 
 from .errors import DimensionError, PreconditionError
 
@@ -56,8 +58,7 @@ class IntMatrix:
         return self.entries[i * c:(i + 1) * c]
 
     def col(self, j):
-        c = self.cols
-        return tuple(self.entries[i * c + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -71,13 +72,14 @@ class IntMatrix:
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
-                         tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+                         tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
     def submatrix(self, row_idx, col_idx):
         row_idx = tuple(row_idx)
         col_idx = tuple(col_idx)
         return IntMatrix(len(row_idx), len(col_idx),
-                         tuple(self[i, j] for i in row_idx for j in col_idx))
+                         tuple(row[j] for row in map(self.row, row_idx)
+                               for j in col_idx))
 
     def take_rows(self, row_idx):
         row_idx = tuple(row_idx)
@@ -116,7 +118,7 @@ def matvec(m, v):
     v = tuple(v)
     if m.cols != len(v):
         raise DimensionError("matvec shape mismatch")
-    return tuple(sum(m[i, j] * v[j] for j in range(m.cols)) for i in range(m.rows))
+    return tuple(sum(map(mul, row, v)) for row in m.row_list())
 
 
 def vecmat(v, m):
@@ -124,7 +126,7 @@ def vecmat(v, m):
     v = tuple(v)
     if m.rows != len(v):
         raise DimensionError("vecmat shape mismatch")
-    return tuple(sum(v[i] * m[i, j] for i in range(m.rows)) for j in range(m.cols))
+    return tuple(sum(map(mul, v, m.col(j))) for j in range(m.cols))
 
 
 def dot(u, v):
@@ -286,23 +288,59 @@ def square_minors(m, k):
             yield _det_dense([[pr[j] for j in cs] for pr in picked])
 
 
-def adjugate(m):
-    """Adjugate matrix: m @ adjugate(m) == adjugate(m) @ m == det(m) * I."""
-    if m.rows != m.cols:
-        raise DimensionError("adjugate of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    if n == 1:
-        return IntMatrix(1, 1, (1,))
-    rows = m.row_list()
+def _gauss_jordan_adjugate(rows):
+    """adj(M) by fraction-free Gauss-Jordan on [M | I]; None if M is singular.
+
+    Step k makes column k zero off the diagonal: every other row becomes
+    (p * row - row[k] * pivot row) / prev, p the pivot and prev the one
+    before it, exactly, by Sylvester's identity (Bareiss).  The last pivot
+    is det(PM) for the row swaps P, the left block ends as det(PM) * I and
+    the right block as det(PM) * M^-1 = sign(P) * adj(M).
+    """
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i, ri in enumerate(a):
+            if i != k:
+                f = ri[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    return [[sign * x for x in r[n:]] for r in a]
+
+
+def _cofactor_adjugate(rows):
+    """adj(M) as the transposed matrix of n^2 cofactor determinants."""
+    n = len(rows)
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             sub = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            # adjugate = transpose of the cofactor matrix
             out[j][i] = (-1) ** (i + j) * _det_dense(sub)
-    return IntMatrix.from_rows(out)
+    return out
+
+
+def adjugate(m):
+    """Adjugate matrix: m @ adjugate(m) == adjugate(m) @ m == det(m) * I.
+
+    A nonsingular m takes one fraction-free Gauss-Jordan pass, O(n^3); a
+    singular one falls back to its n^2 cofactor determinants.
+    """
+    if m.rows != m.cols:
+        raise DimensionError("adjugate of non-square matrix")
+    rows = m.row_list()
+    out = _gauss_jordan_adjugate(rows)
+    return IntMatrix(m.rows, m.cols, tuple(chain.from_iterable(
+        out if out is not None else _cofactor_adjugate(rows))))
 
 
 def solve_unimodular(b, v):

@@ -8,7 +8,11 @@ certifies total unimodularity (every square minor in {0, 1, -1}), which is
 equivalent to all maximal independent row subsets generating the same group.
 Certification scans only the non-base (tail) rows, whose minors it expands
 row by row from those of each row set's prefix; a rejection still names the
-first bad minor in the order of a scan over every square minor.
+first bad minor in the order of a scan over every square minor.  The scan
+runs on raw matrix input only.  Total unimodularity survives transposition,
+submatrices and block sums, so Gale duals, unit-free cores and direct sums
+of certified systems are standardized without it, and graph systems check
+a spanning-tree certificate instead (see graphs).
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration by +-1 pivots over the base graph, direct sums, splitting off
@@ -22,7 +26,7 @@ tail rows equal up to sign that remain once every base row is fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import factorial, prod
 
@@ -163,20 +167,16 @@ def check_labels(labels, count):
     return labels
 
 
-def from_matrix(raw, labels=None):
-    """Construct and fully verify a unimodular system from integer row data.
+def _standardize(raw, labels=None):
+    """The standard form of integer row data, without certifying it TU.
 
     The rows are re-expanded over the first maximal independent row subset
     (exact adjugate division); a row whose expansion is non-integer does not
     lie in the group generated by the base, so the maximal subsets generate
-    different groups and the input is rejected.  The expanded matrix is then
-    certified totally unimodular.  Only its tail rows are scanned, each minor
-    expanded from its row set's prefix (see _tu_witness), and the witness is
-    the first offending minor in the order of a scan over every square minor
-    (size, then rows, then columns).  Scalar presentations collapse: [[2]] is
-    accepted as the unit system, since the single row is a base of the group
-    it generates.  Raw rows must hold plain integers (PreconditionError
-    otherwise, so 1.7 or True is never read as 1).
+    different groups and the input is rejected.  Raw rows must hold plain
+    integers (PreconditionError otherwise, so 1.7 or True is never read as
+    1).  Callers either know the result is totally unimodular or scan it
+    (from_matrix).
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
@@ -202,16 +202,36 @@ def from_matrix(raw, labels=None):
                 f"{tuple(base)}: the maximal independent subsets generate "
                 f"different groups", rows=(*base, i))
         out.append(tuple(x // d for x in num))
-    a = IntMatrix.from_rows(out)
-    witness = _tu_witness(a, base)
+    if labels is not None:
+        labels = check_labels(labels, N)
+    return UnimodularSystem(n=n, a_matrix=IntMatrix.from_rows(out),
+                            base_rows=tuple(base), labels=labels)
+
+
+def from_matrix(raw, labels=None):
+    """Construct and fully verify a unimodular system from integer row data.
+
+    The rows are put in standard form (see _standardize), which is then
+    certified totally unimodular.  Only its tail rows are scanned, each
+    minor expanded from its row set's prefix (see _tu_witness), and the
+    witness is the first offending minor in the order of a scan over every
+    square minor (size, then rows, then columns).  The scan is for raw
+    input: systems the library derives from certified ones (graph systems,
+    Gale duals, cores, direct sums) are totally unimodular by construction
+    and skip it.  Scalar presentations collapse: [[2]] is accepted as the
+    unit system, since the single row is a base of the group it generates.
+    A non-TU input is rejected before its labels are checked.
+    """
+    sys = _standardize(raw)
+    witness = _tu_witness(sys.a_matrix, sys.base_rows)
     if witness is not None:
         rs, cs, val = witness
         raise NotUnimodularError(
             f"minor on rows {rs}, columns {cs} equals {val}",
             rows=rs, cols=cs, value=val)
-    if labels is not None:
-        labels = check_labels(labels, N)
-    return UnimodularSystem(n=n, a_matrix=a, base_rows=tuple(base), labels=labels)
+    if labels is None:
+        return sys
+    return replace(sys, labels=check_labels(labels, sys.N))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +330,12 @@ def form_pairing_matrix(sys):
 
 
 def direct_sum(a, b):
-    """Block direct sum; left operand's rows first, then the right's."""
+    """Block direct sum; left operand's rows first, then the right's.
+
+    The operands are systems, which the library hands out only certified,
+    and a block sum of totally unimodular matrices is totally unimodular,
+    so the sum is standardized without a rescan.
+    """
     if a.N == 0:
         return b
     if b.N == 0:
@@ -324,7 +349,7 @@ def direct_sum(a, b):
     if a.labels is not None or b.labels is not None:
         labels = tuple(a.label(i) for i in range(a.N)) + \
             tuple(b.label(i) for i in range(b.N))
-    return from_matrix(IntMatrix.from_rows(rows), labels=labels)
+    return _standardize(IntMatrix.from_rows(rows), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -341,7 +366,10 @@ def split_upsilon(sys):
 
     A column of the standard form with a single nonzero entry is zero on
     every non-base row, so its base row is a unit vector of the lattice and
-    splits off; deleting such rows/columns never creates new ones.
+    splits off; deleting such rows/columns never creates new ones.  sys was
+    certified when the library built it, and the core is a submatrix of its
+    standard form, so it is totally unimodular and is standardized without
+    a rescan.
     """
     if sys.N == 0:
         return UpsilonSplit(core=EMPTY_SYSTEM, s=0, unit_rows=())
@@ -360,7 +388,7 @@ def split_upsilon(sys):
                             unit_rows=tuple(sorted(drop_rows)))
     sub = sys.a_matrix.submatrix(keep_rows, keep_cols)
     labels = tuple(sys.label(i) for i in keep_rows) if sys.labels else None
-    core = from_matrix(sub, labels=labels)
+    core = _standardize(sub, labels=labels)
     return UpsilonSplit(core=core, s=len(unit_cols),
                         unit_rows=tuple(sorted(drop_rows)))
 
@@ -377,6 +405,9 @@ def gale_dual(sys):
     row positions, so row i of the dual corresponds to row i of sys.  Rows
     that vanish identically (exactly the unit-summand carriers) are dropped;
     dualizing twice therefore returns the unit-free core up to isomorphism.
+    sys was certified when the library built it, and [T^t; -E] is totally
+    unimodular when [E; T] is, so the dual is standardized without a
+    rescan.
     """
     if sys.N == sys.n:  # pure unit block: complement is zero-dimensional
         return EMPTY_SYSTEM
@@ -397,7 +428,7 @@ def gale_dual(sys):
             rows.append(row)
             kept.append(i)
     labels = tuple(sys.label(i) for i in kept) if sys.labels else None
-    return from_matrix(IntMatrix.from_rows(rows), labels=labels)
+    return _standardize(IntMatrix.from_rows(rows), labels=labels)
 
 
 # ---------------------------------------------------------------------------

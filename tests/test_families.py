@@ -1,0 +1,71 @@
+"""Closed forms for the paper's named families, beyond the sweep's N <= 12.
+
+Each family has exact counts valid at every size, so no slow oracle is
+needed: spanning-tree counts (Cayley), lattice points and vertices of the
+polytope D, facet counts and symmetry counts.
+
+One structural fact explains the cographic complete-graph counts.  In
+potential coordinates, D for cographic complete:k is the projection of the
+cube [0,1]^k along (1, ..., 1): the lattice zonotope spanned by the k
+vertex stars.  Its points are the 2^k - 2 proper nonempty vertex subsets
+(each a vertex) plus the origin, and its facet pairs are the k(k-1)/2 edge
+forms.  D is nevertheless not the shadow of the cube [-1,1]^N of its
+N = k(k-1)/2 edge forms, so the zonotope flag reads no.
+"""
+
+from math import comb, factorial
+
+import pytest
+
+from unimod.catalog import make
+from unimod.graphs import cographic_system, graphic_system
+from unimod.lattice import build_polytope_report, polytope_points, vertex_test
+from unimod.systems import automorphism_count, complexity, gale_dual
+
+
+def central_trinomial(k):
+    """Coefficient of x^k in (1 + x + x^2)^k."""
+    return sum(comb(k, 2 * j) * comb(2 * j, j) for j in range(k // 2 + 1))
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_complete_graph_complexity_is_cayley(k):
+    g = make("complete", k)
+    for s in (graphic_system(g), cographic_system(g)):
+        assert complexity(s) == k ** (k - 2)
+        assert complexity(gale_dual(s)) == k ** (k - 2)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_cographic_complete_polytope(k):
+    rep = build_polytope_report(cographic_system(make("complete", k)), cap=99)
+    assert len(rep.points) == 2 ** k - 1
+    assert len(rep.vertices) == 2 ** k - 2
+    assert 2 * len(rep.facet_pairs) == k * (k - 1)
+    assert rep.reflexive_verified
+    assert not rep.zonotope_verified
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_cographic_complete_symmetries(k):
+    s = cographic_system(make("complete", k))
+    assert automorphism_count(s, cap=99) == 2 * factorial(k)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_graphic_theta(k):
+    s = graphic_system(make("theta", k))
+    assert complexity(s) == k
+    points = polytope_points(s)
+    assert len(points) == central_trinomial(k)
+    vertices = sum(1 for p in points if vertex_test(s, p.vector))
+    half = k // 2
+    assert vertices == (comb(k, half) if k % 2 == 0 else k * comb(k - 1, half))
+    assert automorphism_count(s) == 2 * factorial(k)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_cycle_complexity(k):
+    g = make("cycle", k)
+    assert complexity(graphic_system(g)) == k
+    assert complexity(cographic_system(g)) == k

@@ -2,20 +2,24 @@
 
 import random
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from unimod.errors import DimensionError, PreconditionError
 from unimod.intlinalg import (
     IntMatrix,
+    _cofactor_adjugate,
+    _gauss_jordan_adjugate,
     adjugate,
     determinant,
     hermite_form,
     kernel_basis,
+    matvec,
     rank,
     solve_unimodular,
     square_minors,
+    vecmat,
 )
 
 rng = random.Random(20260824)
@@ -193,6 +197,51 @@ def test_adjugate_identity_law():
             assert prod.to_lists() == expect
 
 
+def _matrix_of_rank(gen, n, r, bound):
+    """A random n x n matrix of rank r, entries at most bound in size.
+
+    The product of random n x r and r x n factors has rank at most r; it is
+    redrawn until the rank is exactly r.
+    """
+    side = isqrt(bound // max(r, 1))
+    while True:
+        x = IntMatrix(n, r, tuple(gen.randint(-side, side) for _ in range(n * r)))
+        y = IntMatrix(r, n, tuple(gen.randint(-side, side) for _ in range(r * n)))
+        m = x @ y
+        if rank(m) == r:
+            return m
+
+
+def test_adjugate_matches_cofactor_oracle():
+    """Gauss-Jordan adjugate against the n^2 cofactor determinants: n = 0..7,
+    every rank from n down to 0, entries up to 10^6."""
+    gen = random.Random(20261018)
+    for n in range(8):
+        for r in range(n, -1, -1):
+            for bound in (10, 10 ** 6):
+                for _ in range(4 if r == n else 2):
+                    m = _matrix_of_rank(gen, n, r, bound)
+                    want = _cofactor_adjugate(m.row_list())
+                    assert adjugate(m).to_lists() == want, m
+                    fast = _gauss_jordan_adjugate(m.row_list())
+                    assert (fast is None) == (r < n)
+                    assert fast is None or fast == want
+
+
+def test_solve_unimodular_matches_cofactor_solve():
+    gen = random.Random(20261019)
+    for _ in range(40):
+        n = gen.randint(1, 7)
+        while True:
+            b = IntMatrix(n, n, tuple(gen.randint(-2, 2) for _ in range(n * n)))
+            d = determinant(b)
+            if d in (1, -1):
+                break
+        v = tuple(gen.randint(-10 ** 6, 10 ** 6) for _ in range(n))
+        adj = IntMatrix.from_rows(_cofactor_adjugate(b.row_list()))
+        assert solve_unimodular(b, v) == tuple(d * x for x in vecmat(v, adj))
+
+
 # ---------------------------------------------------------------------------
 # expansion / unimodular solve
 
@@ -242,3 +291,22 @@ def test_matrix_ops():
     assert (m @ IntMatrix.identity(2)).to_lists() == m.to_lists()
     assert m.row(1) == (3, 4)
     assert m.col(0) == (1, 3)
+
+
+def test_row_kernels_match_entrywise_definitions():
+    gen = random.Random(20261020)
+    for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]:
+        m = IntMatrix(r, c, tuple(gen.randint(-9, 9) for _ in range(r * c)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert all(t[j, i] == m[i, j] for i in range(r) for j in range(c))
+        rs = [gen.randrange(r) for _ in range(3)] if r else []
+        cs = [gen.randrange(c) for _ in range(2)] if c else []
+        sub = m.submatrix(rs, cs)
+        assert sub.to_lists() == [[m[i, j] for j in cs] for i in rs]
+        v = [gen.randint(-9, 9) for _ in range(c)]
+        assert matvec(m, v) == tuple(
+            sum(m[i, j] * v[j] for j in range(c)) for i in range(r))
+        u = [gen.randint(-9, 9) for _ in range(r)]
+        assert vecmat(u, m) == tuple(
+            sum(u[i] * m[i, j] for i in range(r)) for j in range(c))

@@ -17,13 +17,23 @@ import math
 import random
 from itertools import combinations, product
 
+import pytest
+
+from unimod import graphs, systems
 from unimod.catalog import make
-from unimod.errors import CapError
+from unimod.errors import CapError, NotUnimodularError
 from unimod.graphs import (
     Multigraph,
+    _cut_rows,
+    _cycle_rows,
+    _is_cut_matrix,
+    _is_cycle_matrix,
+    _tree_certified,
+    bridges,
     cographic_system,
     deleted_laplacian,
     graphic_system,
+    loops,
     spanning_trees,
     stabilize,
 )
@@ -50,6 +60,7 @@ from unimod.systems import (
     EMPTY_SYSTEM,
     SignedCorrespondence,
     _normalize_row,
+    _standardize,
     _tu_witness,
     _walk_bases,
     are_isomorphic,
@@ -233,6 +244,161 @@ def test_tail_scan_matches_full_scan_witness():
         by_size[size] = by_size.get(size, 0) + 1
     # good matrices and bad ones of every size up to 4x4
     assert sorted(by_size) == [0, 1, 2, 3, 4] and min(by_size.values()) >= 20, by_size
+
+
+# ---------------------------------------------------------------------------
+# certification without the scan: graph systems check a spanning-tree
+# certificate, and systems derived from certified ones are standardized
+# unscanned; from_matrix on the same raw rows is the oracle
+
+
+def random_multigraph_with_loops(rng):
+    """A random tree plus loops, parallel edges and chords, randomly oriented."""
+    v = rng.randint(2, 7)
+    edges = [(rng.randint(1, u - 1), u) for u in range(2, v + 1)]
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.25:
+            edges.append((rng.randint(1, v),) * 2)
+        elif kind < 0.5:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randint(1, v), rng.randint(1, v)))
+    rng.shuffle(edges)
+    return Multigraph.build(v, [(h, t) if rng.random() < 0.5 else (t, h)
+                                for t, h in edges])
+
+
+def assert_same_system(got, want):
+    assert got.a_matrix == want.a_matrix
+    assert got.base_rows == want.base_rows
+    assert got.labels == want.labels  # labels are compare=False
+
+
+def edge_labels(kept):
+    return [f"e{f + 1}" for f in kept]
+
+
+def _must_not_run(*args):
+    raise AssertionError("a skipped route ran")
+
+
+def test_tree_certificate_matches_the_scan(monkeypatch):
+    """The graph route gives what from_matrix gives on the same raw rows, and
+    its certificate accepts every graph, so the fallback scan never runs."""
+    rng = random.Random(170816)
+    randoms = [random_multigraph_with_loops(rng) for _ in range(20)]
+    assert any(map(loops, randoms)) and any(map(bridges, randoms))
+    assert any(len(set(g.edges)) < g.edge_count for g in randoms)
+    cases = [(graphic_system, make("complete", k)) for k in range(3, 7)]
+    cases += [(cographic_system, make("complete", k)) for k in range(3, 9)]
+    for g in ([make("theta", k) for k in range(2, 13)]
+              + [make("cycle", k) for k in range(3, 13)] + randoms):
+        cases += [(graphic_system, g), (cographic_system, g)]
+    monkeypatch.setattr(graphs, "from_matrix", _must_not_run)
+    for build, g in cases:
+        rows, kept = (_cycle_rows if build is graphic_system else _cut_rows)(g)
+        assert_same_system(build(g), from_matrix(rows, edge_labels(kept)))
+
+
+def _standardized(monkeypatch, derive):
+    """(raw, labels, result) of every _standardize call that derive() makes."""
+    calls = []
+    real = systems._standardize
+
+    def record(raw, labels=None):
+        out = real(raw, labels)
+        calls.append((raw, labels, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(systems, "_standardize", record)
+        derive()
+    return calls
+
+
+def test_derived_systems_match_the_scan(monkeypatch):
+    """gale_dual, the split_upsilon core and direct_sum skip the scan; on
+    the same raw rows from_matrix certifies them and builds the same."""
+    subjects = _systems_under_test(170817)
+    unit = make("upsilon", 1)
+
+    def derive():
+        for s, t in zip(subjects, subjects[1:] + subjects[:1]):
+            gale_dual(s)
+            split_upsilon(direct_sum(unit, s))
+            direct_sum(s, t)
+
+    calls = _standardized(monkeypatch, derive)
+    assert len(calls) >= 3 * len(subjects)
+    for raw, labels, got in calls:
+        assert_same_system(got, from_matrix(raw, labels))
+
+
+def test_derived_systems_never_scan(monkeypatch):
+    sweep = [s for _, s in catalog_sweep()]
+    unit = make("upsilon", 1)
+    monkeypatch.setattr(systems, "_tu_witness", _must_not_run)
+    k7 = make("complete", 7)
+    assert complexity(graphic_system(k7)) == 7 ** 5
+    assert complexity(cographic_system(k7)) == 7 ** 5
+    for s, t in zip(sweep, sweep[1:] + sweep[:1]):
+        assert complexity(gale_dual(s)) == complexity(s)
+        assert split_upsilon(direct_sum(unit, s)).s == 1 + split_upsilon(s).s
+        assert complexity(direct_sum(s, t)) == complexity(s) * complexity(t)
+
+
+def _outcome(build):
+    """What build() returns, or the rejection it raises, comparably."""
+    try:
+        s = build()
+    except NotUnimodularError as exc:
+        return str(exc), exc.rows, exc.cols, exc.value
+    return s.a_matrix, s.base_rows, s.labels
+
+
+@pytest.mark.parametrize("rows_of,certificate", [
+    (_cycle_rows, _is_cycle_matrix), (_cut_rows, _is_cut_matrix)])
+def test_tree_certificate_rejects_a_flipped_sign(rows_of, certificate):
+    """Every single sign flip in the tail of a certified standard form is
+    rejected, and the fallback then answers as from_matrix does."""
+    g = make("complete", 4)
+    rows, kept = rows_of(g)
+    std = _standardize(rows)
+    # base rows first, so a flip in the tail leaves the base in place
+    order = list(std.base_rows) + list(std.tail_rows())
+    kept = [kept[i] for i in order]
+    good = [list(std.row(i)) for i in order]
+    assert certificate(g, kept, _standardize(good))
+    flips = 0
+    for i in range(std.n, std.N):
+        for j, x in enumerate(good[i]):
+            if x:
+                bad = [list(r) for r in good]
+                bad[i][j] = -x
+                assert not certificate(g, kept, _standardize(bad)), (i, j)
+                assert _outcome(lambda: _tree_certified(
+                    g, bad, kept, certificate)) == _outcome(
+                    lambda: from_matrix(bad, edge_labels(kept)))
+                flips += 1
+    assert flips >= 6
+
+
+def test_tree_certificate_needs_a_spanning_tree():
+    # three parallel edges: the column (1, -2, 1) is a circulation, but the
+    # tail edges e2, e3 form a cycle, and the entry -2 is a bad minor
+    g = Multigraph.build(2, [(1, 2)] * 3)
+    rows, kept = [[1], [-2], [1]], [0, 1, 2]
+    assert not _is_cycle_matrix(g, kept, _standardize(rows))
+    got = _outcome(lambda: _tree_certified(g, rows, kept, _is_cycle_matrix))
+    assert got == _outcome(lambda: from_matrix(rows, edge_labels(kept)))
+    assert got[3] == -2
+    # base edges e1, e2 are parallel: a cycle, and vertex 3 is left out
+    g = Multigraph.build(3, [(1, 2), (1, 2), (2, 3)])
+    rows = [[1, 0], [0, 1], [1, 1]]
+    assert not _is_cut_matrix(g, kept, _standardize(rows))
+    assert_same_system(_tree_certified(g, rows, kept, _is_cut_matrix),
+                       from_matrix(rows, edge_labels(kept)))
 
 
 # ---------------------------------------------------------------------------
