@@ -7,10 +7,13 @@ document carrying the schema tag ``unimod/1``.  Two runs on identical inputs
 differ only in the timing line/field.
 
 Exit codes: 0 success, 1 verification failure (a witness is printed),
-2 usage or input-format error, 3 enumeration cap exceeded.
+2 usage or input-format error, 3 enumeration cap exceeded, 141 (128 +
+SIGPIPE) standard output closed by its reader, as in ``unimod dual FILE |
+head -3``.
 """
 
 import argparse
+import os
 import sys
 import time
 from functools import lru_cache
@@ -442,7 +445,17 @@ def run(argv=None):
 
 
 def main(argv=None):
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at the null device so that the
+        # flush at interpreter shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Exact linear algebra over the integers.
 
 Everything here works on arbitrary-precision Python ints; no floats anywhere.
-The workhorses are a fraction-free Bareiss determinant and adjugate (by
-Gauss-Jordan on [M | I]), a row Hermite normal form with unimodular
-transform (which yields exact rank and *saturated* integer kernels),
-adjugate-based unimodular solves, and a streaming minor enumerator.  All
-outputs are deterministic; kernel bases are canonicalized to a unique
-Hermite-reduced form with positive leading entries.
+The workhorses are a fraction-free Bareiss determinant, one fraction-free
+Gauss-Jordan kernel that skips pivotless columns (the adjugate runs it on
+[M | I], and systems standardizes with it on the transposed input), a row
+Hermite normal form with unimodular transform (which yields exact rank and
+*saturated* integer kernels), adjugate-based unimodular solves, and a
+streaming minor enumerator.  All outputs are deterministic; kernel bases
+are canonicalized to a unique Hermite-reduced form with positive leading
+entries.
 """
 
 from __future__ import annotations
@@ -288,33 +290,56 @@ def square_minors(m, k):
             yield _det_dense([[pr[j] for j in cs] for pr in picked])
 
 
-def _gauss_jordan_adjugate(rows):
-    """adj(M) by fraction-free Gauss-Jordan on [M | I]; None if M is singular.
+def _gauss_jordan(a, width):
+    """Fraction-free Gauss-Jordan on the rows a (lists, rewritten in place).
 
-    Step k makes column k zero off the diagonal: every other row becomes
-    (p * row - row[k] * pivot row) / prev, p the pivot and prev the one
-    before it, exactly, by Sylvester's identity (Bareiss).  The last pivot
-    is det(PM) for the row swaps P, the left block ends as det(PM) * I and
-    the right block as det(PM) * M^-1 = sign(P) * adj(M).
+    Pivots are taken from columns 0..width-1, left to right; a column with
+    no nonzero entry at or below the current row is skipped, and the pass
+    stops once every row holds a pivot.  Step k makes the pivot column zero
+    off row k: every other row becomes (p * row - row[j] * pivot row) /
+    prev, p the pivot and prev the one before it; a row with row[j] = 0 is
+    left as it is when p == prev.  Every entry is then, up to sign, a minor
+    of the input (Sylvester's identity, Bareiss), so the division is exact,
+    and every pivot column ends as d * e_k, d the last pivot.  Returns
+    (pivot columns, d, sign of the row swaps); d is 1 when no column has a
+    pivot.
     """
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+    for j in range(width):
+        k = len(pivots)
+        if k == len(a):
+            break
+        piv = next((i for i in range(k, len(a)) if a[i][j]), None)
         if piv is None:
-            return None
+            continue
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         rk = a[k]
-        p = rk[k]
+        p = rk[j]
         for i, ri in enumerate(a):
-            if i != k:
-                f = ri[k]
+            f = ri[j]
+            if i != k and (f or p != prev):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
         prev = p
+        pivots.append(j)
+    return pivots, prev, sign
+
+
+def _gauss_jordan_adjugate(rows):
+    """adj(M) by fraction-free Gauss-Jordan on [M | I]; None if M is singular.
+
+    M is singular when fewer than n pivots land in its n columns.  Otherwise
+    the last pivot is det(PM) for the row swaps P, the left block ends as
+    det(PM) * I and the right block as det(PM) * M^-1 = sign(P) * adj(M).
+    """
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, _, sign = _gauss_jordan(a, n)
+    if len(pivots) < n:
+        return None
     return [[sign * x for x in r[n:]] for r in a]
 
 
@@ -332,8 +357,10 @@ def _cofactor_adjugate(rows):
 def adjugate(m):
     """Adjugate matrix: m @ adjugate(m) == adjugate(m) @ m == det(m) * I.
 
-    A nonsingular m takes one fraction-free Gauss-Jordan pass, O(n^3); a
-    singular one falls back to its n^2 cofactor determinants.
+    A nonsingular m takes one pass of the shared fraction-free Gauss-Jordan
+    kernel (_gauss_jordan) over [m | I], O(n^3); a singular one, found by
+    fewer than n pivots in m's columns, falls back to its n^2 cofactor
+    determinants.
     """
     if m.rows != m.cols:
         raise DimensionError("adjugate of non-square matrix")

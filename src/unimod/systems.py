@@ -2,10 +2,15 @@
 
 A system is stored as an N x n integer matrix whose rows are the forms
 written in the coordinates of a distinguished base: the first (in row order)
-maximal linearly independent subset of the input rows.  Construction
-re-expands every row over that base with exact integer arithmetic and then
-certifies total unimodularity (every square minor in {0, 1, -1}), which is
-equivalent to all maximal independent row subsets generating the same group.
+maximal linearly independent subset of the input rows.  Construction finds
+that base and re-expands every row over it in a single fraction-free
+Gauss-Jordan pass over the transposed input (Bareiss).  Every entry the
+pass holds is, up to sign, a minor of the input, so each of its divisions
+is exact; its last pivot d = +-det B then divides the column of a row
+exactly when the row is an integer combination of the base rows, as every
+row of a unimodular system is.  Construction then certifies total
+unimodularity (every square minor in {0, 1, -1}), which is equivalent to
+all maximal independent row subsets generating the same group.
 Certification scans only the non-base (tail) rows, whose minors it expands
 row by row from those of each row set's prefix; a rejection still names the
 first bad minor in the order of a scan over every square minor.  The scan
@@ -32,7 +37,7 @@ from math import factorial, prod
 
 from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
-from .intlinalg import IntMatrix, adjugate, determinant, rank, vecmat
+from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -82,17 +87,6 @@ def _normalize_row(row):
         if x < 0:
             return tuple(-y for y in row)
     return row
-
-
-def _first_base(m):
-    """Indices of the first maximal linearly independent row subset."""
-    picked = []
-    for i in range(m.rows):
-        if len(picked) == m.cols:
-            break
-        if rank(m.take_rows(picked + [i])) == len(picked) + 1:
-            picked.append(i)
-    return picked
 
 
 def _tu_witness(m, base):
@@ -170,13 +164,20 @@ def check_labels(labels, count):
 def _standardize(raw, labels=None):
     """The standard form of integer row data, without certifying it TU.
 
-    The rows are re-expanded over the first maximal independent row subset
-    (exact adjugate division); a row whose expansion is non-integer does not
-    lie in the group generated by the base, so the maximal subsets generate
-    different groups and the input is rejected.  Raw rows must hold plain
-    integers (PreconditionError otherwise, so 1.7 or True is never read as
-    1).  Callers either know the result is totally unimodular or scan it
-    (from_matrix).
+    One fraction-free Gauss-Jordan pass over the n x N matrix A^T, columns
+    left to right, does the whole job (intlinalg._gauss_jordan).  Its pivot
+    columns are the rows of the first maximal independent row subset B, in
+    row order.  The pass turns A^T into d * (A B^-1)^T, d the last pivot
+    (+-det B), so column i divided by d is row i of the standard form, and
+    base row k comes out as e_k.  Every entry the pass holds is, up to
+    sign, a minor of A (Bareiss), so its own divisions are exact.  Column i
+    holds d times the coefficients of row i over B (Cramer's rule), so d
+    divides it exactly when row i is an integer combination of the base
+    rows.  A row for which it does not lies outside the group generated by
+    the base, so the maximal subsets generate different groups and the
+    input is rejected.  Raw rows must hold plain integers (PreconditionError
+    otherwise, so 1.7 or True is never read as 1).  Callers either know the
+    result is totally unimodular or scan it (from_matrix).
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
@@ -187,24 +188,21 @@ def _standardize(raw, labels=None):
     for i in range(N):
         if not any(m.row(i)):
             raise NotUnimodularError(f"row {i} is the zero form", rows=(i,))
-    base = _first_base(m)
+    a = [list(m.col(j)) for j in range(n)]
+    base, d, _ = _gauss_jordan(a, N)
     if len(base) < n:
         raise RankError(f"matrix rank {len(base)} is below the column count {n}")
-    bmat = m.take_rows(base)
-    d = determinant(bmat)
-    adjb = adjugate(bmat)
     out = []
-    for i in range(N):
-        num = vecmat(m.row(i), adjb)
-        if any(x % d for x in num):
+    for i, col in enumerate(zip(*a)):
+        if any(x % d for x in col):
             raise NotUnimodularError(
                 f"row {i} is not an integer combination of the base rows "
                 f"{tuple(base)}: the maximal independent subsets generate "
                 f"different groups", rows=(*base, i))
-        out.append(tuple(x // d for x in num))
+        out.extend(x // d for x in col)
     if labels is not None:
         labels = check_labels(labels, N)
-    return UnimodularSystem(n=n, a_matrix=IntMatrix.from_rows(out),
+    return UnimodularSystem(n=n, a_matrix=IntMatrix(N, n, tuple(out)),
                             base_rows=tuple(base), labels=labels)
 
 

@@ -337,6 +337,21 @@ def test_module_entry_point_subprocess():
     assert payload(proc.stdout) == ["5"]
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child writes its first line
+    env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "unimod.cli", "graph",
+             "catalog:complete:7", "--cographic"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.skipif(shutil.which("unimod") is None,
                     reason="console script not on PATH")
 def test_console_script_subprocess():

@@ -9,19 +9,28 @@ tail-row total-unimodularity scan against a scan over every square minor,
 the base-coordinate point search against the cube scan, the base-graph
 walker against a scan over all row subsets, the closed-form zonotope
 verdict against the sign-vector scan, the stabilizer-chain automorphism
-count against the search that visits one leaf per automorphism, and the
-GF(2) vertex test against the Hermite rank of the active rows.
+count against the search that visits one leaf per automorphism, the
+GF(2) vertex test against the Hermite rank of the active rows, and the
+one-pass standardization against the first base by Hermite ranks with
+the adjugate expansion.
 """
 
 import math
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
-from unimod import graphs, systems
-from unimod.catalog import make
-from unimod.errors import CapError, NotUnimodularError
+from unimod import graphs, intlinalg, systems
+from unimod.catalog import _BIXBY_SEYMOUR_RAW, make
+from unimod.errors import (
+    CapError,
+    NotUnimodularError,
+    PreconditionError,
+    RankError,
+    UnimodError,
+)
 from unimod.graphs import (
     Multigraph,
     _cut_rows,
@@ -40,6 +49,7 @@ from unimod.graphs import (
 from unimod.intlinalg import (
     IntMatrix,
     _det_dense,
+    adjugate,
     determinant,
     dot,
     kernel_basis,
@@ -59,12 +69,14 @@ from unimod.lattice import (
 from unimod.systems import (
     EMPTY_SYSTEM,
     SignedCorrespondence,
+    UnimodularSystem,
     _normalize_row,
     _standardize,
     _tu_witness,
     _walk_bases,
     are_isomorphic,
     automorphism_count,
+    check_labels,
     complexity,
     direct_sum,
     enumerate_bases,
@@ -402,6 +414,165 @@ def test_tree_certificate_needs_a_spanning_tree():
 
 
 # ---------------------------------------------------------------------------
+# standardization by one elimination: the route it replaced, a first base
+# by one Hermite rank per row, then the adjugate expansion, is the oracle
+# (bodies unchanged)
+
+
+def hermite_first_base(m):
+    """Indices of the first maximal linearly independent row subset."""
+    picked = []
+    for i in range(m.rows):
+        if len(picked) == m.cols:
+            break
+        if rank(m.take_rows(picked + [i])) == len(picked) + 1:
+            picked.append(i)
+    return picked
+
+
+def adjugate_standardize(raw, labels=None):
+    """The standard form of integer row data, without certifying it TU.
+
+    The rows are re-expanded over the first maximal independent row subset
+    (exact adjugate division); a row whose expansion is non-integer does not
+    lie in the group generated by the base, so the maximal subsets generate
+    different groups and the input is rejected.
+    """
+    m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
+    N, n = m.rows, m.cols
+    if n < 1:
+        raise PreconditionError("a system needs at least one coordinate")
+    if N < n:
+        raise RankError(f"only {N} rows cannot have rank {n}")
+    for i in range(N):
+        if not any(m.row(i)):
+            raise NotUnimodularError(f"row {i} is the zero form", rows=(i,))
+    base = hermite_first_base(m)
+    if len(base) < n:
+        raise RankError(f"matrix rank {len(base)} is below the column count {n}")
+    bmat = m.take_rows(base)
+    d = determinant(bmat)
+    adjb = adjugate(bmat)
+    out = []
+    for i in range(N):
+        num = vecmat(m.row(i), adjb)
+        if any(x % d for x in num):
+            raise NotUnimodularError(
+                f"row {i} is not an integer combination of the base rows "
+                f"{tuple(base)}: the maximal independent subsets generate "
+                f"different groups", rows=(*base, i))
+        out.append(tuple(x // d for x in num))
+    if labels is not None:
+        labels = check_labels(labels, N)
+    return UnimodularSystem(n=n, a_matrix=IntMatrix.from_rows(out),
+                            base_rows=tuple(base), labels=labels)
+
+
+def _standard_outcome(standardize, raw, labels=None):
+    """The standard form, or the rejection it raises, comparably."""
+    try:
+        s = standardize(raw, labels)
+    except UnimodError as exc:
+        return type(exc), str(exc), getattr(exc, "rows", None)
+    return s.a_matrix, s.base_rows, s.labels
+
+
+def random_raw_rows(rng):
+    """Seeded integer row data: (kind, rows).
+
+    Kinds: free entries; rank below n (a product through r < n columns);
+    a zero row; N = n - 1 rows; integer expansions C B over a random B,
+    whose pivots are rarely units, with C = [I; T] in shuffled or base-first
+    row order.  Entries are bounded by 1, 2, 9 or 10^6.
+    """
+    n = rng.randint(1, 5)
+    N = rng.randint(n, n + 5)
+    bound = rng.choice((1, 2, 9, 10 ** 6))
+    kind = rng.choice(("entries", "low rank", "zero row", "short", "expanded"))
+
+    def block(r, c, b=bound):
+        return [[rng.randint(-b, b) for _ in range(c)] for _ in range(r)]
+
+    if kind == "low rank" and n > 1:
+        r = rng.randint(1, n - 1)
+        return kind, (IntMatrix.from_rows(block(N, r))
+                      @ IntMatrix.from_rows(block(r, n))).to_lists()
+    if kind == "short":
+        return kind, block(n - 1, n)
+    if kind == "expanded":
+        c = [[int(i == j) for j in range(n)] for i in range(n)]
+        c += block(N - n, n, 2)
+        if rng.random() < 0.5:
+            rng.shuffle(c)
+        return kind, (IntMatrix.from_rows(c)
+                      @ IntMatrix.from_rows(block(n, n))).to_lists()
+    rows = block(N, n)
+    if kind == "zero row":
+        rows[rng.randrange(N)] = [0] * n
+    return kind, rows
+
+
+def _raw_cases():
+    """(raw rows, labels) for the standardization oracle."""
+    sweep = [s for _, s in catalog_sweep()]
+    cases = [(s.a_matrix, s.labels) for s in sweep]
+    cases += [(rows, None) for rows in
+              scrambled_rows(random.Random(170818), sweep[3:], 12)]
+    for k in range(3, 10):
+        g = make("complete", k)
+        for rows_of in (_cycle_rows, _cut_rows):
+            rows, kept = rows_of(g)
+            cases.append((rows, edge_labels(kept)))
+    for i in range(len(_BIXBY_SEYMOUR_RAW)):
+        rows = [list(r) for r in _BIXBY_SEYMOUR_RAW]
+        rows[i] = [2 * x for x in rows[i]]
+        cases.append((rows, None))
+    rng = random.Random(170819)
+    for t in range(320):
+        _, rows = random_raw_rows(rng)
+        labels = None
+        if t % 4 == 1:
+            labels = [f"x{i}" for i in range(len(rows))]
+        elif t % 16 == 3:
+            labels = ["x y"] * len(rows)
+        cases.append((rows, labels))
+    return cases
+
+
+def test_one_pass_standardization_matches_hermite_route():
+    """The same a_matrix, base_rows and labels as the route of one Hermite
+    rank per row and the adjugate, or the same rejection: type, message and
+    rows."""
+    seen = Counter()
+    for raw, labels in _raw_cases():
+        want = _standard_outcome(adjugate_standardize, raw, labels)
+        assert _standard_outcome(_standardize, raw, labels) == want, raw
+        if isinstance(want[0], type):
+            seen[want[0].__name__, "zero form" in want[1]] += 1
+        else:
+            m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
+            d = determinant(m.take_rows(want[1]))
+            seen["built", "|det B| > 1" if abs(d) > 1 else "unit"] += 1
+    # every branch is taken, and built inputs include non-unit pivots
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def test_standardization_runs_no_other_kernel(monkeypatch):
+    """No Hermite form, determinant or adjugate runs while standardizing."""
+    sweep = [s for _, s in catalog_sweep()]
+    k7 = make("complete", 7)
+    built = [(graphic_system(k7), _cycle_rows(k7)),
+             (cographic_system(k7), _cut_rows(k7))]
+    monkeypatch.setattr(intlinalg, "hermite_form", _must_not_run)
+    monkeypatch.setattr(systems, "adjugate", _must_not_run)
+    monkeypatch.setattr(systems, "determinant", _must_not_run)
+    for s in sweep:
+        assert_same_system(from_matrix(s.a_matrix.to_lists(), s.labels), s)
+    for s, (rows, kept) in built:
+        assert_same_system(_standardize(rows, edge_labels(kept)), s)
+
+
+# ---------------------------------------------------------------------------
 # oracles for the polytope report: the routines the report used before the
 # base-coordinate search, the base-graph walker and the closed-form zonotope
 # verdict replaced them, bodies unchanged except where noted
@@ -484,8 +655,8 @@ def sign_scan_zonotope_check(sys):
     return _zono_block((p.row_list(), d, (1,), sys.N - 1))
 
 
-def scrambled_copies(rng, systems, count):
-    """Seeded copies: rows permuted and sign-flipped, a unimodular base change."""
+def scrambled_rows(rng, systems, count):
+    """Seeded raw rows: rows permuted and sign-flipped, a unimodular base change."""
     out = []
     for _ in range(count):
         s = rng.choice(systems)
@@ -497,10 +668,14 @@ def scrambled_copies(rng, systems, count):
             u[i] = [x + sign * y for x, y in zip(u[i], u[j])]
         rows = (s.a_matrix @ IntMatrix.from_rows(u)).to_lists()
         signs = [rng.choice((1, -1)) for _ in rows]
-        rows = [[signs[i] * x for x in rows[i]]
-                for i in rng.sample(range(s.N), s.N)]
-        out.append(from_matrix(rows))
+        out.append([[signs[i] * x for x in rows[i]]
+                    for i in rng.sample(range(s.N), s.N)])
     return out
+
+
+def scrambled_copies(rng, systems, count):
+    """Seeded copies: rows permuted and sign-flipped, a unimodular base change."""
+    return [from_matrix(rows) for rows in scrambled_rows(rng, systems, count)]
 
 
 def _systems_under_test(seed):
