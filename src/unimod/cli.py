@@ -133,9 +133,10 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
         if error is not None:
             print(f"error: {error['message']}")
             if "witness" in error:
-                w = error["witness"]
-                print(f"# witness rows={w['rows']} cols={w['cols']}"
-                      f" value={w['value']}")
+                # a minor has rows, cols and value; a zero or non-integral
+                # row has rows only
+                print("# witness " + " ".join(
+                    f"{k}={v}" for k, v in error["witness"].items()))
         else:
             for line in lines:
                 print(line)

@@ -162,20 +162,26 @@ def vertex_test(sys, point):
 
     The rank is the GF(2) rank, valid because the system is TU: a TU matrix
     has the same rank over every field (Tutte 1958; Schrijver, Theory of
-    Linear and Integer Programming, ch. 19).  The active rows, as bitmasks
-    mod 2, are reduced against an XOR basis keyed by leading bit, stopping
-    as soon as the rank reaches n.
+    Linear and Integer Programming, ch. 19).  The point is checked to be a
+    {-1,0,1} vector of length N, then _is_vertex reduces its active rows.
     """
     point = tuple(point)
     if len(point) != sys.N or any(x not in (-1, 0, 1) for x in point):
         raise PreconditionError("vertex_test expects a point of D")
-    n = sys.n
+    return _is_vertex(_odd_rows(sys), sys.n, point)
+
+
+def _is_vertex(rows, n, point):
+    """Whether the rows active at point (bitmasks mod 2) have GF(2) rank n.
+
+    The active rows are reduced against an XOR basis keyed by leading bit,
+    stopping as soon as the rank reaches n.
+    """
     if n == 0:
         return True
     active = [i for i, x in enumerate(point) if x]
     if len(active) < n:
         return False
-    rows = _odd_rows(sys)
     basis = {}  # leading bit -> basis row
     for i in active:
         v = rows[i]
@@ -221,8 +227,9 @@ def _facet_pairs(sys, pts, vertices):
 def facets(sys, cap=DEFAULT_SCAN_CAP):
     """One facet pair per distinct form (up to sign), with their points."""
     pts = polytope_points(sys, cap=cap)
+    rows = _odd_rows(sys)
     return _facet_pairs(sys, pts, {p.vector for p in pts
-                                   if vertex_test(sys, p.vector)})
+                                   if _is_vertex(rows, sys.n, p.vector)})
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +378,9 @@ class PolytopeReport:
         return dict(sorted(out.items()))
 
     def to_dict(self):
+        # one list per point vector, shared by points, vertices and facets:
+        # render_json writes a shared list once per indent, then looks it up
+        vec = {p.vector: list(p.vector) for p in self.points}
         return {
             "N": self.system.N,
             "n": self.system.n,
@@ -379,15 +389,15 @@ class PolytopeReport:
             "origin_included": True,
             "census_by_square": {str(k): v for k, v in self.by_square().items()},
             "point_count": len(self.points),
-            "points": [{"vector": list(p.vector), "square": p.square,
+            "points": [{"vector": vec[p.vector], "square": p.square,
                         "coefficients": list(p.coefficients)}
                        for p in self.points],
             "vertex_count": len(self.vertices),
-            "vertices": [list(v) for v in self.vertices],
+            "vertices": [vec[v] for v in self.vertices],
             "facets": [{"rep_row": f.rep_row,
                         "class_rows": list(f.class_rows),
-                        "plus_points": [list(v) for v in f.plus_points],
-                        "minus_points": [list(v) for v in f.minus_points],
+                        "plus_points": [vec[v] for v in f.plus_points],
+                        "minus_points": [vec[v] for v in f.minus_points],
                         "plus_vertex_count": len(f.plus_vertices),
                         "minus_vertex_count": len(f.minus_vertices)}
                        for f in self.facet_pairs],
@@ -403,17 +413,21 @@ def build_polytope_report(sys, cap=DEFAULT_SCAN_CAP):
 
     The points come from one base-coordinate search (polytope_points), under
     the same cap; the vertices, facet pairs and census are derived from that
-    list, with one vertex_test per point (GF(2) rank, valid because the
-    system is TU).  The list holds every vertex of D: the system was
-    certified totally unimodular when it was built, so by Hoffman-Kruskal
-    (Schrijver, Theory of Linear and Integer Programming, ch. 19) every
-    vertex of D = {w in W : |f_i(w)| <= 1} is integral, a lattice point.  The inequalities |f_i| <= 1 are primitive, so D is
-    reflexive; reflexive_verified further checks that every facet pair has
-    vertices on both sides.  The zonotope flag is zonotope_check's exact
-    verdict on whether D equals the cube's shadow.
+    list.  The form matrix mod 2 is taken once, and _is_vertex runs on each
+    point (GF(2) rank, valid because the system is TU) without vertex_test's
+    check that the point lies in D, which the search guarantees.  The list
+    holds every vertex of D: the system was certified totally unimodular
+    when it was built, so by Hoffman-Kruskal (Schrijver, Theory of Linear
+    and Integer Programming, ch. 19) every vertex of
+    D = {w in W : |f_i(w)| <= 1} is integral, a lattice point.  The
+    inequalities |f_i| <= 1 are primitive, so D is reflexive;
+    reflexive_verified further checks that every facet pair has vertices on
+    both sides.  The zonotope flag is zonotope_check's exact verdict on
+    whether D equals the cube's shadow.
     """
     pts = polytope_points(sys, cap=cap)
-    vertices = tuple(p.vector for p in pts if vertex_test(sys, p.vector))
+    rows = _odd_rows(sys)
+    vertices = tuple(p.vector for p in pts if _is_vertex(rows, sys.n, p.vector))
     fp = _facet_pairs(sys, pts, set(vertices))
     reflexive = sys.n == 0 or all(
         f.plus_vertices and f.minus_vertices for f in fp)

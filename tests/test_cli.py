@@ -1,7 +1,7 @@
 """End-to-end tests of the command line front end.
 
 Most tests drive ``unimod.cli.run`` in-process and inspect captured
-stdout; two subprocess tests confirm the module and console-script entry
+stdout; subprocess tests confirm the module and console-script entry
 points behave the same way.
 """
 
@@ -20,6 +20,8 @@ from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
 
 BAD_MINOR_MATRIX = "4 2\n1 0\n0 1\n1 1\n1 -1\n"
+ZERO_ROW_MATRIX = "4 2\n1 0\n0 0\n0 1\n1 1\n"
+NON_INTEGRAL_MATRIX = "3 2\n1 1\n1 -1\n1 0\n"
 
 
 def payload(out):
@@ -71,6 +73,24 @@ def test_check_failure_prints_witness_and_exits_1(tmp_path, capsys):
     assert len(witness) == 1
     assert "rows=" in witness[0] and "value=" in witness[0]
     assert "2" in witness[0].split("value=")[1]
+
+
+@pytest.mark.parametrize("text, witness", [
+    (BAD_MINOR_MATRIX, "# witness rows=[2, 3] cols=[0, 1] value=-2"),
+    (ZERO_ROW_MATRIX, "# witness rows=[1]"),
+    (NON_INTEGRAL_MATRIX, "# witness rows=[0, 1, 2]"),
+])
+def test_check_text_witness_prints_the_fields_present(tmp_path, capsys,
+                                                      text, witness):
+    # a minor carries rows, cols and value; a zero or non-integral row
+    # carries its rows only
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    rc = run(["check", str(f)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [l for l in lines if l.startswith("# witness rows=")] == [witness]
+    assert lines[-1].startswith("# elapsed_ms ")
 
 
 def test_unknown_catalog_entry_exits_2(capsys):
@@ -350,6 +370,24 @@ def test_closed_stdout_exits_141_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_console_script_entry_point_without_install():
+    # the [project.scripts] target, resolved and called as the installed
+    # script would call it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    module, func = scripts["unimod"].split(":")
+    code = (f"import importlib, sys; "
+            f"sys.exit(importlib.import_module({module!r}).{func}())")
+    env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "complexity", "catalog:sigma:5"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert payload(proc.stdout) == ["5"]
 
 
 @pytest.mark.skipif(shutil.which("unimod") is None,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import unimod.cli
+from unimod.catalog import make
 from unimod.cli import run
 from unimod.errors import PreconditionError
 from unimod.fileio import (
@@ -19,7 +20,8 @@ from unimod.fileio import (
     render_matrix_text,
     sha256_hex,
 )
-from unimod.graphs import Multigraph
+from unimod.graphs import Multigraph, cographic_system, graphic_system
+from unimod.lattice import build_polytope_report
 
 
 def test_parse_matrix_header_form():
@@ -209,6 +211,58 @@ def test_render_json_matches_json_dumps_on_fuzzed_documents():
     for _ in range(500):
         doc = _fuzz_value(rng, 0)
         assert render_json(doc) == json.dumps(doc, indent=2), doc
+
+
+def _aliased_doc(rng):
+    """A document that holds a few list and tuple objects several times,
+    at one depth and at different depths; some hold a bool or a float."""
+    shared = [[1, True, -1], [2.0, 0], (0, False), [0, 1, -1], (1, -1)]
+    for _ in range(rng.randrange(1, 4)):
+        xs = [rng.randint(-3, 3) for _ in range(rng.randrange(1, 6))]
+        shared.append(xs if rng.random() < 0.7 else tuple(xs))
+
+    def value(depth):
+        kind = rng.randrange(5 if depth < 5 else 2)
+        if kind == 0:
+            return rng.choice(shared)
+        if kind == 1:
+            return _fuzz_value(rng, 4)
+        if kind in (2, 3):
+            return [value(depth + 1) for _ in range(rng.randrange(5))]
+        return {f"k{i}": value(depth + 1) for i in range(rng.randrange(4))}
+
+    same_depth = [rng.choice(shared) for _ in range(6)]
+    return {"a": same_depth, "b": [same_depth, value(1)], "c": value(0)}
+
+
+def test_render_json_matches_json_dumps_on_aliased_documents():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        doc = _aliased_doc(rng)
+        assert render_json(doc) == json.dumps(doc, indent=2), doc
+
+
+def test_render_json_memo_lasts_one_call():
+    v = [1, 0, -1]
+    doc = {"a": v, "b": [v, [v]], "c": (v, v)}
+    first = render_json(doc)
+    v[0] = 5
+    v.append(True)
+    second = render_json(doc)
+    assert first != second == json.dumps(doc, indent=2)
+    del v[-1]
+    assert render_json(doc) == json.dumps(doc, indent=2) != second
+
+
+def test_render_json_matches_json_dumps_on_large_reports():
+    from test_properties import scrambled_copies
+
+    k5, k6 = make("complete", 5), make("complete", 6)
+    systems = [cographic_system(k6)]
+    systems += scrambled_copies(random.Random(20261020), [graphic_system(k5)], 1)
+    for s in systems:
+        doc = build_polytope_report(s).to_dict()
+        assert render_json(doc) == json.dumps(doc, indent=2), s
 
 
 @pytest.mark.parametrize("doc", [{1: 2}, {"a": [{None: 0}]}, {("t",): 1}])

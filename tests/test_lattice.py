@@ -9,6 +9,7 @@ import pytest
 
 from unimod.catalog import make
 from unimod.errors import CapError, MembershipError, PreconditionError
+from unimod.fileio import render_json, sha256_hex
 from unimod.graphs import cographic_system, graphic_system
 from unimod.lattice import (
     build_polytope_report,
@@ -311,3 +312,22 @@ def test_complete_graph_reports_at_the_polytope_frontier():
     rep = build_polytope_report(graphic_system(make("complete", 6)))
     assert (len(rep.points), len(rep.vertices)) == (7839, 3594)
     assert rep.reflexive_verified
+
+
+# sha256 of render_json(build_polytope_report(s).to_dict()), computed at
+# commit a883b67, where to_dict built a fresh list for every point entry and
+# render_json kept no memo; there the text also equalled
+# json.dumps(doc, indent=2).  The golden file pins bixby_seymour only.
+REPORT_SHA256 = {
+    ("graphic", 5):
+        "15dbd9535ab57e14bd6993b02352142898a69e9d83c0a65fe3abf18c23d84b8e",
+    ("cographic", 6):
+        "0d06af0e267b3a8cdfec2c40fc4cf7281247a2fecde607c3fcfa51e61ddd97b2",
+}
+
+
+@pytest.mark.parametrize("mode, k", sorted(REPORT_SHA256))
+def test_complete_graph_report_json_is_pinned(mode, k):
+    derive = {"graphic": graphic_system, "cographic": cographic_system}[mode]
+    doc = build_polytope_report(derive(make("complete", k))).to_dict()
+    assert sha256_hex(render_json(doc)) == REPORT_SHA256[mode, k]

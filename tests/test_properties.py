@@ -737,6 +737,21 @@ def test_gf2_vertex_test_matches_hermite_rank():
                 s, p.vector), (s, p.vector)
 
 
+def test_report_vertices_match_vertex_test():
+    # the report runs _is_vertex on its own point list, without the public
+    # wrapper's check that the point lies in D
+    rng = random.Random(170815)
+    sweep = [s for _, s in catalog_sweep()]
+    systems = sweep + [c for s in sweep for c in scrambled_copies(rng, [s], 1)]
+    for k in (5, 6):
+        g = make("complete", k)
+        systems += [graphic_system(g), cographic_system(g)]
+    for s in systems:
+        rep = build_polytope_report(s)
+        assert rep.vertices == tuple(
+            p.vector for p in rep.points if vertex_test(s, p.vector)), s
+
+
 def test_zonotope_closed_form_matches_sign_scan():
     systems = [make("sigma", n) for n in range(1, 17)]
     systems += [s for _, s in catalog_sweep()]
