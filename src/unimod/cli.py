@@ -274,11 +274,11 @@ def _cmd_polytope(args):
     for f in report.facet_pairs:
         lines.append(
             f"pair rep={f.rep_row} rows={','.join(map(str, f.class_rows))}"
-            f" +side {len(f.plus_points)}p/{len(f.plus_vertices)}v"
-            f" -side {len(f.minus_points)}p/{len(f.minus_vertices)}v")
+            f" +side {f.plus_point_count}p/{len(f.plus_vertices)}v"
+            f" -side {f.minus_point_count}p/{len(f.minus_vertices)}v")
     lines += [f"zonotope {'yes' if report.zonotope_verified else 'no'}",
               f"reflexive {'yes' if report.reflexive_verified else 'no'}"]
-    return [(args.src, digest)], lines, report.to_dict()
+    return [(args.src, digest)], lines, report.to_dict() if args.json else None
 
 
 def _cmd_graph(args):
@@ -359,7 +359,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON document")
-    common.add_argument("--cap", type=_cap_value, metavar="N",
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=_cap_value, metavar="N",
                         help="override enumeration/scan size caps")
 
     parser = argparse.ArgumentParser(
@@ -371,7 +372,7 @@ def _build_parser():
                        help="verify a matrix and print its standard form")
     p.add_argument("src", help="matrix file or catalog: reference")
 
-    p = sub.add_parser("complexity", parents=[common],
+    p = sub.add_parser("complexity", parents=[capped],
                        help="number of bases via the Gram determinant")
     p.add_argument("src")
     p.add_argument("--enumerate", action="store_true",
@@ -386,20 +387,20 @@ def _build_parser():
                        help="split off unit summands")
     p.add_argument("src")
 
-    p = sub.add_parser("isomorphic", parents=[common],
+    p = sub.add_parser("isomorphic", parents=[capped],
                        help="search for a signed row correspondence")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("aut", parents=[common],
+    p = sub.add_parser("aut", parents=[capped],
                        help="count signed self-correspondences")
     p.add_argument("src")
 
-    p = sub.add_parser("lattice", parents=[common],
+    p = sub.add_parser("lattice", parents=[capped],
                        help="Gram matrix, discriminant, short-vector census")
     p.add_argument("src")
 
-    p = sub.add_parser("polytope", parents=[common],
+    p = sub.add_parser("polytope", parents=[capped],
                        help="full polytope report (census, facets, verdicts)")
     p.add_argument("src")
 

@@ -8,10 +8,8 @@ JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
 matrix file is; its entries must be JSON integers (no floats or booleans).
 Edge-list files: first line "m N" (vertices, edges), then N lines
 "tail head" with 1-indexed vertex ids.  Reports are written as JSON by
-render_json, which gives the bytes of json.dumps(doc, indent=2) faster:
-leaves are encoded in C, and a list of ints that a document holds at
-several places (a polytope report shares one list per point vector) is
-rendered once per indent and reused from a memo that lives for one call.
+render_json, which gives the bytes of json.dumps(doc, indent=2) faster,
+with the leaves encoded in C.
 """
 
 from __future__ import annotations
@@ -138,22 +136,12 @@ def render_json(doc):
     written in one join and strings go through the C string encoder, so a
     report's many point lists cost one call each.  Every dict key must be a
     str (TypeError otherwise); json.dumps would convert some other keys.
-
-    The call keeps a memo, indent -> {id of an int list: its text}, so an
-    int list object that appears again at the same indent is written by a
-    lookup.  The memo is safe because it lives for this call only: doc and
-    everything in it stay alive until the call returns, so no id is reused
-    by another object, and nothing mutates doc while it is rendered.  A
-    list mutated between two calls is rendered afresh by the second.
     """
-    return _render(doc, "\n", {})
+    return _render(doc, "\n")
 
 
-def _render(x, nl, memo):
-    """x as indented JSON text; nl is the newline plus the current indent.
-
-    memo maps an indent to {id(int list): its text at that indent}.
-    """
+def _render(x, nl):
+    """x as indented JSON text; nl is the newline plus the current indent."""
     t = type(x)
     if t is str:
         return encode_basestring_ascii(x)
@@ -167,22 +155,15 @@ def _render(x, nl, memo):
         for k, v in x.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON key {k!r} is not a str")
-            parts.append(encode_basestring_ascii(k) + ": "
-                         + _render(v, inner, memo))
+            parts.append(encode_basestring_ascii(k) + ": " + _render(v, inner))
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        texts = memo.setdefault(nl, {})
-        text = texts.get(id(x))
-        if text is not None:
-            return text
         if set(map(type, x)) == {int}:
-            text = "[" + inner + ("," + inner).join(map(str, x)) + nl + "]"
-            texts[id(x)] = text
-            return text
-        texts = memo.setdefault(inner, {})
-        items = [texts.get(id(v)) or _render(v, inner, memo) for v in x]
+            items = map(str, x)
+        else:
+            items = [_render(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return json.dumps(x)
 

@@ -33,8 +33,8 @@ from functools import lru_cache
 from .errors import CapError, MembershipError, PreconditionError
 from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
                         matvec)
-from .systems import (complexity, form_pairing_matrix, gram_matrix,
-                      multiplicity_classes)
+from .systems import (UnimodularSystem, complexity, form_pairing_matrix,
+                      gram_matrix, multiplicity_classes)
 
 DEFAULT_SCAN_CAP = 18
 
@@ -162,12 +162,16 @@ def vertex_test(sys, point):
 
     The rank is the GF(2) rank, valid because the system is TU: a TU matrix
     has the same rank over every field (Tutte 1958; Schrijver, Theory of
-    Linear and Integer Programming, ch. 19).  The point is checked to be a
-    {-1,0,1} vector of length N, then _is_vertex reduces its active rows.
+    Linear and Integer Programming, ch. 19).  The point must be a length-N
+    vector of plain ints in {-1,0,1} (PreconditionError; True or 1.0 is not
+    read as 1) in L (MembershipError); _is_vertex reduces its active rows.
     """
     point = tuple(point)
+    if any(type(x) is not int for x in point):
+        raise PreconditionError(f"{point} has a non-integer entry")
     if len(point) != sys.N or any(x not in (-1, 0, 1) for x in point):
         raise PreconditionError("vertex_test expects a point of D")
+    _coefficients(sys, point)
     return _is_vertex(_odd_rows(sys), sys.n, point)
 
 
@@ -201,35 +205,39 @@ def _is_vertex(rows, n, point):
 class FacetPair:
     """The two opposite facets cut out by one multiplicity class of forms."""
 
-    rep_row: int          # smallest row index of the class
-    class_rows: tuple     # all rows whose form equals the rep's up to sign
-    plus_points: tuple    # lattice points at level +1 of the rep form
-    minus_points: tuple
+    rep_row: int            # smallest row index of the class
+    class_rows: tuple       # all rows whose form equals the rep's up to sign
+    plus_point_count: int   # lattice points at level +1 of the rep form
+    minus_point_count: int
     plus_vertices: tuple
     minus_vertices: tuple
 
 
+def _vertices(sys, pts):
+    """The vectors of the points that are vertices, in point order."""
+    rows = _odd_rows(sys)
+    return tuple(p.vector for p in pts if _is_vertex(rows, sys.n, p.vector))
+
+
 def _facet_pairs(sys, pts, vertices):
-    """Facet pairs from the point list; vertices is the set of vertex vectors."""
+    """Facet pairs from the points and the vertex vectors, in point order."""
     out = []
     for cls in multiplicity_classes(sys):
         rep = cls[0]
-        plus = tuple(p.vector for p in pts if p.vector[rep] == 1)
-        minus = tuple(p.vector for p in pts if p.vector[rep] == -1)
+        levels = [p.vector[rep] for p in pts]
         out.append(FacetPair(
             rep_row=rep, class_rows=cls,
-            plus_points=plus, minus_points=minus,
-            plus_vertices=tuple(v for v in plus if v in vertices),
-            minus_vertices=tuple(v for v in minus if v in vertices)))
+            plus_point_count=levels.count(1),
+            minus_point_count=levels.count(-1),
+            plus_vertices=tuple(v for v in vertices if v[rep] == 1),
+            minus_vertices=tuple(v for v in vertices if v[rep] == -1)))
     return tuple(out)
 
 
 def facets(sys, cap=DEFAULT_SCAN_CAP):
-    """One facet pair per distinct form (up to sign), with their points."""
+    """One facet pair per distinct form (up to sign), with their counts."""
     pts = polytope_points(sys, cap=cap)
-    rows = _odd_rows(sys)
-    return _facet_pairs(sys, pts, {p.vector for p in pts
-                                   if _is_vertex(rows, sys.n, p.vector)})
+    return _facet_pairs(sys, pts, _vertices(sys, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +386,9 @@ class PolytopeReport:
         return dict(sorted(out.items()))
 
     def to_dict(self):
-        # one list per point vector, shared by points, vertices and facets:
-        # render_json writes a shared list once per indent, then looks it up
-        vec = {p.vector: list(p.vector) for p in self.points}
+        # each point is listed once: vertices index into points, and a facet
+        # side is a count, its points being those at level +-1 of rep_row
+        vertices = set(self.vertices)
         return {
             "N": self.system.N,
             "n": self.system.n,
@@ -389,15 +397,16 @@ class PolytopeReport:
             "origin_included": True,
             "census_by_square": {str(k): v for k, v in self.by_square().items()},
             "point_count": len(self.points),
-            "points": [{"vector": vec[p.vector], "square": p.square,
+            "points": [{"vector": list(p.vector), "square": p.square,
                         "coefficients": list(p.coefficients)}
                        for p in self.points],
             "vertex_count": len(self.vertices),
-            "vertices": [vec[v] for v in self.vertices],
+            "vertices": [i for i, p in enumerate(self.points)
+                         if p.vector in vertices],
             "facets": [{"rep_row": f.rep_row,
                         "class_rows": list(f.class_rows),
-                        "plus_points": [vec[v] for v in f.plus_points],
-                        "minus_points": [vec[v] for v in f.minus_points],
+                        "plus_point_count": f.plus_point_count,
+                        "minus_point_count": f.minus_point_count,
                         "plus_vertex_count": len(f.plus_vertices),
                         "minus_vertex_count": len(f.minus_vertices)}
                        for f in self.facet_pairs],
@@ -426,9 +435,8 @@ def build_polytope_report(sys, cap=DEFAULT_SCAN_CAP):
     whether D equals the cube's shadow.
     """
     pts = polytope_points(sys, cap=cap)
-    rows = _odd_rows(sys)
-    vertices = tuple(p.vector for p in pts if _is_vertex(rows, sys.n, p.vector))
-    fp = _facet_pairs(sys, pts, set(vertices))
+    vertices = _vertices(sys, pts)
+    fp = _facet_pairs(sys, pts, vertices)
     reflexive = sys.n == 0 or all(
         f.plus_vertices and f.minus_vertices for f in fp)
     return PolytopeReport(system=sys,

@@ -18,6 +18,10 @@ import unimod
 from unimod.catalog import make
 from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
+from unimod.lattice import PolytopeReport
+
+from test_acceptance import catalog_sweep
+from test_lattice import v1_of
 
 BAD_MINOR_MATRIX = "4 2\n1 0\n0 1\n1 1\n1 -1\n"
 ZERO_ROW_MATRIX = "4 2\n1 0\n0 0\n0 1\n1 1\n"
@@ -172,7 +176,31 @@ def test_polytope_json_matches_golden(capsys):
     assert doc["inputs"][0]["source"] == "catalog:bixby_seymour"
     with open("tests/golden/bixby_seymour_polytope.json") as fh:
         golden = json.load(fh)
-    assert doc["result"] == golden
+    assert v1_of(doc["result"]) == golden
+
+
+def test_polytope_json_lists_each_point_once(tmp_path, capsys):
+    for i, (label, s) in enumerate(catalog_sweep()):
+        f = tmp_path / f"s{i}.txt"
+        f.write_text(render_matrix_text(s.a_matrix.to_lists(), s.labels),
+                     encoding="utf-8")
+        assert run(["polytope", str(f), "--json"]) == 0, label
+        doc = json.loads(capsys.readouterr().out)["result"]
+        for pair in doc["facets"]:
+            assert "plus_points" not in pair and "minus_points" not in pair
+        v = doc["vertices"]
+        assert all(type(i) is int for i in v), label
+        assert all(a < b for a, b in zip(v, v[1:])), label
+        assert all(0 <= i < doc["point_count"] for i in v), label
+
+
+def test_polytope_text_mode_builds_no_json(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("to_dict called in text mode")
+
+    monkeypatch.setattr(PolytopeReport, "to_dict", refuse)
+    assert run(["polytope", "catalog:bixby_seymour"]) == 0
+    assert "reflexive yes" in payload(capsys.readouterr().out)
 
 
 def test_polytope_text_verdict_lines(capsys):
@@ -328,6 +356,26 @@ def test_removed_flags_exit_2(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CAPPED = {"complexity", "isomorphic", "aut", "lattice", "polytope"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "catalog:sigma:3"], ["complexity", "catalog:sigma:3"],
+    ["dual", "catalog:sigma:3"], ["decompose", "catalog:sigma:3"],
+    ["isomorphic", "catalog:sigma:3", "catalog:sigma:3"],
+    ["aut", "catalog:sigma:3"], ["lattice", "catalog:sigma:3"],
+    ["polytope", "catalog:sigma:3"], ["graph", "catalog:theta:3", "--graphic"],
+    ["catalog"]], ids=lambda argv: argv[0])
+def test_cap_only_where_a_cap_is_read(argv, capsys):
+    if argv[0] in CAPPED:
+        assert run(argv + ["--cap", "5"]) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_catalog_and_file_fingerprints_agree(tmp_path, capsys):

@@ -242,7 +242,7 @@ def test_render_json_matches_json_dumps_on_aliased_documents():
         assert render_json(doc) == json.dumps(doc, indent=2), doc
 
 
-def test_render_json_memo_lasts_one_call():
+def test_render_json_reflects_mutation_between_calls():
     v = [1, 0, -1]
     doc = {"a": v, "b": [v, [v]], "c": (v, v)}
     first = render_json(doc)

@@ -1,6 +1,7 @@
 """Lattice and polytope geometry: scans, vertices, facets, censuses."""
 
 import json
+import typing
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -12,6 +13,8 @@ from unimod.errors import CapError, MembershipError, PreconditionError
 from unimod.fileio import render_json, sha256_hex
 from unimod.graphs import cographic_system, graphic_system
 from unimod.lattice import (
+    LatticeModel,
+    PolytopeReport,
     build_polytope_report,
     discriminant,
     facets,
@@ -24,12 +27,42 @@ from unimod.lattice import (
     zonotope_check,
     zonotope_witness,
 )
-from unimod.systems import EMPTY_SYSTEM, complexity, gale_dual
+from unimod.systems import (EMPTY_SYSTEM, UnimodularSystem, complexity,
+                            gale_dual)
 
 from test_acceptance import _shadow_inside_section, catalog_sweep
 from test_properties import sign_scan_zonotope_check
 
 GOLDEN = Path(__file__).parent / "golden" / "bixby_seymour_polytope.json"
+
+V2_FACET_KEYS = ["rep_row", "class_rows", "plus_point_count",
+                 "minus_point_count", "plus_vertex_count", "minus_vertex_count"]
+
+
+def v1_of(doc):
+    """The v1 polytope result, rebuilt from a v2 result alone.
+
+    v1 listed each vertex as its vector and each facet side as the points
+    on it; v2 gives vertices as indices into points and each side as a
+    count.  A point lies on the + (-) side of a pair exactly when its value
+    on the rep row is 1 (-1), so the lists are filtered from points, and
+    each count must equal the length of its list.
+    """
+    vectors = [p["vector"] for p in doc["points"]]
+    facets = []
+    for f in doc["facets"]:
+        assert list(f) == V2_FACET_KEYS
+        rep = f["rep_row"]
+        plus = [v for v in vectors if v[rep] == 1]
+        minus = [v for v in vectors if v[rep] == -1]
+        assert f["plus_point_count"] == len(plus)
+        assert f["minus_point_count"] == len(minus)
+        facets.append({"rep_row": rep, "class_rows": f["class_rows"],
+                       "plus_points": plus, "minus_points": minus,
+                       "plus_vertex_count": f["plus_vertex_count"],
+                       "minus_vertex_count": f["minus_vertex_count"]})
+    return dict(doc, vertices=[vectors[i] for i in doc["vertices"]],
+                facets=facets)
 
 
 def _orthogonal_projection(system, s):
@@ -126,6 +159,20 @@ def test_vertex_test_rejects_non_scan_points():
         vertex_test(make("pair2"), (2, 0))
 
 
+def test_vertex_test_rejects_points_off_the_lattice():
+    s = make("triangle3")
+    assert (1, 1, 0) not in {p.vector for p in polytope_points(s)}
+    with pytest.raises(MembershipError):
+        vertex_test(s, (1, 1, 0))
+    assert vertex_test(s, (1, 0, 1))
+
+
+@pytest.mark.parametrize("point", [(True, 0, 1), (1.0, 0, 1), (1, 0, 1.0)])
+def test_vertex_test_rejects_non_int_entries(point):
+    with pytest.raises(PreconditionError):
+        vertex_test(make("triangle3"), point)
+
+
 def test_scan_cap():
     with pytest.raises(CapError):
         polytope_points(make("bixby_seymour"), cap=8)
@@ -135,7 +182,8 @@ def test_facet_pairs_segment():
     fp = facets(make("sigma", 3))
     assert len(fp) == 1
     assert fp[0].class_rows == (0, 1, 2)
-    assert fp[0].plus_points == ((1, 1, 1),)
+    assert fp[0].plus_point_count == fp[0].minus_point_count == 1
+    assert fp[0].plus_vertices == ((1, 1, 1),)
 
 
 def test_facet_pairs_k4():
@@ -289,7 +337,7 @@ def test_bixby_seymour_golden_report():
     rep = build_polytope_report(make("bixby_seymour"))
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert rep.to_dict() == golden
+    assert v1_of(rep.to_dict()) == golden
 
 
 def test_golden_report_spot_values():
@@ -314,10 +362,11 @@ def test_complete_graph_reports_at_the_polytope_frontier():
     assert rep.reflexive_verified
 
 
-# sha256 of render_json(build_polytope_report(s).to_dict()), computed at
-# commit a883b67, where to_dict built a fresh list for every point entry and
-# render_json kept no memo; there the text also equalled
-# json.dumps(doc, indent=2).  The golden file pins bixby_seymour only.
+# sha256 of the v1 report text render_json(build_polytope_report(s).to_dict()),
+# computed at commit a883b67, where to_dict built a fresh list for every
+# point entry and render_json kept no memo; there the text also equalled
+# json.dumps(doc, indent=2).  The v2 result is checked by rebuilding the v1
+# document from it (v1_of).  The golden file pins bixby_seymour only.
 REPORT_SHA256 = {
     ("graphic", 5):
         "15dbd9535ab57e14bd6993b02352142898a69e9d83c0a65fe3abf18c23d84b8e",
@@ -330,4 +379,26 @@ REPORT_SHA256 = {
 def test_complete_graph_report_json_is_pinned(mode, k):
     derive = {"graphic": graphic_system, "cographic": cographic_system}[mode]
     doc = build_polytope_report(derive(make("complete", k))).to_dict()
-    assert sha256_hex(render_json(doc)) == REPORT_SHA256[mode, k]
+    assert sha256_hex(render_json(v1_of(doc))) == REPORT_SHA256[mode, k]
+
+
+def test_report_dict_shares_no_lists():
+    doc = build_polytope_report(make("bixby_seymour")).to_dict()
+    seen = set()
+
+    def walk(x):
+        if isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            assert id(x) not in seen
+            seen.add(id(x))
+            for v in x:
+                walk(v)
+
+    walk(doc)
+
+
+@pytest.mark.parametrize("cls", [LatticeModel, PolytopeReport])
+def test_lattice_type_hints_resolve(cls):
+    assert typing.get_type_hints(cls)["system"] is UnimodularSystem
