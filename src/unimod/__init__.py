@@ -4,7 +4,7 @@ Construction and certification of systems, complexity and base enumeration,
 Gale duality, direct sums and unit-summand splitting, graphic and cographic
 systems of multigraphs, and the associated integral lattice with its
 reflexive polytope and the cube's zonotopal shadow.  All computation is
-exact (Python ints, with rationals confined to cube projections).
+exact, in Python ints.
 """
 
 from .catalog import entries as catalog_entries

@@ -8,9 +8,10 @@ constructors.  References look like "catalog:<name>" or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CatalogError
+from .fileio import _DECIMAL
 from .graphs import Multigraph
 from .systems import from_matrix
 
@@ -92,8 +93,7 @@ def _bixby_seymour(_):
     return from_matrix(_BIXBY_SEYMOUR)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str          # "system" or "graph"
     takes_param: bool
@@ -140,7 +140,8 @@ def lookup(name):
 
 
 def make(name, param=None):
-    """Build a catalog entry; param is an integer for parametric entries."""
+    """Build a catalog entry; param, for parametric entries, is a plain int or
+    an ASCII decimal string (never coerced from 3.9, True, " 4 " or "1_0")."""
     entry = lookup(name)
     if not entry.takes_param:
         if param is not None:
@@ -151,10 +152,10 @@ def make(name, param=None):
             raise CatalogError(f"catalog entry {name!r} needs a parameter, "
                                f"e.g. catalog:{name}:4")
         param = entry.default_param
-    try:
+    if isinstance(param, str) and _DECIMAL.fullmatch(param):
         param = int(param)
-    except (TypeError, ValueError):
-        raise CatalogError(f"catalog parameter {param!r} is not an integer") from None
+    if type(param) is not int:
+        raise CatalogError(f"catalog parameter {param!r} is not an integer")
     return entry.builder(param)
 
 

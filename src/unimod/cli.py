@@ -12,47 +12,22 @@ SIGPIPE) standard output closed by its reader, as in ``unimod dual FILE |
 head -3``.
 """
 
-import argparse
 import os
 import sys
 import time
-from functools import lru_cache
+from types import SimpleNamespace
 
 from .catalog import entries, lookup, make, parse_reference
-from .errors import (
-    CapError,
-    CatalogError,
-    ConnectivityError,
-    DegenerateSystemError,
-    NotUnimodularError,
-    RankError,
-    UnimodError,
-)
-from .fileio import (
-    parse_edges_text,
-    parse_matrix_text,
-    render_edges_text,
-    render_json,
-    render_matrix_text,
-    sha256_hex,
-)
-from .graphs import Multigraph, cographic_system, graphic_system, stabilize
-from .lattice import (
-    DEFAULT_SCAN_CAP,
-    build_polytope_report,
-    short_vector_census,
-)
-from .systems import (
-    DEFAULT_ENUMERATION_CAP,
-    are_isomorphic,
-    automorphism_count,
-    complexity,
-    enumerate_bases,
-    from_matrix,
-    gale_dual,
-    gram_matrix,
-    split_upsilon,
-)
+from .errors import (CapError, CatalogError, ConnectivityError,
+                     DegenerateSystemError, NotUnimodularError,
+                     PreconditionError, RankError, UnimodError)
+from .fileio import (parse_edges_text, parse_matrix_text, render_edges_text,
+                     render_json, render_matrix_text, sha256_hex)
+from .graphs import cographic_system, graphic_system, stabilize
+from .lattice import DEFAULT_SCAN_CAP, build_polytope_report, short_vector_census
+from .systems import (DEFAULT_ENUMERATION_CAP, are_isomorphic,
+                      automorphism_count, complexity, enumerate_bases,
+                      from_matrix, gale_dual, gram_matrix, split_upsilon)
 
 # Substantive failures of the input itself: reported with witness, exit 1.
 _VERIFICATION_ERRORS = (NotUnimodularError, RankError,
@@ -85,7 +60,10 @@ def _load(src, want):
             text = render_edges_text(obj)
         return obj, sha256_hex(text)
     with open(src, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(f"{src} is not UTF-8 text: {exc}") from None
     digest = sha256_hex(text)
     if want == "graph":
         return parse_edges_text(text), digest
@@ -96,17 +74,6 @@ def _load(src, want):
 def _cap(args, default):
     """The --cap value, or the default when it is not given (0 is a cap)."""
     return default if args.cap is None else args.cap
-
-
-def _sources(args):
-    """The <src>-like argument values of a parsed command line."""
-    for attr in ("src", "a", "b", "edges"):
-        v = getattr(args, attr, None)
-        if v is not None and attr == "a":
-            return [args.a, args.b]
-        if v is not None:
-            return [v]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -324,113 +291,169 @@ def _cmd_catalog(args):
     return [], lines, {"entries": doc}
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "complexity": _cmd_complexity,
-    "dual": _cmd_dual,
-    "decompose": _cmd_decompose,
-    "isomorphic": _cmd_isomorphic,
-    "aut": _cmd_aut,
-    "lattice": _cmd_lattice,
-    "polytope": _cmd_polytope,
-    "graph": _cmd_graph,
-    "catalog": _cmd_catalog,
+# ---------------------------------------------------------------------------
+# command table / entry point
+
+# name: (handler, help line, positionals, flags, value options).  Every
+# command also takes --json; "--a|--b" is a pair of flags of which exactly
+# one must be given; a value option is "NAMES METAVAR", with "/" between
+# the names of one option.  The table drives parsing, help and dispatch.
+_COMMANDS = {
+    "check": (_cmd_check, "verify a matrix and print its standard form",
+              ("src",), (), ()),
+    "complexity": (_cmd_complexity, "number of bases via the Gram determinant",
+                   ("src",), ("--enumerate",), ("--cap N",)),
+    "dual": (_cmd_dual, "emit the Gale dual", ("src",), (), ("-o/--output FILE",)),
+    "decompose": (_cmd_decompose, "split off unit summands", ("src",), (), ()),
+    "isomorphic": (_cmd_isomorphic, "search for a signed row correspondence",
+                   ("a", "b"), (), ("--cap N",)),
+    "aut": (_cmd_aut, "count signed self-correspondences", ("src",), (), ("--cap N",)),
+    "lattice": (_cmd_lattice, "Gram matrix, discriminant, short-vector census",
+                ("src",), (), ("--cap N",)),
+    "polytope": (_cmd_polytope, "full polytope report (census, facets, verdicts)",
+                 ("src",), (), ("--cap N",)),
+    "graph": (_cmd_graph, "derive the cycle- or cut-space system of a graph",
+              ("edges",), ("--graphic|--cographic", "--stabilize"),
+              ("-o/--output FILE",)),
+    "catalog": (_cmd_catalog, "list built-in systems and graphs", (), (), ()),
+}
+
+_ARG_HELP = {  # by destination
+    "src": "matrix file or catalog: reference",
+    "edges": "edge-list file or catalog: graph reference",
+    "json": "emit a single JSON document",
+    "enumerate": "also enumerate bases and report agreement",
+    "graphic": "edges acting on the cycle space",
+    "cographic": "edges acting on the cut space",
+    "stabilize": "delete loops and contract bridges first",
+    "cap": "override enumeration/scan size caps",
+    "output": "write the system to FILE",
 }
 
 
-# ---------------------------------------------------------------------------
-# parser / entry point
+def _is_value(word):
+    return word[:1] != "-" or word == "-" or word[1:2].isdigit()  # -1 is a value
 
 
-def _cap_value(text):
-    """A --cap argument: a nonnegative integer, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"cap must be nonnegative: {value}")
-    return value
+def _usage(name):
+    if name is None:
+        return "unimod [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, _, positionals, flags, values = _COMMANDS[name]
+    words = [f"({f.replace('|', ' | ')})" if "|" in f else f"[{f}]"
+             for f in ("--json", *flags)]
+    words += [f"[{names.split('/')[0]} {m}]" for names, m in map(str.split, values)]
+    return " ".join(["unimod", name, "[-h]", *words, *positionals])
 
 
-@lru_cache(maxsize=None)
-def _build_parser():
-    """The argument parser, built on first use and shared by every run."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a single JSON document")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=_cap_value, metavar="N",
-                        help="override enumeration/scan size caps")
+def _fail(name, message):
+    """A usage error, worded as argparse words it: exit 2."""
+    prog = "unimod" if name is None else f"unimod {name}"
+    sys.stderr.write(f"usage: {_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    parser = argparse.ArgumentParser(
-        prog="unimod",
-        description="Exact tools for unimodular systems of linear forms.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="verify a matrix and print its standard form")
-    p.add_argument("src", help="matrix file or catalog: reference")
+def _help(name):
+    """Print the help of the program or of one command, then exit 0."""
+    if name is None:
+        about = "Exact tools for unimodular systems of linear forms."
+        rows = {k: v[1] for k, v in _COMMANDS.items()}
+    else:
+        _, about, positionals, flags, values = _COMMANDS[name]
+        rows = {p: _ARG_HELP.get(p, _ARG_HELP["src"]) for p in positionals}
+        rows["-h, --help"] = "show this help message and exit"
+        rows.update((g, _ARG_HELP[g[2:]]) for f in ("--json", *flags)
+                    for g in f.split("|"))
+        rows.update((", ".join(f"{g} {m}" for g in names.split("/")),
+                     _ARG_HELP[names.rpartition("-")[2]])
+                    for names, m in map(str.split, values))
+    width = max(map(len, rows))
+    print(f"usage: {_usage(name)}\n\n{about}\n")
+    print("\n".join(f"  {k:<{width}}  {v}" for k, v in rows.items()))
+    raise SystemExit(0)
 
-    p = sub.add_parser("complexity", parents=[capped],
-                       help="number of bases via the Gram determinant")
-    p.add_argument("src")
-    p.add_argument("--enumerate", action="store_true",
-                   help="also enumerate bases and report agreement")
 
-    p = sub.add_parser("dual", parents=[common], help="emit the Gale dual")
-    p.add_argument("src")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="write the dual system to FILE")
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="split off unit summands")
-    p.add_argument("src")
-
-    p = sub.add_parser("isomorphic", parents=[capped],
-                       help="search for a signed row correspondence")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("aut", parents=[capped],
-                       help="count signed self-correspondences")
-    p.add_argument("src")
-
-    p = sub.add_parser("lattice", parents=[capped],
-                       help="Gram matrix, discriminant, short-vector census")
-    p.add_argument("src")
-
-    p = sub.add_parser("polytope", parents=[capped],
-                       help="full polytope report (census, facets, verdicts)")
-    p.add_argument("src")
-
-    p = sub.add_parser("graph", parents=[common],
-                       help="derive the cycle- or cut-space system of a graph")
-    p.add_argument("edges", help="edge-list file or catalog: graph reference")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--graphic", action="store_true")
-    which.add_argument("--cographic", action="store_true")
-    p.add_argument("--stabilize", action="store_true",
-                   help="delete loops and contract bridges first")
-    p.add_argument("-o", "--output", metavar="FILE")
-
-    sub.add_parser("catalog", parents=[common],
-                   help="list built-in systems and graphs")
-
-    return parser
+def _parse(argv):
+    """The command's handler, its positionals and its parsed arguments (an
+    option's value is the next word or follows "="; "--" ends the options;
+    options are matched whole, never by prefix)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _help(None)
+    if name not in _COMMANDS:
+        _fail(None, "the following arguments are required: command"
+              if name is None else f"argument command: invalid choice: {name!r}"
+              f" (choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, _, positionals, flags, values = _COMMANDS[name]
+    # option string -> (destination, names, metavar or None for a flag)
+    options = {g: (g[2:], f, None) for f in ("--json", *flags)
+               for g in f.split("|")}
+    for names, metavar in map(str.split, values):
+        dest = names.rpartition("-")[2]
+        options.update(dict.fromkeys(names.split("/"), (dest, names, metavar)))
+    args = SimpleNamespace(command=name, **{
+        d: None if m else False for d, _, m in options.values()})
+    words = argv[1:]
+    cut = words.index("--") if "--" in words else len(words)
+    tokens, pos, extra = iter(words[:cut]), [], []
+    for tok in tokens:
+        if _is_value(tok):
+            pos.append(tok)
+            continue
+        if tok in ("-h", "--help"):
+            _help(name)
+        opt, eq, val = tok.partition("=")
+        if opt not in options and tok[1] != "-" and tok[:2] in options:
+            opt, eq, val = tok[:2], "=", tok[2:]  # -oFILE
+        if opt not in options:
+            extra.append(tok)
+            continue
+        dest, names, metavar = options[opt]
+        if metavar is None:
+            if eq:
+                _fail(name, f"argument {opt}: ignored explicit argument {val!r}")
+            for other in names.split("|"):
+                if other != opt and getattr(args, other[2:]):
+                    _fail(name, f"argument {opt}: not allowed with argument {other}")
+            setattr(args, dest, True)
+            continue
+        if not eq:
+            val = next(tokens, None)
+            if val is None or not _is_value(val):
+                _fail(name, f"argument {names}: expected one argument")
+        if dest == "cap":
+            try:
+                val = int(val)
+            except ValueError:
+                _fail(name, f"argument --cap: invalid int value: {val!r}")
+            if val < 0:
+                _fail(name, f"argument --cap: cap must be nonnegative: {val}")
+        setattr(args, dest, val)
+    pos += words[cut + 1:]
+    if len(pos) < len(positionals):
+        _fail(name, "the following arguments are required: "
+              + ", ".join(positionals[len(pos):]))
+    for f in flags:
+        if "|" in f and not any(getattr(args, g[2:]) for g in f.split("|")):
+            _fail(name, f"one of the arguments {f.replace('|', ' ')} is required")
+    if extra or len(pos) > len(positionals):
+        _fail(name, "unrecognized arguments: "
+              + " ".join(extra + pos[len(positionals):]))
+    args.__dict__.update(zip(positionals, pos))
+    return handler, positionals, args
 
 
 def run(argv=None):
-    args = _build_parser().parse_args(argv)
+    handler, positionals, args = _parse(argv)
     t0 = time.perf_counter()
     try:
-        inputs, lines, doc = _HANDLERS[args.command](args)
+        inputs, lines, doc = handler(args)
     except Exception as exc:  # mapped to exit codes below
         elapsed = round((time.perf_counter() - t0) * 1000, 1)
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NotUnimodularError):
             error["witness"] = exc.witness()
-        inputs = [(s, None) for s in _sources(args)]
+        inputs = [(getattr(args, p), None) for p in positionals]
         if isinstance(exc, CapError):
             code = 3
         elif isinstance(exc, _VERIFICATION_ERRORS):

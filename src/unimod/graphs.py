@@ -15,8 +15,8 @@ stabilization.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
@@ -26,8 +26,7 @@ from .systems import _standardize, from_matrix
 DEFAULT_TREE_CAP = 16
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Oriented multigraph; vertices are 1..vertex_count, edges (tail, head)."""
 
     vertex_count: int

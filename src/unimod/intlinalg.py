@@ -13,16 +13,16 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionError, PreconditionError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major in one flat tuple."""
+class IntMatrix(NamedTuple):
+    """Immutable integer matrix, entries stored row-major in one flat tuple.
+    m[i, j] is an entry; + and * raise TypeError (no tuple arithmetic)."""
 
     rows: int
     cols: int
@@ -107,6 +107,11 @@ class IntMatrix:
                         acc[j] += aik * brow[j]
             out.extend(acc)
         return IntMatrix(self.rows, ocols, tuple(out))
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
     def __neg__(self):
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))

@@ -27,8 +27,8 @@ outside D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
 from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
@@ -39,8 +39,7 @@ from .systems import (UnimodularSystem, complexity, form_pairing_matrix,
 DEFAULT_SCAN_CAP = 18
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+class LatticeModel(NamedTuple):
     """L = W cap Z^N presented by the generating columns and their Gram data."""
 
     system: UnimodularSystem
@@ -114,8 +113,7 @@ def _box_points(cols, n_rows):
     return out
 
 
-@dataclass(frozen=True)
-class PolytopePoint:
+class PolytopePoint(NamedTuple):
     vector: tuple
     square: int
     coefficients: tuple  # integer coordinates in the generating columns
@@ -201,8 +199,7 @@ def _is_vertex(rows, n, point):
     return False
 
 
-@dataclass(frozen=True)
-class FacetPair:
+class FacetPair(NamedTuple):
     """The two opposite facets cut out by one multiplicity class of forms."""
 
     rep_row: int            # smallest row index of the class
@@ -277,8 +274,7 @@ def zonotope_check(sys):
 # short vectors
 
 
-@dataclass(frozen=True)
-class ShortVectorCensus:
+class ShortVectorCensus(NamedTuple):
     """Counts of lattice vectors of square 1, 2, 3 (both signs counted).
 
     The points of D include *every* lattice vector of square <= 3, so the
@@ -366,8 +362,7 @@ def lattice_generated_by(lat, vectors):
 # full report
 
 
-@dataclass(frozen=True)
-class PolytopeReport:
+class PolytopeReport(NamedTuple):
     system: UnimodularSystem
     discriminant: int
     points: tuple

@@ -31,9 +31,9 @@ tail rows equal up to sign that remain once every base row is fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple
 
 from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
@@ -42,19 +42,27 @@ from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 DEFAULT_ENUMERATION_CAP = 16
 
 
-@dataclass(frozen=True)
-class UnimodularSystem:
+class UnimodularSystem(NamedTuple):
     """An N-row, rank-n unimodular system in standard (base-expanded) form.
 
     a_matrix rows are the forms; the rows indexed by base_rows are exactly
     the n unit vectors, in order.  labels carry optional per-row provenance
-    (e.g. edge names) and do not participate in equality.
+    (e.g. edge names) and do not participate in equality or hashing.
     """
 
     n: int
     a_matrix: IntMatrix
     base_rows: tuple
-    labels: tuple | None = field(default=None, compare=False)
+    labels: tuple | None = None
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:3] == other[:3]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the labels
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @property
     def N(self):
@@ -229,7 +237,7 @@ def from_matrix(raw, labels=None):
             rows=rs, cols=cs, value=val)
     if labels is None:
         return sys
-    return replace(sys, labels=check_labels(labels, sys.N))
+    return sys._replace(labels=check_labels(labels, sys.N))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +358,7 @@ def direct_sum(a, b):
     return _standardize(IntMatrix.from_rows(rows), labels=labels)
 
 
-@dataclass(frozen=True)
-class UpsilonSplit:
+class UpsilonSplit(NamedTuple):
     """Result of splitting off all unit (one-form) summands."""
 
     core: UnimodularSystem
@@ -449,8 +456,7 @@ def multiplicity_classes(sys):
 # signed isomorphism
 
 
-@dataclass(frozen=True)
-class SignedCorrespondence:
+class SignedCorrespondence(NamedTuple):
     """Witness of a signed isomorphism from system a to system b.
 
     row_map[i] is the b-row image of a-row i, signs[i] in {1,-1}, and

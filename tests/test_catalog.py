@@ -85,3 +85,21 @@ def test_complete_graph_sizes():
     g = make("complete", 5)
     assert g.vertex_count == 5 and g.edge_count == 10
     assert complexity(cographic_system(g)) == 125
+
+
+@pytest.mark.parametrize("param", [3.9, True, " 4 "])
+def test_make_coerces_no_parameter(param):
+    # int() would read these as 3, 1 and 4
+    with pytest.raises(CatalogError, match="is not an integer"):
+        make("sigma", param)
+
+
+@pytest.mark.parametrize("ref", ["catalog:sigma:1_0", "catalog:sigma:٣"])
+def test_reference_parameter_is_ascii_decimal(ref):
+    # int() would read these as 10 and 3
+    with pytest.raises(CatalogError, match="is not an integer"):
+        make(*parse_reference(ref))
+
+
+def test_make_accepts_ints_and_decimal_strings():
+    assert make("sigma", 4) == make("sigma", "4") == make("sigma", "+4")

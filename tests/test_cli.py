@@ -445,3 +445,159 @@ def test_console_script_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert payload(proc.stdout) == ["5"]
+
+
+# ---------------------------------------------------------------------------
+# the command table: parsing, help and usage errors
+
+HELP_LINES = {
+    "check": "verify a matrix and print its standard form",
+    "complexity": "number of bases via the Gram determinant",
+    "dual": "emit the Gale dual",
+    "decompose": "split off unit summands",
+    "isomorphic": "search for a signed row correspondence",
+    "aut": "count signed self-correspondences",
+    "lattice": "Gram matrix, discriminant, short-vector census",
+    "polytope": "full polytope report (census, facets, verdicts)",
+    "graph": "derive the cycle- or cut-space system of a graph",
+    "catalog": "list built-in systems and graphs",
+}
+
+
+def usage_error(argv, capsys):
+    """Run a command line that must be refused; return its stderr lines."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: unimod")
+    return lines
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: unimod")
+    listed = {l.split(None, 1)[0]: l.split(None, 1)[1]
+              for l in out.splitlines() if l.startswith("  ")}
+    assert listed == HELP_LINES
+
+
+@pytest.mark.parametrize("command", sorted(HELP_LINES))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: unimod {command} [-h] [--json]")
+    assert HELP_LINES[command] in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "unimod: error: the following arguments are required: command"),
+    (["frob"], "unimod: error: argument command: invalid choice: 'frob'"),
+])
+def test_no_or_unknown_command_exits_2(argv, message, capsys):
+    assert usage_error(argv, capsys)[1].startswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check"], "unimod check: error: the following arguments are required: src"),
+    (["isomorphic", "catalog:pair2"],
+     "unimod isomorphic: error: the following arguments are required: b"),
+])
+def test_missing_positional_exits_2(argv, message, capsys):
+    lines = usage_error(argv, capsys)
+    assert lines[1] == message
+    assert "required" in lines[1]
+
+
+@pytest.mark.parametrize("form", ["--cap={}", "--cap {}"])
+def test_cap_value_after_equals_or_space(form, capsys):
+    assert run(["aut", "catalog:sigma:3", *form.format(3).split()]) == 0
+    assert payload(capsys.readouterr().out) == ["12"]
+    assert run(["aut", "catalog:sigma:3", *form.format(2).split()]) == 3
+    assert "exceeds cap 2" in capsys.readouterr().out
+
+
+def test_graph_flags_are_exclusive(capsys):
+    lines = usage_error(
+        ["graph", "catalog:theta:3", "--graphic", "--cographic"], capsys)
+    assert lines[1] == ("unimod graph: error: argument --cographic:"
+                        " not allowed with argument --graphic")
+    lines = usage_error(["graph", "catalog:theta:3"], capsys)
+    assert lines[1] == ("unimod graph: error: one of the arguments"
+                        " --graphic --cographic is required")
+
+
+def test_double_dash_ends_options(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-m.txt").write_text(BAD_MINOR_MATRIX.replace("1 -1\n", "0 1\n"))
+    assert run(["check", "--", "-m.txt"]) == 0
+    assert "# input -m.txt sha256=" in capsys.readouterr().out
+    lines = usage_error(["check", "-m.txt"], capsys)
+    assert lines[1].endswith("the following arguments are required: src")
+
+
+def test_options_are_not_abbreviated(capsys):
+    lines = usage_error(["complexity", "catalog:sigma:3", "--enum"], capsys)
+    assert lines[1] == "unimod complexity: error: unrecognized arguments: --enum"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["polytope", "catalog:sigma:3", "--cap"], "argument --cap: expected one argument"),
+    (["polytope", "catalog:sigma:3", "--cap=-2"],
+     "argument --cap: cap must be nonnegative: -2"),
+    (["dual", "catalog:sigma:3", "-o"],
+     "argument -o/--output: expected one argument"),
+    (["check", "catalog:sigma:3", "--json=1"],
+     "argument --json: ignored explicit argument '1'"),
+    (["check", "catalog:sigma:3", "catalog:sigma:4"],
+     "unrecognized arguments: catalog:sigma:4"),
+])
+def test_usage_error_wording(argv, message, capsys):
+    assert usage_error(argv, capsys)[1] == f"unimod {argv[0]}: error: {message}"
+
+
+def test_output_option_forms(tmp_path, capsys):
+    written = []
+    for i, argv in enumerate((["-o", "{}"], ["-o{}"], ["--output={}"])):
+        path = tmp_path / f"dual{i}.txt"
+        assert run(["dual", "catalog:triangle3",
+                    *[a.format(path) for a in argv]]) == 0
+        assert payload(capsys.readouterr().out) == [f"wrote {path}"]
+        written.append(path.read_text())
+    assert written[0] == written[1] == written[2]
+
+
+# ---------------------------------------------------------------------------
+# start-up and input decoding
+
+
+def test_import_loads_no_argparse_or_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
+    code = ("import sys, unimod.cli; print(sorted({'argparse', 'gettext',"
+            " 'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["graph", "--graphic"]])
+def test_non_utf8_input_is_an_input_error(argv, tmp_path, capsys):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"\xff\xfe\x00")
+    cmd = [argv[0], str(f), *argv[1:]]
+    assert run(cmd) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"# input {f} sha256=unavailable"
+    assert lines[2].startswith(f"error: {f} is not UTF-8 text")
+    assert run(cmd + ["--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"] == [{"source": str(f), "sha256": None}]
+    assert doc["error"]["kind"] == "PreconditionError"

@@ -310,3 +310,11 @@ def test_row_kernels_match_entrywise_definitions():
         u = [gen.randint(-9, 9) for _ in range(r)]
         assert vecmat(u, m) == tuple(
             sum(u[i] * m[i, j] for i in range(r)) for j in range(c))
+
+
+def test_intmatrix_indexes_entries_and_has_no_tuple_arithmetic():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert (m[0, 1], m[1, 0]) == (2, 3)
+    for op in (lambda: m + m, lambda: m * 2, lambda: 2 * m):
+        with pytest.raises(TypeError):
+            op()

@@ -7,10 +7,12 @@ from itertools import combinations
 
 import pytest
 
+from unimod.catalog import entries as catalog_entries
 from unimod.catalog import make
 from unimod.errors import CapError, NotUnimodularError, PreconditionError, RankError
 from unimod.graphs import cographic_system, graphic_system
 from unimod.intlinalg import IntMatrix, determinant
+from unimod.lattice import build_polytope_report, lattice_of
 from unimod.systems import (
     EMPTY_SYSTEM,
     are_isomorphic,
@@ -319,3 +321,25 @@ def test_empty_system_conventions():
 def test_automorphism_cap():
     with pytest.raises(CapError):
         automorphism_count(make("bixby_seymour"), cap=5)
+
+
+def test_labels_do_not_take_part_in_equality():
+    a = from_matrix([[1, 0], [0, 1], [1, 1]])
+    b = from_matrix([[1, 0], [0, 1], [1, 1]], labels=("x", "y", "z"))
+    assert a == b and b == a
+    assert not (a != b) and not (b != a)
+    assert hash(a) == hash(b)
+    assert a != from_matrix([[1, 0], [0, 1], [1, -1]])
+
+
+def test_records_are_immutable():
+    s = make("bixby_seymour")
+    report = build_polytope_report(s)
+    records = [s, s.a_matrix, split_upsilon(s), are_isomorphic(s, s),
+               make("complete", 4), catalog_entries()[0], lattice_of(s),
+               report, report.points[0], report.facet_pairs[0], report.census]
+    assert len({type(r) for r in records}) == 11
+    for r in records:
+        for name in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, getattr(r, name))
