@@ -3,6 +3,8 @@
 # `pip install -e .`; every command prints one deterministic report
 # (only the elapsed-time line varies between runs).
 set -e
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
 
 echo '== built-in systems and graphs =='
 unimod catalog
@@ -17,13 +19,13 @@ unimod complexity catalog:bixby_seymour --enumerate
 
 echo
 echo '== write its Gale dual to a file and test self-duality =='
-unimod dual catalog:bixby_seymour -o /tmp/dual.txt
-unimod isomorphic /tmp/dual.txt catalog:bixby_seymour
+unimod dual catalog:bixby_seymour -o "$dir/dual.txt"
+unimod isomorphic "$dir/dual.txt" catalog:bixby_seymour
 
 echo
 echo '== derive the cut system of K_4 from an edge list =='
-printf '4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n' > /tmp/k4.txt
-unimod graph /tmp/k4.txt --cographic
+printf '4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n' > "$dir/k4.txt"
+unimod graph "$dir/k4.txt" --cographic
 
 echo
 echo '== lattice and polytope reports =='

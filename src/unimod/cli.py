@@ -21,8 +21,8 @@ from .catalog import entries, lookup, make, parse_reference
 from .errors import (CapError, CatalogError, ConnectivityError,
                      DegenerateSystemError, NotUnimodularError,
                      PreconditionError, RankError, UnimodError)
-from .fileio import (parse_edges_text, parse_matrix_text, render_edges_text,
-                     render_json, render_matrix_text, sha256_hex)
+from .fileio import (_int, parse_edges_text, parse_matrix_text, render_json,
+                     render_edges_text, render_matrix_text, sha256_hex)
 from .graphs import cographic_system, graphic_system, stabilize
 from .lattice import DEFAULT_SCAN_CAP, build_polytope_report, short_vector_census
 from .systems import (DEFAULT_ENUMERATION_CAP, are_isomorphic,
@@ -423,7 +423,7 @@ def _parse(argv):
                 _fail(name, f"argument {names}: expected one argument")
         if dest == "cap":
             try:
-                val = int(val)
+                val = _int(val)  # plain ASCII decimal, as in matrix files
             except ValueError:
                 _fail(name, f"argument --cap: invalid int value: {val!r}")
             if val < 0:

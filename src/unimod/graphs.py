@@ -1,14 +1,18 @@
 """Oriented multigraphs and the unimodular systems they induce.
 
 Edges act as functions on the cycle space (graphic system) or the cut space
-(cographic system).  Bases are the fundamental cycles / fundamental cuts of
-a deterministic BFS spanning tree, so the derived matrices are reproducible;
-bridges vanish on all cycles and loops vanish on all cuts, and those zero
+(cographic system).  Both come from one deterministic BFS spanning tree T,
+so the derived matrices are reproducible.  Potentials p are integrated
+along T from vertex 1 with p[head k] - p[tail k] = e_k on each tree edge k;
+the fundamental-cut row of an edge f is then p[head f] - p[tail f].  With
+the tree edges first, the cut rows are [I; Q], and the fundamental-cycle
+rows are their Gale partner [-Q^T; I], one unit row per non-tree edge.
+Bridges vanish on all cycles and loops vanish on all cuts, and those zero
 rows are omitted.  Such a system is totally unimodular by theorem (network
 matrices, Poincare), so it is certified in O(N n) by checking its standard
 form against a spanning tree of the graph, not by the minor scan; a failed
 certificate falls back to the scan.  Also provides spanning-tree
-enumeration, Laplacians, and the contract-bridges/delete-loops
+enumeration, Laplacians, and the delete-loops/contract-bridges
 stabilization.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
@@ -26,6 +31,11 @@ from .systems import _standardize, from_matrix
 DEFAULT_TREE_CAP = 16
 
 
+def _is_int(x):
+    """Whether x is a plain integer (a bool is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Multigraph(NamedTuple):
     """Oriented multigraph; vertices are 1..vertex_count, edges (tail, head)."""
 
@@ -34,18 +44,20 @@ class Multigraph(NamedTuple):
 
     @classmethod
     def build(cls, vertex_count, edges):
-        """Validated multigraph; the vertex count and every endpoint must be
-        plain integers (PreconditionError otherwise, so 3.9 or True is never
-        truncated)."""
-        if not isinstance(vertex_count, int) or isinstance(vertex_count, bool):
+        """Validated multigraph; every edge must be a (tail, head) pair, and
+        the vertex count and every endpoint plain integers (PreconditionError
+        otherwise, so 3.9 or True is never truncated)."""
+        if not _is_int(vertex_count):
             raise PreconditionError(
                 f"vertex count {vertex_count!r} is not an integer")
         if vertex_count < 1:
             raise PreconditionError("a multigraph needs at least one vertex")
         out = []
-        for t, h in edges:
-            if any(not isinstance(x, int) or isinstance(x, bool)
-                   for x in (t, h)):
+        for edge in edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise PreconditionError(f"edge {edge!r} is not a (tail, head) pair")
+            t, h = edge
+            if not (_is_int(t) and _is_int(h)):
                 raise PreconditionError(
                     f"edge ({t!r}, {h!r}) has a non-integer endpoint")
             if not (1 <= t <= vertex_count and 1 <= h <= vertex_count):
@@ -89,26 +101,12 @@ def _components(vertex_count, edges):
 
 
 def is_connected(g):
-    comp = _components(g.vertex_count, g.edges)
-    return len(set(comp.values())) == 1
+    return len(set(_components(g.vertex_count, g.edges).values())) == 1
 
 
 def loops(g):
     """Indices of loop edges."""
     return tuple(i for i, (t, h) in enumerate(g.edges) if t == h)
-
-
-def bridges(g):
-    """Indices of bridges, by per-edge deletion-connectivity (exact)."""
-    if not is_connected(g):
-        raise ConnectivityError("bridges are defined for connected multigraphs")
-    out = []
-    for i in range(g.edge_count):
-        rest = g.edges[:i] + g.edges[i + 1:]
-        comp = _components(g.vertex_count, rest)
-        if len(set(comp.values())) > 1:
-            out.append(i)
-    return tuple(out)
 
 
 def spanning_trees(g, cap=DEFAULT_TREE_CAP):
@@ -120,104 +118,110 @@ def spanning_trees(g, cap=DEFAULT_TREE_CAP):
     if g.edge_count > cap:
         raise CapError(f"spanning-tree enumeration over {g.edge_count} edges "
                        f"exceeds cap {cap}")
-    m = g.vertex_count
-    out = []
-    for subset in combinations(range(g.edge_count), m - 1):
-        comp = _components(m, [g.edges[i] for i in subset])
-        if len(set(comp.values())) == 1:
-            out.append(subset)
-    return out
+    return [subset for subset in combinations(range(g.edge_count),
+                                              g.vertex_count - 1)
+            if _spans_tree(g, subset)]
 
 
 def bfs_tree(g):
     """Edge indices of the BFS spanning tree from vertex 1, edges scanned in
-    input order; also returns the parent structure for path finding."""
-    if not is_connected(g):
-        raise ConnectivityError("spanning tree needs a connected multigraph")
-    visited = {1}
+    input order; also returns the parent structure, vertex -> (edge index,
+    parent vertex)."""
+    around = [[] for _ in range(g.vertex_count + 1)]
+    for k, (t, h) in enumerate(g.edges):
+        if t != h:
+            around[t].append((k, h))
+            around[h].append((k, t))
     queue = deque([1])
     tree = []
-    parent = {}  # vertex -> (edge index, parent vertex)
+    parent = {}
     while queue:
         u = queue.popleft()
-        for k, (t, h) in enumerate(g.edges):
-            if t == h:
-                continue
-            w = h if t == u else (t if h == u else None)
-            if w is not None and w not in visited:
-                visited.add(w)
+        for k, w in around[u]:
+            if w != 1 and w not in parent:
                 tree.append(k)
                 parent[w] = (k, u)
                 queue.append(w)
+    if len(parent) < g.vertex_count - 1:
+        raise ConnectivityError("spanning tree needs a connected multigraph")
     return tuple(sorted(tree)), parent
 
 
-def _tree_walk(edges, parent, src, dst):
-    """Walk src -> dst through the tree: list of (edge index, +-1).
+def _potentials(g, steps):
+    """Vertex potentials integrated from vertex 1 along a tree.
 
-    The sign is +1 when the step traverses the edge from its tail to its
-    head, -1 against its orientation.
+    steps maps the edge indices of the tree to vectors of one length; p[1]
+    is zero and p[head k] - p[tail k] = steps[k] on each tree edge k.  A
+    vertex the tree does not reach gets no potential.
     """
-    def ancestors(v):
-        seq = [v]
-        while v in parent:
-            v = parent[v][1]
-            seq.append(v)
-        return seq
-
-    on_dst_path = set(ancestors(dst))
-    lca = next(v for v in ancestors(src) if v in on_dst_path)
-    walk = []
-    v = src
-    while v != lca:
-        k, p = parent[v]
-        walk.append((k, 1 if edges[k][0] == v else -1))
-        v = p
-    down = []
-    v = dst
-    while v != lca:
-        k, p = parent[v]
-        down.append((k, 1 if edges[k][0] == p else -1))
-        v = p
-    walk.extend(reversed(down))
-    return walk
+    around = [[] for _ in range(g.vertex_count + 1)]
+    for k, step in steps.items():
+        t, h = g.edges[k]
+        around[t].append((h, add, step))
+        around[h].append((t, sub, step))
+    p = {1: (0,) * len(next(iter(steps.values()), ()))}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w, op, step in around[u]:
+            if w not in p:
+                p[w] = tuple(map(op, p[u], step))
+                stack.append(w)
+    return p
 
 
-def _edge_rows(g, vectors):
-    """Rows of the edges on which some vector is nonzero, and those edges.
+def _unit(i, n):
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
-    vectors are the base cycles or cuts as edge coefficient maps; row f
-    reads edge f off each of them.
+
+def _tree_cuts(g):
+    """The BFS tree, the other edges (chords), and the fundamental-cut row
+    p[head f] - p[tail f] of every edge f under unit steps on the tree.
+
+    Entry i of row f is +-1 when the tree path from the tail of f to its
+    head crosses tree edge tree[i] along or against its orientation, else 0.
+    Tree edges get unit rows and loops zero rows.
     """
-    rows = []
-    kept = []
-    for f in range(g.edge_count):
-        row = tuple(v.get(f, 0) for v in vectors)
-        if any(row):
-            rows.append(row)
-            kept.append(f)
-    return rows, kept
+    tree, _ = bfs_tree(g)
+    in_tree = set(tree)
+    p = _potentials(g, {k: _unit(i, len(tree)) for i, k in enumerate(tree)})
+    return (tree, [f for f in range(g.edge_count) if f not in in_tree],
+            [tuple(map(sub, p[h], p[t])) for t, h in g.edges])
+
+
+def _nonzero_rows(rows):
+    """(rows, kept): the nonzero rows, and kept[i] the edge of row i."""
+    kept = [f for f, row in enumerate(rows) if any(row)]
+    return [rows[f] for f in kept], kept
+
+
+def bridges(g):
+    """Indices of bridges: the BFS tree edges on the fundamental cycle of
+    no non-tree edge."""
+    if not is_connected(g):
+        raise ConnectivityError("bridges are defined for connected multigraphs")
+    tree, chords, cuts = _tree_cuts(g)
+    return tuple(k for i, k in enumerate(tree)
+                 if not any(cuts[e][i] for e in chords))
 
 
 def _cycle_rows(g):
     """Raw graphic rows: every non-bridge edge on the BFS fundamental cycles.
 
-    Returns (rows, kept) with kept[i] the edge of row i.
+    The cycle of non-tree edge e runs along e, then back through the tree
+    from its head to its tail, so tree edge k reads (p[tail e] - p[head e])_k
+    on it, the negated cut row of e.  Returns (rows, kept) with kept[i] the
+    edge of row i.
     """
-    tree, parent = bfs_tree(g)
-    non_tree = [k for k in range(g.edge_count) if k not in set(tree)]
-    if not non_tree:
+    tree, chords, cuts = _tree_cuts(g)
+    if not chords:
         raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
-    # fundamental cycle of non-tree edge e: e itself, then back through the tree
-    cycles = []
-    for e in non_tree:
-        t, h = g.edges[e]
-        coeff = {e: 1}
-        if t != h:
-            for k, direction in _tree_walk(g.edges, parent, h, t):
-                coeff[k] = coeff.get(k, 0) + direction
-        cycles.append(coeff)
-    return _edge_rows(g, cycles)
+    rows = [None] * g.edge_count
+    for j, e in enumerate(chords):
+        rows[e] = _unit(j, len(chords))
+    for k, col in zip(tree, zip(*(cuts[e] for e in chords))):
+        rows[k] = tuple(-x for x in col)
+    return _nonzero_rows(rows)
 
 
 def _cut_rows(g):
@@ -225,26 +229,17 @@ def _cut_rows(g):
 
     Returns (rows, kept) with kept[i] the edge of row i.
     """
-    tree, _ = bfs_tree(g)
+    tree, _, cuts = _tree_cuts(g)
     if not tree:
         raise DegenerateSystemError(
             "the graph has no spanning-tree edges: its cut space is zero")
-    cuts = []
-    for e in tree:
-        # vertex side V'' = component of (tree - e) containing head(e)
-        rest = [g.edges[k] for k in tree if k != e]
-        comp = _components(g.vertex_count, rest)
-        side = comp[g.edges[e][1]]
-        cuts.append({f: (comp[h] == side) - (comp[t] == side)
-                     for f, (t, h) in enumerate(g.edges)})
-    return _edge_rows(g, cuts)
+    return _nonzero_rows(cuts)
 
 
 def _spans_tree(g, tree):
     """Whether the edge indices in tree form a spanning tree of g."""
-    edges = [g.edges[k] for k in tree]
-    return (len(edges) == g.vertex_count - 1
-            and len(set(_components(g.vertex_count, edges).values())) == 1)
+    return len(tree) == g.vertex_count - 1 and is_connected(
+        Multigraph(g.vertex_count, [g.edges[k] for k in tree]))
 
 
 def _is_cycle_matrix(g, kept, sys):
@@ -276,30 +271,18 @@ def _is_cycle_matrix(g, kept, sys):
 def _is_cut_matrix(g, kept, sys):
     """Whether sys is the fundamental-cut matrix of a spanning tree of g.
 
-    Row i is edge kept[i], and the base-row edges must form the tree.  For
-    each column, potentials p are integrated along the tree from vertex 1
-    so that p[head] - p[tail] is the column's entry on every tree edge;
-    then every row must read p[head] - p[tail] as well.  The column is the
-    cut of a unit tree edge, so sys is [I; transposed network matrix] up to
-    row order: totally unimodular.  O(N n).
+    Row i is edge kept[i], and the base-row edges must form the tree.  With
+    the base rows as steps, potentials p are integrated along the tree, so
+    that p[head] - p[tail] is the base row of each tree edge; then every
+    row must read p[head] - p[tail] as well.  Each column is then the cut
+    of a unit tree edge, so sys is [I; transposed network matrix] up to row
+    order: totally unimodular.  O(N n).
     """
     if not _spans_tree(g, [kept[r] for r in sys.base_rows]):
         return False
     rows = sys.a_matrix.row_list()
-    around = {v: [] for v in range(1, g.vertex_count + 1)}
-    for r in sys.base_rows:
-        t, h = g.edges[kept[r]]
-        around[t].append((h, rows[r]))
-        around[h].append((t, tuple(-x for x in rows[r])))
-    potential = {1: (0,) * sys.n}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w, step in around[u]:
-            if w not in potential:
-                potential[w] = tuple(x + y for x, y in zip(potential[u], step))
-                stack.append(w)
-    return all(row == tuple(x - y for x, y in zip(potential[h], potential[t]))
+    p = _potentials(g, {kept[r]: rows[r] for r in sys.base_rows})
+    return all(row == tuple(map(sub, p[h], p[t]))
                for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
 
 
@@ -356,44 +339,33 @@ def deleted_laplacian(g, v0=1):
     """Laplacian with row and column of vertex v0 removed.
 
     Equals the Gram matrix of the vertex cuts {boundary of v : v != v0};
-    its determinant is the spanning-tree count (Kirchhoff).
+    its determinant is the spanning-tree count (Kirchhoff).  v0 must be a
+    plain integer in 1..vertex_count (PreconditionError otherwise).
     """
+    if not (_is_int(v0) and 1 <= v0 <= g.vertex_count):
+        raise PreconditionError(f"vertex {v0!r} is not in 1..{g.vertex_count}")
     lap = laplacian(g)
     keep = [v - 1 for v in range(1, g.vertex_count + 1) if v != v0]
     return lap.submatrix(keep, keep)
 
 
 def stabilize(g):
-    """Delete loops and contract bridges until neither remains.
+    """Delete loops, then contract every bridge.
 
-    Contraction can create new loops from parallel bridges, so the two moves
-    alternate to a fixed point.  A tree collapses to the one-vertex graph.
+    Once the loops are gone, contracting a bridge creates no loop and no
+    new bridge, so one pass suffices: each class of vertices joined by
+    bridges becomes one vertex, numbered by the rank of its smallest
+    member.  A tree collapses to the one-vertex graph.
     """
     if not is_connected(g):
         raise ConnectivityError("stabilize needs a connected multigraph")
-    cur = g
-    changed = False
-    while True:
-        lp = loops(cur)
-        if lp:
-            keep = [e for i, e in enumerate(cur.edges) if i not in set(lp)]
-            cur = Multigraph(cur.vertex_count, tuple(keep))
-            changed = True
-            continue
-        br = bridges(cur)
-        if not br:
-            return cur if changed else g
-        # contract the first bridge: merge the larger endpoint into the smaller
-        e = br[0]
-        t, h = cur.edges[e]
-        a, z = min(t, h), max(t, h)
-
-        def remap(v):
-            if v == z:
-                return a
-            return v - 1 if v > z else v
-
-        new_edges = tuple((remap(t2), remap(h2))
-                          for i, (t2, h2) in enumerate(cur.edges) if i != e)
-        cur = Multigraph(cur.vertex_count - 1, new_edges)
-        changed = True
+    cur = Multigraph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1]))
+    br = set(bridges(cur))
+    if not br:
+        return cur if cur.edge_count < g.edge_count else g
+    comp = _components(g.vertex_count, [cur.edges[i] for i in br])
+    # comp lists the vertices in order, so classes come in order of their minima
+    rank = {r: i for i, r in enumerate(dict.fromkeys(comp.values()), 1)}
+    return Multigraph(len(rank), tuple(
+        (rank[comp[t]], rank[comp[h]])
+        for i, (t, h) in enumerate(cur.edges) if i not in br))

@@ -157,12 +157,18 @@ def check_labels(labels, count):
 
     Labels are written as a single "# labels:" comment line and read back
     by splitting it on whitespace, so an empty label or one containing
-    whitespace would not survive the round trip.
+    whitespace would not survive the round trip.  Nothing is converted: a
+    label that is not a str, or one str given as the whole sequence, is a
+    PreconditionError.
     """
-    labels = tuple(str(x) for x in labels)
+    if isinstance(labels, str):
+        raise PreconditionError(f"labels {labels!r} is one string, not a sequence")
+    labels = tuple(labels)
     if len(labels) != count:
         raise PreconditionError("labels length must match the row count")
     for x in labels:
+        if not isinstance(x, str):
+            raise PreconditionError(f"label {x!r} is not a string")
         if x.split() != [x]:
             raise PreconditionError(
                 f"label {x!r} is empty or contains whitespace")

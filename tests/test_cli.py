@@ -136,7 +136,7 @@ def test_cap_zero_is_a_cap(capsys):
     assert doc["error"]["kind"] == "CapError"
 
 
-@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize("value", ["-1", "x", "1_0", " 3 ", "\u0663"])
 def test_bad_cap_is_a_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["polytope", "catalog:sigma:3", "--cap", value])

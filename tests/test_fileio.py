@@ -59,6 +59,8 @@ def test_parse_matrix_json_form():
     '{"rows": [[1], [1]], "labels": ["a b", "c"]}',  # label with a space
     '{"rows": [[1], [1]], "labels": ["", "c"]}',     # empty label
     '{"rows": [[1], [1]], "labels": "ab"}',          # labels not a list
+    '{"rows": [[1], [1]], "labels": [null, true]}',  # labels not strings
+    '{"rows": [[1], [1]], "labels": ["a", 3]}',      # a number label
     "2 1\n1\n1\n# labels: a b\n# labels: c d\n",  # second labels line
 ])
 def test_parse_matrix_rejects_malformed(bad):
@@ -84,6 +86,19 @@ def test_label_with_whitespace_exits_2(tmp_path, capsys):
                  encoding="utf-8")
     assert run(["check", str(f)]) == 2
     assert "whitespace" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("labels", ['[null, true]', '["a", 3]'])
+def test_non_string_labels_exit_2(tmp_path, capsys, labels, mode):
+    f = tmp_path / "m.json"
+    f.write_text('{"rows": [[1], [1]], "labels": %s}' % labels,
+                 encoding="utf-8")
+    assert run(["check", str(f), *mode]) == 2
+    out = capsys.readouterr().out
+    if mode:
+        out = json.loads(out)["error"]["message"]
+    assert "is not a string" in out
 
 
 def test_parse_edges_rejects_non_decimal_ids():

@@ -64,6 +64,15 @@ def test_build_rejects_non_integer_ids(vertex_count, edges):
         Multigraph.build(vertex_count, edges)
 
 
+@pytest.mark.parametrize("edges", [
+    [(1, 2, 3)],  # a triple, not a pair
+    [1],          # a bare vertex
+])
+def test_build_rejects_an_edge_that_is_not_a_pair(edges):
+    with pytest.raises(PreconditionError):
+        Multigraph.build(3, edges)
+
+
 def test_incidence_matrix_signs():
     g = Multigraph.build(3, [(1, 2), (3, 2), (1, 1)])
     m = incidence_matrix(g)
@@ -123,6 +132,13 @@ def test_laplacian_row_sums_zero():
     _triangle(), _theta(4), make("complete", 4), make("complete", 5)])
 def test_kirchhoff_matches_enumeration(g):
     assert determinant(deleted_laplacian(g)) == len(spanning_trees(g))
+
+
+@pytest.mark.parametrize("v0", [0, 5, -1, 2.0, True])
+def test_deleted_laplacian_needs_a_vertex(v0):
+    # out of range, v0 once deleted nothing: the full singular Laplacian
+    with pytest.raises(PreconditionError):
+        deleted_laplacian(make("complete", 4), v0)
 
 
 # ---------------------------------------------------------------------------

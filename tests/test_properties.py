@@ -10,9 +10,11 @@ the base-coordinate point search against the cube scan, the base-graph
 walker against a scan over all row subsets, the closed-form zonotope
 verdict against the sign-vector scan, the stabilizer-chain automorphism
 count against the search that visits one leaf per automorphism, the
-GF(2) vertex test against the Hermite rank of the active rows, and the
+GF(2) vertex test against the Hermite rank of the active rows, the
 one-pass standardization against the first base by Hermite ranks with
-the adjugate expansion.
+the adjugate expansion, and the cycle rows, cut rows, bridges and
+stabilization read off one tree-potential map against the tree walks,
+union-finds, deletion tests and contraction loop they replaced.
 """
 
 import math
@@ -26,6 +28,8 @@ from unimod import graphs, intlinalg, systems
 from unimod.catalog import _BIXBY_SEYMOUR_RAW, make
 from unimod.errors import (
     CapError,
+    ConnectivityError,
+    DegenerateSystemError,
     NotUnimodularError,
     PreconditionError,
     RankError,
@@ -33,15 +37,18 @@ from unimod.errors import (
 )
 from unimod.graphs import (
     Multigraph,
+    _components,
     _cut_rows,
     _cycle_rows,
     _is_cut_matrix,
     _is_cycle_matrix,
     _tree_certified,
+    bfs_tree,
     bridges,
     cographic_system,
     deleted_laplacian,
     graphic_system,
+    is_connected,
     loops,
     spanning_trees,
     stabilize,
@@ -411,6 +418,199 @@ def test_tree_certificate_needs_a_spanning_tree():
     assert not _is_cut_matrix(g, kept, _standardize(rows))
     assert_same_system(_tree_certified(g, rows, kept, _is_cut_matrix),
                        from_matrix(rows, edge_labels(kept)))
+
+
+# ---------------------------------------------------------------------------
+# tree data from one potential map: the routines it replaced, a walk through
+# the lowest common ancestor per fundamental cycle, a union-find per tree
+# edge, a connectivity test per deleted edge and a contract-one-bridge loop,
+# are the oracles (bodies unchanged but for the names of the oracles they
+# call)
+
+
+def tree_walk(edges, parent, src, dst):
+    """Walk src -> dst through the tree: list of (edge index, +-1).
+
+    The sign is +1 when the step traverses the edge from its tail to its
+    head, -1 against its orientation.
+    """
+    def ancestors(v):
+        seq = [v]
+        while v in parent:
+            v = parent[v][1]
+            seq.append(v)
+        return seq
+
+    on_dst_path = set(ancestors(dst))
+    lca = next(v for v in ancestors(src) if v in on_dst_path)
+    walk = []
+    v = src
+    while v != lca:
+        k, p = parent[v]
+        walk.append((k, 1 if edges[k][0] == v else -1))
+        v = p
+    down = []
+    v = dst
+    while v != lca:
+        k, p = parent[v]
+        down.append((k, 1 if edges[k][0] == p else -1))
+        v = p
+    walk.extend(reversed(down))
+    return walk
+
+
+def edge_rows(g, vectors):
+    """Rows of the edges on which some vector is nonzero, and those edges.
+
+    vectors are the base cycles or cuts as edge coefficient maps; row f
+    reads edge f off each of them.
+    """
+    rows = []
+    kept = []
+    for f in range(g.edge_count):
+        row = tuple(v.get(f, 0) for v in vectors)
+        if any(row):
+            rows.append(row)
+            kept.append(f)
+    return rows, kept
+
+
+def walk_cycle_rows(g):
+    """Raw graphic rows: every non-bridge edge on the BFS fundamental cycles.
+
+    Returns (rows, kept) with kept[i] the edge of row i.
+    """
+    tree, parent = bfs_tree(g)
+    non_tree = [k for k in range(g.edge_count) if k not in set(tree)]
+    if not non_tree:
+        raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
+    # fundamental cycle of non-tree edge e: e itself, then back through the tree
+    cycles = []
+    for e in non_tree:
+        t, h = g.edges[e]
+        coeff = {e: 1}
+        if t != h:
+            for k, direction in tree_walk(g.edges, parent, h, t):
+                coeff[k] = coeff.get(k, 0) + direction
+        cycles.append(coeff)
+    return edge_rows(g, cycles)
+
+
+def union_find_cut_rows(g):
+    """Raw cographic rows: every non-loop edge on the BFS fundamental cuts.
+
+    Returns (rows, kept) with kept[i] the edge of row i.
+    """
+    tree, _ = bfs_tree(g)
+    if not tree:
+        raise DegenerateSystemError(
+            "the graph has no spanning-tree edges: its cut space is zero")
+    cuts = []
+    for e in tree:
+        # vertex side V'' = component of (tree - e) containing head(e)
+        rest = [g.edges[k] for k in tree if k != e]
+        comp = _components(g.vertex_count, rest)
+        side = comp[g.edges[e][1]]
+        cuts.append({f: (comp[h] == side) - (comp[t] == side)
+                     for f, (t, h) in enumerate(g.edges)})
+    return edge_rows(g, cuts)
+
+
+def deletion_bridges(g):
+    """Indices of bridges, by per-edge deletion-connectivity (exact)."""
+    if not is_connected(g):
+        raise ConnectivityError("bridges are defined for connected multigraphs")
+    out = []
+    for i in range(g.edge_count):
+        rest = g.edges[:i] + g.edges[i + 1:]
+        comp = _components(g.vertex_count, rest)
+        if len(set(comp.values())) > 1:
+            out.append(i)
+    return tuple(out)
+
+
+def contraction_stabilize(g):
+    """Delete loops and contract bridges until neither remains.
+
+    Contraction can create new loops from parallel bridges, so the two moves
+    alternate to a fixed point.  A tree collapses to the one-vertex graph.
+    """
+    if not is_connected(g):
+        raise ConnectivityError("stabilize needs a connected multigraph")
+    cur = g
+    changed = False
+    while True:
+        lp = loops(cur)
+        if lp:
+            keep = [e for i, e in enumerate(cur.edges) if i not in set(lp)]
+            cur = Multigraph(cur.vertex_count, tuple(keep))
+            changed = True
+            continue
+        br = deletion_bridges(cur)
+        if not br:
+            return cur if changed else g
+        # contract the first bridge: merge the larger endpoint into the smaller
+        e = br[0]
+        t, h = cur.edges[e]
+        a, z = min(t, h), max(t, h)
+
+        def remap(v):
+            if v == z:
+                return a
+            return v - 1 if v > z else v
+
+        new_edges = tuple((remap(t2), remap(h2))
+                          for i, (t2, h2) in enumerate(cur.edges) if i != e)
+        cur = Multigraph(cur.vertex_count - 1, new_edges)
+        changed = True
+
+
+def _system_from(rows_of, certificate):
+    """The graph system as the parent route built it from rows_of."""
+    def build(g):
+        rows, kept = rows_of(g)
+        return _tree_certified(g, rows, kept, certificate)
+    return build
+
+
+def _graph_result(f, g):
+    """f(g) comparably, or the type and message of the error it raises."""
+    try:
+        out = f(g)
+    except UnimodError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, UnimodularSystem):
+        return out.a_matrix, out.base_rows, out.labels
+    return out
+
+
+def _potential_map_cases():
+    rng = random.Random(170818)
+    cases = [random_multigraph_with_loops(rng) for _ in range(200)]
+    cases += [make("theta", k) for k in range(2, 13)]
+    cases += [make("cycle", k) for k in range(3, 13)]
+    cases += [make("complete", k) for k in range(3, 9)]
+    return cases + [
+        Multigraph.build(4, [(1, 2), (3, 4), (3, 3)]),  # disconnected
+        Multigraph.build(4, [(1, 2), (3, 2), (2, 4)]),  # a tree
+        Multigraph.build(1, []),                        # one vertex
+        Multigraph.build(1, [(1, 1), (1, 1)])]          # one vertex, loops
+
+
+@pytest.mark.parametrize("new,old", [
+    (_cycle_rows, walk_cycle_rows),
+    (_cut_rows, union_find_cut_rows),
+    (graphic_system, _system_from(walk_cycle_rows, _is_cycle_matrix)),
+    (cographic_system, _system_from(union_find_cut_rows, _is_cut_matrix)),
+    (bridges, deletion_bridges),
+    (stabilize, contraction_stabilize),
+], ids=["cycle_rows", "cut_rows", "graphic", "cographic", "bridges",
+        "stabilize"])
+def test_potential_map_matches_the_routines_it_replaced(new, old):
+    cases = _potential_map_cases()
+    assert any(map(loops, cases)) and any(map(deletion_bridges, cases[:200]))
+    for g in cases:
+        assert _graph_result(new, g) == _graph_result(old, g), g
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,16 @@ def test_from_matrix_label_validation():
             from_matrix([[1], [1]], labels=bad)
 
 
+@pytest.mark.parametrize("labels", [
+    "ab",            # one string, not split into characters
+    (None, True),    # not strings, not converted to "None" and "True"
+    ("a", 3),
+])
+def test_from_matrix_takes_labels_as_given_strings(labels):
+    with pytest.raises(PreconditionError):
+        from_matrix([[1], [1]], labels=labels)
+
+
 @pytest.mark.parametrize("raw", [
     [[1.7, 0], [0, 1], [True, 1]],  # float and boolean, read as [[1, 0], ...]
     [[1.0, 0], [0, 1]],             # integral float
