@@ -28,6 +28,11 @@ printf '4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n' > "$dir/k4.txt"
 unimod graph "$dir/k4.txt" --cographic
 
 echo
+echo '== symmetries of the cycle system of K_7: N = 21, |Aut| = 2 * 7! =='
+unimod graph catalog:complete:7 --graphic -o "$dir/k7.txt"
+unimod aut "$dir/k7.txt"
+
+echo
 echo '== lattice and polytope reports =='
 unimod lattice catalog:bixby_seymour
 unimod polytope catalog:bixby_seymour

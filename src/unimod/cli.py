@@ -7,9 +7,10 @@ document carrying the schema tag ``unimod/1``.  Two runs on identical inputs
 differ only in the timing line/field.
 
 Exit codes: 0 success, 1 verification failure (a witness is printed),
-2 usage or input-format error, 3 enumeration cap exceeded, 141 (128 +
-SIGPIPE) standard output closed by its reader, as in ``unimod dual FILE |
-head -3``.
+2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
+default ``systems.DEFAULT_CAP``, points found, bases visited or search nodes),
+141 (128 + SIGPIPE) standard output closed by its reader, as in
+``unimod dual FILE | head -3``.
 """
 
 import os
@@ -24,10 +25,10 @@ from .errors import (CapError, CatalogError, ConnectivityError,
 from .fileio import (_int, parse_edges_text, parse_matrix_text, render_json,
                      render_edges_text, render_matrix_text, sha256_hex)
 from .graphs import cographic_system, graphic_system, stabilize
-from .lattice import DEFAULT_SCAN_CAP, build_polytope_report, short_vector_census
-from .systems import (DEFAULT_ENUMERATION_CAP, are_isomorphic,
-                      automorphism_count, complexity, enumerate_bases,
-                      from_matrix, gale_dual, gram_matrix, split_upsilon)
+from .lattice import build_polytope_report, short_vector_census
+from .systems import (DEFAULT_CAP, are_isomorphic, automorphism_count,
+                      complexity, enumerate_bases, from_matrix, gale_dual,
+                      gram_matrix, split_upsilon)
 
 # Substantive failures of the input itself: reported with witness, exit 1.
 _VERIFICATION_ERRORS = (NotUnimodularError, RankError,
@@ -71,9 +72,9 @@ def _load(src, want):
     return from_matrix(rows, labels), digest
 
 
-def _cap(args, default):
-    """The --cap value, or the default when it is not given (0 is a cap)."""
-    return default if args.cap is None else args.cap
+def _cap(args):
+    """The --cap value, or DEFAULT_CAP when it is not given (0 is a cap)."""
+    return DEFAULT_CAP if args.cap is None else args.cap
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def _cmd_complexity(args):
     lines = [str(c)]
     doc = {"complexity": c}
     if args.enumerate:
-        bases = enumerate_bases(system, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
+        bases = enumerate_bases(system, cap=_cap(args))
         lines.append(f"bases {len(bases)}")
         lines.append(f"agree {'yes' if len(bases) == c else 'no'}")
         doc["bases"] = len(bases)
@@ -187,8 +188,7 @@ def _cmd_decompose(args):
 def _cmd_isomorphic(args):
     sys_a, dig_a = _load(args.a, "system")
     sys_b, dig_b = _load(args.b, "system")
-    cap = _cap(args, DEFAULT_ENUMERATION_CAP)
-    corr = are_isomorphic(sys_a, sys_b, cap=cap)
+    corr = are_isomorphic(sys_a, sys_b, cap=_cap(args))
     inputs = [(args.a, dig_a), (args.b, dig_b)]
     if corr is None:
         return inputs, ["isomorphic no"], {"isomorphic": False}
@@ -203,14 +203,14 @@ def _cmd_isomorphic(args):
 
 def _cmd_aut(args):
     system, digest = _load(args.src, "system")
-    count = automorphism_count(system, cap=_cap(args, DEFAULT_ENUMERATION_CAP))
+    count = automorphism_count(system, cap=_cap(args))
     return [(args.src, digest)], [str(count)], {"automorphisms": count}
 
 
 def _cmd_lattice(args):
     system, digest = _load(args.src, "system")
     gram = gram_matrix(system)
-    census = short_vector_census(system, cap=_cap(args, DEFAULT_SCAN_CAP))
+    census = short_vector_census(system, cap=_cap(args))
     lines = [f"n {system.n}", f"N {system.N}"]
     lines.append("# gram")
     for i in range(system.n):
@@ -231,7 +231,7 @@ def _cmd_lattice(args):
 
 def _cmd_polytope(args):
     system, digest = _load(args.src, "system")
-    report = build_polytope_report(system, cap=_cap(args, DEFAULT_SCAN_CAP))
+    report = build_polytope_report(system, cap=_cap(args))
     lines = ["origin 1"]
     for sq, cnt in report.by_square().items():
         lines.append(f"square {sq} count {cnt}")
@@ -326,7 +326,7 @@ _ARG_HELP = {  # by destination
     "graphic": "edges acting on the cycle space",
     "cographic": "edges acting on the cut space",
     "stabilize": "delete loops and contract bridges first",
-    "cap": "override enumeration/scan size caps",
+    "cap": f"work budget: most points, bases or search nodes (default {DEFAULT_CAP})",
     "output": "write the system to FILE",
 }
 

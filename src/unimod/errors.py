@@ -52,7 +52,7 @@ class NotUnimodularError(UnimodError):
 
 
 class CapError(UnimodError):
-    """An enumeration/scan would exceed the configured size cap."""
+    """An exponential search has done more work than its cap allows."""
 
 
 class ConnectivityError(UnimodError):

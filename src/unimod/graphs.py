@@ -26,9 +26,7 @@ from typing import NamedTuple
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
 from .intlinalg import IntMatrix
-from .systems import _standardize, from_matrix
-
-DEFAULT_TREE_CAP = 16
+from .systems import DEFAULT_CAP, _standardize, from_matrix
 
 
 def _is_int(x):
@@ -44,14 +42,16 @@ class Multigraph(NamedTuple):
 
     @classmethod
     def build(cls, vertex_count, edges):
-        """Validated multigraph; every edge must be a (tail, head) pair, and
-        the vertex count and every endpoint plain integers (PreconditionError
-        otherwise, so 3.9 or True is never truncated)."""
+        """Validated multigraph; edges must be a list or tuple of (tail, head)
+        pairs, and the vertex count and every endpoint plain integers
+        (PreconditionError otherwise, so 3.9 or True is never truncated)."""
         if not _is_int(vertex_count):
             raise PreconditionError(
                 f"vertex count {vertex_count!r} is not an integer")
         if vertex_count < 1:
             raise PreconditionError("a multigraph needs at least one vertex")
+        if not isinstance(edges, (list, tuple)):
+            raise PreconditionError(f"edges {edges!r} is not a list of pairs")
         out = []
         for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
@@ -109,18 +109,20 @@ def loops(g):
     return tuple(i for i, (t, h) in enumerate(g.edges) if t == h)
 
 
-def spanning_trees(g, cap=DEFAULT_TREE_CAP):
+def spanning_trees(g, cap=DEFAULT_CAP):
     """All spanning trees as lexicographic tuples of edge indices.
 
     A disconnected graph has none (empty list); the one-vertex graph has
-    exactly the empty tree.
+    exactly the empty tree.  CapError past cap (V-1)-edge subsets examined.
     """
-    if g.edge_count > cap:
-        raise CapError(f"spanning-tree enumeration over {g.edge_count} edges "
-                       f"exceeds cap {cap}")
-    return [subset for subset in combinations(range(g.edge_count),
-                                              g.vertex_count - 1)
-            if _spans_tree(g, subset)]
+    out = []
+    for k, subset in enumerate(combinations(range(g.edge_count),
+                                            g.vertex_count - 1), 1):
+        if k > cap:
+            raise CapError(f"spanning-tree scan exceeds cap {cap} edge subsets")
+        if _spans_tree(g, subset):
+            out.append(subset)
+    return out
 
 
 def bfs_tree(g):

@@ -33,10 +33,8 @@ from typing import NamedTuple
 from .errors import CapError, MembershipError, PreconditionError
 from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
                         matvec)
-from .systems import (UnimodularSystem, complexity, form_pairing_matrix,
-                      gram_matrix, multiplicity_classes)
-
-DEFAULT_SCAN_CAP = 18
+from .systems import (DEFAULT_CAP, UnimodularSystem, complexity,
+                      form_pairing_matrix, gram_matrix, multiplicity_classes)
 
 
 class LatticeModel(NamedTuple):
@@ -69,9 +67,9 @@ def discriminant(lat):
 # points
 
 
-def _box_points(cols, n_rows):
+def _box_points(cols, n_rows, cap):
     """All (x, w) with x in {-1,0,1}^n and w = sum_j x_j cols[j] in the box
-    [-1, 1]^n_rows.
+    [-1, 1]^n_rows; CapError once more than cap of them are found.
 
     Depth first over j.  Choosing x_j moves w only on the support of
     cols[j]; there a coordinate may stray at most 1 + (its absolute sum
@@ -95,6 +93,8 @@ def _box_points(cols, n_rows):
     def visit(j):
         if j == n:
             out.append((tuple(x), tuple(w)))
+            if len(out) > cap:
+                raise CapError(f"point search exceeds cap {cap} points")
             return
         for v, move in steps[j]:
             inside = True
@@ -131,18 +131,15 @@ def _coefficients(sys, z):
     return c
 
 
-def polytope_points(sys, cap=DEFAULT_SCAN_CAP):
+def polytope_points(sys, cap=DEFAULT_CAP):
     """All lattice points of D, sorted lexicographically.
 
     Complete by the base-coordinate argument: every point w of D has w_B in
     {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
-    box meets each point once, with x as its coefficients.  The cap bounds N,
-    as it did for the scan over the cube {-1,0,1}^N this search replaced.
+    box meets each point once, with x as its coefficients; CapError past cap.
     """
-    if sys.N > cap:
-        raise CapError(f"point scan over {sys.N} forms exceeds cap {cap}")
     cols = [sys.a_matrix.col(j) for j in range(sys.n)]
-    found = sorted((w, x) for x, w in _box_points(cols, sys.N))
+    found = sorted((w, x) for x, w in _box_points(cols, sys.N, cap))
     return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t),
                                coefficients=x)
                  for w, x in found)
@@ -231,7 +228,7 @@ def _facet_pairs(sys, pts, vertices):
     return tuple(out)
 
 
-def facets(sys, cap=DEFAULT_SCAN_CAP):
+def facets(sys, cap=DEFAULT_CAP):
     """One facet pair per distinct form (up to sign), with their counts."""
     pts = polytope_points(sys, cap=cap)
     return _facet_pairs(sys, pts, _vertices(sys, pts))
@@ -316,7 +313,7 @@ def _census(pts):
     return ShortVectorCensus(counts=counts, min_nonzero_square=min_sq)
 
 
-def short_vector_census(sys, cap=DEFAULT_SCAN_CAP):
+def short_vector_census(sys, cap=DEFAULT_CAP):
     return _census(polytope_points(sys, cap=cap))
 
 
@@ -412,7 +409,7 @@ class PolytopeReport(NamedTuple):
         }
 
 
-def build_polytope_report(sys, cap=DEFAULT_SCAN_CAP):
+def build_polytope_report(sys, cap=DEFAULT_CAP):
     """Assemble the full polytope report from one point search.
 
     The points come from one base-coordinate search (polytope_points), under

@@ -39,7 +39,7 @@ from .errors import (CapError, NotUnimodularError, PreconditionError,
                      RankError)
 from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
-DEFAULT_ENUMERATION_CAP = 16
+DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
 
 
 class UnimodularSystem(NamedTuple):
@@ -282,7 +282,7 @@ def _pivot(cols, p, r):
     return tuple(out)
 
 
-def _walk_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+def _walk_bases(sys, cap=DEFAULT_CAP):
     """Yield (rows, cols) once for every base, walking the base graph.
 
     rows[p] is the base row at position p and cols are the columns of the
@@ -292,15 +292,15 @@ def _walk_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
     nonzero exactly when the swap gives a base.  The walk starts from the
     standard form, whose tableau is A itself, and reaches every base
     because the base graph of a matroid is connected; each new base costs
-    one O(N n) pivot.
+    one O(N n) pivot.  CapError once more than cap bases have been seen.
     """
-    if sys.N > cap:
-        raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
     start = tuple(sys.base_rows)
     mask = sum(1 << r for r in start)
     seen = {mask}
     stack = [(start, tuple(sys.a_matrix.col(j) for j in range(sys.n)), mask)]
     while stack:
+        if len(seen) > cap:
+            raise CapError(f"base walk exceeds cap {cap} bases")
         rows, cols, mask = stack.pop()
         yield rows, cols
         for p, col in enumerate(cols):
@@ -314,7 +314,7 @@ def _walk_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
                                   _pivot(cols, p, r), swapped))
 
 
-def enumerate_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+def enumerate_bases(sys, cap=DEFAULT_CAP):
     """All bases as ascending row tuples, lexicographically ordered.
 
     The bases come from the pivot walk over the base graph (_walk_bases),
@@ -504,7 +504,7 @@ def _iso_prefilter(a, b):
     return True
 
 
-def _correspondence_search(a, b):
+def _correspondence_search(a, b, cap):
     """A function first(prefix=()): the first signed correspondence a -> b.
 
     first backtracks over signed images (t, eps) of a's base rows in b, row
@@ -514,7 +514,8 @@ def _correspondence_search(a, b):
     change, and the remaining rows are matched as a multiset.  prefix forces
     the images of the first len(prefix) base rows; each forced choice still
     has to pass the same tests.  The tables are built once per pair, so
-    repeated searches with different prefixes share them.
+    repeated searches share them, and the budget: CapError once more than
+    cap signed images (search nodes) have been assigned.
     """
     n, N = a.n, a.N
     pa = form_pairing_matrix(a)[0].row_list()
@@ -525,6 +526,7 @@ def _correspondence_search(a, b):
     b_rows = b.a_matrix.row_list()
     targets = [0] * n
     signs = [0] * n
+    nodes = 0
 
     def complete():
         g = IntMatrix.from_rows(
@@ -559,6 +561,7 @@ def _correspondence_search(a, b):
         return SignedCorrespondence(tuple(row_map), tuple(sgn), g)
 
     def first(prefix=(), j=0):
+        nonlocal nodes
         if j == n:
             return complete()
         aj = ba[j]
@@ -570,6 +573,9 @@ def _correspondence_search(a, b):
             if any(pa[ba[i]][aj] != signs[i] * eps * pb[targets[i]][t]
                    for i in range(j)):
                 continue
+            nodes += 1
+            if nodes > cap:
+                raise CapError(f"correspondence search exceeds cap {cap} nodes")
             targets[j] = t
             signs[j] = eps
             found = first(prefix, j + 1)
@@ -580,23 +586,19 @@ def _correspondence_search(a, b):
     return first
 
 
-def are_isomorphic(a, b, cap=DEFAULT_ENUMERATION_CAP):
+def are_isomorphic(a, b, cap=DEFAULT_CAP):
     """First signed correspondence a -> b in deterministic search order, or None."""
-    if a.N == 0 or b.N == 0:
-        if a.N == b.N:
-            return SignedCorrespondence((), (), IntMatrix(0, 0, ()))
-        return None
-    if max(a.N, b.N) > cap:
-        raise CapError(f"isomorphism search over {max(a.N, b.N)} rows exceeds cap {cap}")
+    if a.N == b.N == 0:  # otherwise the prefilter compares the sizes first
+        return SignedCorrespondence((), (), IntMatrix(0, 0, ()))
     if not _iso_prefilter(a, b):
         return None
     if a.a_matrix == b.a_matrix:
         return SignedCorrespondence(tuple(range(a.N)), (1,) * a.N,
                                     IntMatrix.identity(a.n))
-    return _correspondence_search(a, b)()
+    return _correspondence_search(a, b, cap)()
 
 
-def automorphism_count(sys, cap=DEFAULT_ENUMERATION_CAP):
+def automorphism_count(sys, cap=DEFAULT_CAP):
     """Number of signed self-correspondences (global flip included).
 
     The correspondences form a group of signed row permutations, counted
@@ -613,11 +615,9 @@ def automorphism_count(sys, cap=DEFAULT_ENUMERATION_CAP):
     """
     if sys.N == 0:
         return 1
-    if sys.N > cap:
-        raise CapError(f"automorphism search over {sys.N} rows exceeds cap {cap}")
     classes = Counter(_normalize_row(sys.row(i)) for i in sys.tail_rows())
     count = prod(factorial(cnt) for cnt in classes.values())
-    first = _correspondence_search(sys, sys)
+    first = _correspondence_search(sys, sys, cap)
     fixed = tuple((r, 1) for r in sys.base_rows)
     count *= 2 * sum(1 for t in range(sys.N) if first(((t, 1),)) is not None)
     for j in range(1, sys.n):

@@ -41,7 +41,6 @@ from unimod.lattice import (
     short_vector_census,
 )
 from unimod.systems import (
-    DEFAULT_ENUMERATION_CAP,
     are_isomorphic,
     automorphism_count,
     complexity,
@@ -88,7 +87,12 @@ def catalog_sweep():
     return [(label, s) for label, s in out if s.N <= 12]
 
 
-def combinations_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
+# The oracles below scan every n-subset of rows, so their cost grows with N,
+# not with the work the library's walker does: they keep a size guard.
+ORACLE_ROW_CAP = 16
+
+
+def combinations_bases(sys, cap=ORACLE_ROW_CAP):
     """All n-subsets of rows with nonzero determinant, lexicographically."""
     if sys.N > cap:
         raise CapError(f"base enumeration over {sys.N} rows exceeds cap {cap}")
@@ -100,7 +104,7 @@ def combinations_bases(sys, cap=DEFAULT_ENUMERATION_CAP):
     return out
 
 
-def adjugate_basic_vertices(sys, cap=DEFAULT_ENUMERATION_CAP):
+def adjugate_basic_vertices(sys, cap=ORACLE_ROW_CAP):
     """Vertices of D the dual way: feasible basic solutions of n active rows.
 
     For every base S and sign pattern e, the system (rows S) x = e has a

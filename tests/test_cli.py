@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import unimod
+from unimod import cli
 from unimod.catalog import make
 from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
@@ -126,7 +127,8 @@ def test_cap_exceeded_exits_3(capsys):
 
 
 def test_cap_zero_is_a_cap(capsys):
-    # --cap 0 bounds the scan at N <= 0; it does not fall back to the default
+    # --cap 0 is a budget of no points and no search nodes; it does not fall
+    # back to the default
     rc = run(["polytope", "catalog:sigma:3", "--cap", "0"])
     assert rc == 3
     assert "exceeds cap 0" in capsys.readouterr().out
@@ -145,17 +147,21 @@ def test_bad_cap_is_a_usage_error(value, capsys):
 
 
 def test_polytope_beyond_the_base_walk_cap(capsys):
-    # N = 18 is past the base walk's cap of 16; the report no longer walks
-    # the bases, so only the point scan's cap (N <= 18) applies
-    rc = run(["polytope", "catalog:sigma:18"])
-    body = payload(capsys.readouterr().out)
-    assert rc == 0
-    assert "points 3" in body
-    assert "vertices 2" in body
-    assert "reflexive yes" in body
-    rc = run(["polytope", "catalog:sigma:19"])
-    assert rc == 3
-    assert "error:" in capsys.readouterr().out
+    # the cap bounds the points found, not N: sigma:19 (N = 19) has 3 points
+    for ref in ("catalog:sigma:18", "catalog:sigma:19"):
+        rc = run(["polytope", ref])
+        body = payload(capsys.readouterr().out)
+        assert rc == 0
+        assert "points 3" in body
+        assert "vertices 2" in body
+        assert "reflexive yes" in body
+
+
+def test_default_cap_is_read_without_the_option(monkeypatch, capsys):
+    # sigma:3 has 3 points, so a default budget of 2 stops the point search
+    monkeypatch.setattr(cli, "DEFAULT_CAP", 2)
+    assert run(["polytope", "catalog:sigma:3"]) == 3
+    assert "exceeds cap 2" in capsys.readouterr().out
 
 
 def test_json_error_document(capsys):

@@ -32,3 +32,4 @@ def test_cli_session_runs(tmp_path):
     proc = subprocess.run([sh, str(ROOT / "demos" / "cli_session.sh")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "\n10080\n" in proc.stdout  # |Aut| of graphic complete:7

@@ -41,7 +41,7 @@ def test_complete_graph_complexity_is_cayley(k):
 
 @pytest.mark.parametrize("k", range(3, 8))
 def test_cographic_complete_polytope(k):
-    rep = build_polytope_report(cographic_system(make("complete", k)), cap=99)
+    rep = build_polytope_report(cographic_system(make("complete", k)))
     assert len(rep.points) == 2 ** k - 1
     assert len(rep.vertices) == 2 ** k - 2
     assert 2 * len(rep.facet_pairs) == k * (k - 1)
@@ -52,7 +52,13 @@ def test_cographic_complete_polytope(k):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_cographic_complete_symmetries(k):
     s = cographic_system(make("complete", k))
-    assert automorphism_count(s, cap=99) == 2 * factorial(k)
+    assert automorphism_count(s) == 2 * factorial(k)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_graphic_complete_symmetries(k):
+    s = graphic_system(make("complete", k))
+    assert automorphism_count(s) == 2 * factorial(k)
 
 
 @pytest.mark.parametrize("k", range(3, 13))

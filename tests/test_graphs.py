@@ -67,6 +67,9 @@ def test_build_rejects_non_integer_ids(vertex_count, edges):
 @pytest.mark.parametrize("edges", [
     [(1, 2, 3)],  # a triple, not a pair
     [1],          # a bare vertex
+    5,            # not a list of edges at all
+    None,
+    {(1, 2): "x"},  # a dict is not read through its keys
 ])
 def test_build_rejects_an_edge_that_is_not_a_pair(edges):
     with pytest.raises(PreconditionError):

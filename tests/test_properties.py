@@ -64,7 +64,6 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
-    DEFAULT_SCAN_CAP,
     PolytopePoint,
     _coefficients,
     build_polytope_report,
@@ -803,7 +802,12 @@ def _cube_scan(n_coords, kernel):
     return out
 
 
-def cube_scan_polytope_points(sys, cap=DEFAULT_SCAN_CAP):
+# The cube scan meets 3^N candidates whatever the number of points, so the
+# oracle keeps a size guard of its own.
+CUBE_SCAN_CAP = 18
+
+
+def cube_scan_polytope_points(sys, cap=CUBE_SCAN_CAP):
     """All lattice points of D, sorted lexicographically.
 
     Complete by the cube argument: a point of D has every form value in
