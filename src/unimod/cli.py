@@ -6,6 +6,12 @@ fingerprint, timing); with ``--json`` everything becomes a single JSON
 document carrying the schema tag ``unimod/1``.  Two runs on identical inputs
 differ only in the timing line/field.
 
+Fingerprints: a file's digest is the SHA-256 of its UTF-8-decoded text
+after universal-newline translation, so a CRLF file has the digest of its
+LF twin, not its ``sha256sum``; a ``catalog:`` reference hashes its
+canonical rendering.  The interpreter's built-in SHA-256 computes it,
+without OpenSSL.
+
 Exit codes: 0 success, 1 verification failure (a witness is printed),
 2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
 default ``systems.DEFAULT_CAP``, points found, bases visited or search nodes),
@@ -43,9 +49,13 @@ def _load(src, want):
     """Resolve a <src> argument into (object, fingerprint).
 
     ``src`` is either a file path or a ``catalog:<name>[:<param>]``
-    reference; ``want`` is "system" or "graph".  Catalog objects are hashed
-    over their canonical file rendering, so a reference and the equivalent
-    file carry the same fingerprint.
+    reference; ``want`` is "system" or "graph".  A file's digest is the
+    SHA-256 of its UTF-8-decoded text after universal-newline translation,
+    so a CRLF file has the digest of its LF twin, not its ``sha256sum``; a
+    ``catalog:`` reference hashes its canonical rendering, so it carries
+    the fingerprint of the equivalent file.  The interpreter's built-in
+    SHA-256 computes it, without OpenSSL.  A file that starts with a
+    byte-order mark is refused.
     """
     if src.startswith("catalog:"):
         name, param = parse_reference(src)
@@ -65,6 +75,9 @@ def _load(src, want):
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise PreconditionError(f"{src} is not UTF-8 text: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise PreconditionError(
+            f"{src} starts with a UTF-8 byte-order mark; save it without one")
     digest = sha256_hex(text)
     if want == "graph":
         return parse_edges_text(text), digest

@@ -5,7 +5,8 @@ decimal integers ([+-]?[0-9]+); '#' starts a comment line.  A comment of
 the form "# labels: a b c" carries row labels and survives a parse/render
 round trip, so each label must be a nonempty word without whitespace.  A
 JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
-matrix file is; its entries must be JSON integers (no floats or booleans).
+matrix file is; its entries must be JSON integers (no floats or booleans),
+and it may carry no other key and no key twice.
 Edge-list files: first line "m N" (vertices, edges), then N lines
 "tail head" with 1-indexed vertex ids.  Reports are written as JSON by
 render_json, which gives the bytes of json.dumps(doc, indent=2) faster,
@@ -14,10 +15,19 @@ with the leaves encoded in C.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from json.encoder import encode_basestring_ascii
+
+# hashlib loads OpenSSL's libcrypto, which weighs more than the rest of the
+# CLI together; the interpreter's built-in SHA-256 gives the same digests.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .errors import PreconditionError
 from .graphs import Multigraph
@@ -28,7 +38,8 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def sha256_hex(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The SHA-256 of text encoded as UTF-8, in hex."""
+    return _sha256(text.encode()).hexdigest()
 
 
 def _int(token):
@@ -51,16 +62,31 @@ def _data_lines(text):
     return out
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is an error, not the last
+    value silently kept."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise PreconditionError(f"JSON matrix repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_matrix_text(text):
     """Parse a matrix file (text or JSON form) into (rows, labels)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise PreconditionError(f"bad JSON matrix: {e}") from None
         if not isinstance(obj, dict) or "rows" not in obj:
             raise PreconditionError('JSON matrix needs a "rows" key')
+        unknown = [k for k in obj if k not in ("rows", "labels")]
+        if unknown:
+            raise PreconditionError(
+                f"JSON matrix has an unknown key {unknown[0]!r}")
         rows = obj["rows"]
         if (not isinstance(rows, list)
                 or not all(isinstance(r, list) for r in rows)

@@ -5,6 +5,7 @@ stdout; subprocess tests confirm the module and console-script entry
 points behave the same way.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -584,14 +585,65 @@ def test_output_option_forms(tmp_path, capsys):
 # start-up and input decoding
 
 
-def test_import_loads_no_argparse_or_dataclasses():
+def test_import_loads_no_argparse_or_dataclasses(tmp_path):
+    """Neither the import nor a run loads argparse, dataclasses or hashlib
+    (OpenSSL); the fingerprint is taken at call time, so commands run too."""
+    openssl = {"hashlib", "_hashlib"}  # allowed if a bare interpreter has them
+    heavy = {"argparse", "gettext", "dataclasses", "inspect"} | openssl
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("3 2\n1 0\n0 1\n1 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
-    code = ("import sys, unimod.cli; print(sorted({'argparse', 'gettext',"
-            " 'dataclasses', 'inspect'} & set(sys.modules)))")
+    show = f"print(sorted({heavy!r} & set(sys.modules)), file=sys.stderr)"
+    bare = subprocess.run(
+        [sys.executable, "-c", f"import sys; print(sorted({openssl!r}"
+         " & set(sys.modules)), file=sys.stderr)"],
+        env=env, capture_output=True, text=True)
+    code = "\n".join([
+        "import sys, unimod.cli", show,
+        "for argv in (['check', 'catalog:bixby_seymour'],"
+        f" ['check', {str(matrix)!r}], ['check', {str(matrix)!r}, '--json']):",
+        "    assert unimod.cli.run(argv) == 0, argv", show])
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr.splitlines() == [bare.stderr.strip()] * 2
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check"], "3 2\n1 0\n0 1\n1 1\n"),
+    (["check"], '{"rows": [[1, 0], [0, 1], [1, 1]]}'),
+    (["graph", "--graphic"], "3 3\n1 2\n2 3\n3 1\n"),
+], ids=["matrix", "json-matrix", "edges"])
+def test_byte_order_mark_is_an_input_error(argv, text, tmp_path, capsys):
+    f = tmp_path / "bom.txt"
+    f.write_text("\ufeff" + text, encoding="utf-8")
+    cmd = [argv[0], str(f), *argv[1:]]
+    assert run(cmd) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"# input {f} sha256=unavailable"
+    assert lines[2] == (f"error: {f} starts with a UTF-8 byte-order mark;"
+                        " save it without one")
+    assert run(cmd + ["--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["kind"] == "PreconditionError"
+    assert "byte-order mark" in doc["error"]["message"]
+    f.write_text(text, encoding="utf-8")
+    assert run(cmd) == 0
+
+
+def test_crlf_file_has_the_digest_of_its_lf_twin(tmp_path, capsys):
+    """A file's digest is taken over its text after newline translation."""
+    text = render_matrix_text(make("bixby_seymour").a_matrix.to_lists())
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    digests = []
+    for f in (lf, crlf):
+        assert run(["check", str(f), "--json"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["inputs"][0]["sha256"])
+    assert digests == [hashlib.sha256(text.encode()).hexdigest()] * 2
+    assert digests[1] != hashlib.sha256(crlf.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", [["check"], ["graph", "--graphic"]])

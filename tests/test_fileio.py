@@ -1,6 +1,7 @@
 """Matrix/edge-list text formats: parsing, rendering, round-trips, and the
 JSON writer against json.dumps."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -62,6 +63,8 @@ def test_parse_matrix_json_form():
     '{"rows": [[1], [1]], "labels": [null, true]}',  # labels not strings
     '{"rows": [[1], [1]], "labels": ["a", 3]}',      # a number label
     "2 1\n1\n1\n# labels: a b\n# labels: c d\n",  # second labels line
+    '{"rows": [[1,0],[0,1],[1,1]], "lables": ["a","b","c"]}',  # unknown key
+    '{"rows": [[1,0],[0,1]], "rows": [[1,0],[0,1],[1,1]]}',   # repeated key
 ])
 def test_parse_matrix_rejects_malformed(bad):
     with pytest.raises(PreconditionError):
@@ -132,9 +135,21 @@ def test_parse_edges_rejects_bad_endpoint():
         parse_edges_text("1 2\n1 3\n")
 
 
-def test_sha256_stable():
-    assert sha256_hex("3 1\n1\n1\n1\n") == (
-        "049067cecdf4bb739983545c64473b8a4795065f87dbf13c6b56a54f60a85ebe")
+@pytest.mark.parametrize("text, digest", [
+    pytest.param("3 1\n1\n1\n1\n",
+                 "049067cecdf4bb739983545c64473b8a4795065f87dbf13c6b56a54f60a85ebe",
+                 id="pinned"),
+    pytest.param("", None, id="empty"),
+    pytest.param("# a comment\n3 2\n1 0\n0 1\n1 1\n", None, id="ascii"),
+    pytest.param("# labels: \u03b1 \u00e9 \U0001d4b3\n", None,
+                 id="non-ascii-and-astral"),
+    pytest.param("0123456789 -1 0\n" * (1 << 16), None, id="1MiB"),
+])
+def test_sha256_stable(text, digest):
+    """The built-in SHA-256 gives hashlib's digest of the UTF-8 bytes."""
+    assert sha256_hex(text) == hashlib.sha256(text.encode()).hexdigest()
+    if digest is not None:
+        assert sha256_hex(text) == digest
 
 
 # ---------------------------------------------------------------------------
