@@ -6,11 +6,15 @@ fingerprint, timing); with ``--json`` everything becomes a single JSON
 document carrying the schema tag ``unimod/1``.  Two runs on identical inputs
 differ only in the timing line/field.
 
-Fingerprints: a file's digest is the SHA-256 of its UTF-8-decoded text
-after universal-newline translation, so a CRLF file has the digest of its
-LF twin, not its ``sha256sum``; a ``catalog:`` reference hashes its
-canonical rendering.  The interpreter's built-in SHA-256 computes it,
-without OpenSSL.
+Inputs: ``run`` loads the inputs a command's positionals name (``edges``
+is a graph, any other a system) and passes them to the command's handler,
+which only computes.  Fingerprints: a file's digest is the SHA-256 of its
+UTF-8-decoded text after universal-newline translation, so a CRLF file has
+the digest of its LF twin, not its ``sha256sum``; a ``catalog:`` reference
+hashes its canonical rendering.  The interpreter's built-in SHA-256
+computes it, without OpenSSL.  A digest is taken as soon as the input is
+read, so a report that fails later, while parsing, certifying or
+computing, still names it; an input that cannot be read has none.
 
 Exit codes: 0 success, 1 verification failure (a witness is printed),
 2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
@@ -46,16 +50,15 @@ _VERIFICATION_ERRORS = (NotUnimodularError, RankError,
 
 
 def _load(src, want):
-    """Resolve a <src> argument into (object, fingerprint).
+    """Read a <src> argument: (its fingerprint, a function building its object).
 
     ``src`` is either a file path or a ``catalog:<name>[:<param>]``
-    reference; ``want`` is "system" or "graph".  A file's digest is the
-    SHA-256 of its UTF-8-decoded text after universal-newline translation,
-    so a CRLF file has the digest of its LF twin, not its ``sha256sum``; a
-    ``catalog:`` reference hashes its canonical rendering, so it carries
-    the fingerprint of the equivalent file.  The interpreter's built-in
-    SHA-256 computes it, without OpenSSL.  A file that starts with a
-    byte-order mark is refused.
+    reference; ``want`` is "system" or "graph".  A file is hashed as soon as
+    its text is read, so the digest is known before parsing or
+    certification can fail; a ``catalog:`` reference hashes its canonical
+    rendering, so it carries the fingerprint of the equivalent file.  A
+    file that is not UTF-8 or starts with a byte-order mark is refused
+    unhashed.
     """
     if src.startswith("catalog:"):
         name, param = parse_reference(src)
@@ -65,11 +68,8 @@ def _load(src, want):
                 f"catalog entry '{name}' is a {entry.kind}, not a {want}"
                 + ("; use the graph command" if entry.kind == "graph" else ""))
         obj = make(name, param)
-        if want == "system":
-            text = render_matrix_text(obj.a_matrix.to_lists(), obj.labels)
-        else:
-            text = render_edges_text(obj)
-        return obj, sha256_hex(text)
+        text = _matrix_text(obj) if want == "system" else render_edges_text(obj)
+        return sha256_hex(text), lambda: obj
     with open(src, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -78,11 +78,9 @@ def _load(src, want):
     if text.startswith("\ufeff"):
         raise PreconditionError(
             f"{src} starts with a UTF-8 byte-order mark; save it without one")
-    digest = sha256_hex(text)
     if want == "graph":
-        return parse_edges_text(text), digest
-    rows, labels = parse_matrix_text(text)
-    return from_matrix(rows, labels), digest
+        return sha256_hex(text), lambda: parse_edges_text(text)
+    return sha256_hex(text), lambda: from_matrix(*parse_matrix_text(text))
 
 
 def _cap(args):
@@ -124,10 +122,9 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
         print(f"# elapsed_ms {elapsed_ms}")
 
 
-def _matrix_lines(system, comments=()):
-    text = render_matrix_text(system.a_matrix.to_lists(), system.labels,
+def _matrix_text(system, comments=()):
+    return render_matrix_text(system.a_matrix.to_lists(), system.labels,
                               comments=comments)
-    return text.splitlines()
 
 
 def _system_dict(system):
@@ -140,21 +137,33 @@ def _system_dict(system):
     }
 
 
+def _derived(args, system, comments, **fields):
+    """A derived system's report: its text printed, or written to -o FILE."""
+    text = _matrix_text(system, comments)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        lines = [f"wrote {args.output}"]
+    else:
+        lines = text.splitlines()
+    return lines, dict(_system_dict(system), **fields,
+                       written=args.output or None)
+
+
 # ---------------------------------------------------------------------------
-# command handlers: each returns (inputs, text payload lines, json payload)
+# command handlers: each takes the parsed arguments and the objects its
+# positionals name, already loaded by run, and returns (text payload lines,
+# json payload)
 
 
-def _cmd_check(args):
-    system, digest = _load(args.src, "system")
-    lines = _matrix_lines(system, comments=[
+def _cmd_check(args, system):
+    lines = _matrix_text(system, [
         f"standard form, n={system.n} N={system.N}"
-        f" base_rows={','.join(map(str, system.base_rows))}"])
-    doc = dict(_system_dict(system), unimodular=True)
-    return [(args.src, digest)], lines, doc
+        f" base_rows={','.join(map(str, system.base_rows))}"]).splitlines()
+    return lines, dict(_system_dict(system), unimodular=True)
 
 
-def _cmd_complexity(args):
-    system, digest = _load(args.src, "system")
+def _cmd_complexity(args, system):
     c = complexity(system)
     lines = [str(c)]
     doc = {"complexity": c}
@@ -164,64 +173,46 @@ def _cmd_complexity(args):
         lines.append(f"agree {'yes' if len(bases) == c else 'no'}")
         doc["bases"] = len(bases)
         doc["agree"] = len(bases) == c
-    return [(args.src, digest)], lines, doc
+    return lines, doc
 
 
-def _cmd_dual(args):
-    system, digest = _load(args.src, "system")
-    dual = gale_dual(system)
-    text = render_matrix_text(dual.a_matrix.to_lists(), dual.labels,
-                              comments=["gale dual"])
-    doc = dict(_system_dict(dual), written=None)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        lines = [f"wrote {args.output}"]
-        doc["written"] = args.output
-    else:
-        lines = text.splitlines()
-    return [(args.src, digest)], lines, doc
+def _cmd_dual(args, system):
+    return _derived(args, gale_dual(system), ["gale dual"])
 
 
-def _cmd_decompose(args):
-    system, digest = _load(args.src, "system")
+def _cmd_decompose(args, system):
     sp = split_upsilon(system)
     lines = [f"upsilon_summands {sp.s}",
              "unit_rows " + (" ".join(map(str, sp.unit_rows))
                              if sp.unit_rows else "-")]
     if sp.core.N:
-        lines += _matrix_lines(sp.core, comments=["core"])
+        lines += _matrix_text(sp.core, ["core"]).splitlines()
     else:
         lines.append("# core empty")
     doc = {"upsilon_summands": sp.s, "unit_rows": list(sp.unit_rows),
            "core": _system_dict(sp.core)}
-    return [(args.src, digest)], lines, doc
+    return lines, doc
 
 
-def _cmd_isomorphic(args):
-    sys_a, dig_a = _load(args.a, "system")
-    sys_b, dig_b = _load(args.b, "system")
+def _cmd_isomorphic(args, sys_a, sys_b):
     corr = are_isomorphic(sys_a, sys_b, cap=_cap(args))
-    inputs = [(args.a, dig_a), (args.b, dig_b)]
     if corr is None:
-        return inputs, ["isomorphic no"], {"isomorphic": False}
+        return ["isomorphic no"], {"isomorphic": False}
     lines = ["isomorphic yes",
              "row_map " + " ".join(map(str, corr.row_map)),
              "signs " + " ".join("+" if s > 0 else "-" for s in corr.signs)]
     doc = {"isomorphic": True, "row_map": list(corr.row_map),
            "signs": list(corr.signs),
            "base_change": corr.base_change.to_lists()}
-    return inputs, lines, doc
+    return lines, doc
 
 
-def _cmd_aut(args):
-    system, digest = _load(args.src, "system")
+def _cmd_aut(args, system):
     count = automorphism_count(system, cap=_cap(args))
-    return [(args.src, digest)], [str(count)], {"automorphisms": count}
+    return [str(count)], {"automorphisms": count}
 
 
-def _cmd_lattice(args):
-    system, digest = _load(args.src, "system")
+def _cmd_lattice(args, system):
     gram = gram_matrix(system)
     census = short_vector_census(system, cap=_cap(args))
     lines = [f"n {system.n}", f"N {system.N}"]
@@ -239,11 +230,10 @@ def _cmd_lattice(args):
            "units": census.units(), "roots": census.roots(),
            "square_3": census.counts[3],
            "min_square": census.minimum_summary()}
-    return [(args.src, digest)], lines, doc
+    return lines, doc
 
 
-def _cmd_polytope(args):
-    system, digest = _load(args.src, "system")
+def _cmd_polytope(args, system):
     report = build_polytope_report(system, cap=_cap(args))
     lines = ["origin 1"]
     for sq, cnt in report.by_square().items():
@@ -258,11 +248,10 @@ def _cmd_polytope(args):
             f" -side {f.minus_point_count}p/{len(f.minus_vertices)}v")
     lines += [f"zonotope {'yes' if report.zonotope_verified else 'no'}",
               f"reflexive {'yes' if report.reflexive_verified else 'no'}"]
-    return [(args.src, digest)], lines, report.to_dict() if args.json else None
+    return lines, report.to_dict() if args.json else None
 
 
-def _cmd_graph(args):
-    g, digest = _load(args.edges, "graph")
+def _cmd_graph(args, g):
     note = []
     if args.stabilize:
         before = (g.vertex_count, g.edge_count)
@@ -270,20 +259,9 @@ def _cmd_graph(args):
         note.append(f"stabilized {before[0]}v/{before[1]}e ->"
                     f" {g.vertex_count}v/{g.edge_count}e")
     derive = graphic_system if args.graphic else cographic_system
-    system = derive(g)
     kind = "graphic" if args.graphic else "cographic"
-    text = render_matrix_text(system.a_matrix.to_lists(), system.labels,
-                              comments=[f"{kind} system"] + note)
-    doc = dict(_system_dict(system), derivation=kind,
-               stabilized=bool(args.stabilize), written=None)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        lines = [f"wrote {args.output}"]
-        doc["written"] = args.output
-    else:
-        lines = text.splitlines()
-    return [(args.edges, digest)], lines, doc
+    return _derived(args, derive(g), [f"{kind} system"] + note,
+                    derivation=kind, stabilized=bool(args.stabilize))
 
 
 def _cmd_catalog(args):
@@ -301,7 +279,7 @@ def _cmd_catalog(args):
                     "takes_param": e.takes_param,
                     "default_param": e.default_param,
                     "description": e.description})
-    return [], lines, {"entries": doc}
+    return lines, {"entries": doc}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +288,9 @@ def _cmd_catalog(args):
 # name: (handler, help line, positionals, flags, value options).  Every
 # command also takes --json; "--a|--b" is a pair of flags of which exactly
 # one must be given; a value option is "NAMES METAVAR", with "/" between
-# the names of one option.  The table drives parsing, help and dispatch.
+# the names of one option.  The table drives parsing, help and dispatch;
+# run loads each positional (edges: a graph, else a system) and calls
+# handler(args, *objects).
 _COMMANDS = {
     "check": (_cmd_check, "verify a matrix and print its standard form",
               ("src",), (), ()),
@@ -459,14 +439,21 @@ def _parse(argv):
 def run(argv=None):
     handler, positionals, args = _parse(argv)
     t0 = time.perf_counter()
+    # (source, digest) per positional; a digest stays None until read
+    inputs = [(getattr(args, p), None) for p in positionals]
     try:
-        inputs, lines, doc = handler(args)
+        objects = []
+        for i, p in enumerate(positionals):
+            src = inputs[i][0]
+            digest, build = _load(src, "graph" if p == "edges" else "system")
+            inputs[i] = (src, digest)
+            objects.append(build())
+        lines, doc = handler(args, *objects)
     except Exception as exc:  # mapped to exit codes below
         elapsed = round((time.perf_counter() - t0) * 1000, 1)
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NotUnimodularError):
             error["witness"] = exc.witness()
-        inputs = [(getattr(args, p), None) for p in positionals]
         if isinstance(exc, CapError):
             code = 3
         elif isinstance(exc, _VERIFICATION_ERRORS):

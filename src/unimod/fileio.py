@@ -147,13 +147,6 @@ def render_matrix_text(rows, labels=None, comments=()):
     return "\n".join(lines) + "\n"
 
 
-def render_matrix_json(rows, labels=None):
-    obj = {"rows": [list(r) for r in rows]}
-    if labels is not None:
-        obj["labels"] = list(labels)
-    return render_json(obj) + "\n"
-
-
 def render_json(doc):
     """Exactly json.dumps(doc, indent=2), with the leaves encoded in C.
 
@@ -220,9 +213,7 @@ def parse_edges_text(text):
     return Multigraph.build(m, edges)
 
 
-def render_edges_text(g, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{g.vertex_count} {g.edge_count}")
-    for t, h in g.edges:
-        lines.append(f"{t} {h}")
+def render_edges_text(g):
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    lines += [f"{t} {h}" for t, h in g.edges]
     return "\n".join(lines) + "\n"

@@ -101,7 +101,9 @@ def _components(vertex_count, edges):
 
 
 def is_connected(g):
-    return len(set(_components(g.vertex_count, g.edges).values())) == 1
+    """Whether g is connected; fewer than V - 1 edges answer at once."""
+    return (g.edge_count >= g.vertex_count - 1 and
+            len(set(_components(g.vertex_count, g.edges).values())) == 1)
 
 
 def loops(g):
@@ -128,7 +130,10 @@ def spanning_trees(g, cap=DEFAULT_CAP):
 def bfs_tree(g):
     """Edge indices of the BFS spanning tree from vertex 1, edges scanned in
     input order; also returns the parent structure, vertex -> (edge index,
-    parent vertex)."""
+    parent vertex).  ConnectivityError when g is disconnected, before any
+    per-vertex work when it has fewer than V - 1 edges."""
+    if g.edge_count < g.vertex_count - 1:
+        raise ConnectivityError("spanning tree needs a connected multigraph")
     around = [[] for _ in range(g.vertex_count + 1)]
     for k, (t, h) in enumerate(g.edges):
         if t != h:

@@ -31,8 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
-from .intlinalg import (IntMatrix, determinant, hermite_form, kernel_basis,
-                        matvec)
+from .intlinalg import IntMatrix, hermite_form, kernel_basis, matvec
 from .systems import (DEFAULT_CAP, UnimodularSystem, complexity,
                       form_pairing_matrix, gram_matrix, multiplicity_classes)
 
@@ -59,8 +58,8 @@ def lattice_of(sys):
 
 
 def discriminant(lat):
-    """det of the Gram matrix; equals the complexity of the system."""
-    return determinant(lat.gram)
+    """det of the Gram matrix, which is the complexity of the system."""
+    return complexity(lat.system)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +299,23 @@ class ShortVectorCensus(NamedTuple):
         return ">= 4"
 
 
-def _census(pts):
-    counts = {1: 0, 2: 0, 3: 0}
-    min_sq = None
+def _by_square(pts):
+    """Counts of nonzero points by square, in ascending square order."""
+    out = {}
     for p in pts:
-        if p.square == 0:
-            continue
-        if p.square in counts:
-            counts[p.square] += 1
-        if min_sq is None or p.square < min_sq:
-            min_sq = p.square
-    return ShortVectorCensus(counts=counts, min_nonzero_square=min_sq)
+        if p.square:
+            out[p.square] = out.get(p.square, 0) + 1
+    return dict(sorted(out.items()))
+
+
+def _census(by_square):
+    """The census read off the square histogram of the points of D."""
+    return ShortVectorCensus(counts={s: by_square.get(s, 0) for s in (1, 2, 3)},
+                             min_nonzero_square=next(iter(by_square), None))
 
 
 def short_vector_census(sys, cap=DEFAULT_CAP):
-    return _census(polytope_points(sys, cap=cap))
+    return _census(_by_square(polytope_points(sys, cap=cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +372,7 @@ class PolytopeReport(NamedTuple):
 
     def by_square(self):
         """Counts of nonzero lattice points by square (origin excluded)."""
-        out = {}
-        for p in self.points:
-            if p.square:
-                out[p.square] = out.get(p.square, 0) + 1
-        return dict(sorted(out.items()))
+        return _by_square(self.points)
 
     def to_dict(self):
         # each point is listed once: vertices index into points, and a facet
@@ -436,6 +433,6 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          census=_census(pts),
+                          census=_census(_by_square(pts)),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

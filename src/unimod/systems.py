@@ -35,8 +35,8 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import (CapError, NotUnimodularError, PreconditionError,
-                     RankError)
+from .errors import (CapError, DimensionError, NotUnimodularError,
+                     PreconditionError, RankError)
 from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
@@ -232,8 +232,16 @@ def from_matrix(raw, labels=None):
     Gale duals, cores, direct sums) are totally unimodular by construction
     and skip it.  Scalar presentations collapse: [[2]] is accepted as the
     unit system, since the single row is a base of the group it generates.
-    A non-TU input is rejected before its labels are checked.
+    A non-TU input is rejected before its labels are checked.  An IntMatrix
+    is held to what IntMatrix.from_rows demands of rows: plain int entries
+    (PreconditionError) and rows x cols of them (DimensionError).
     """
+    if isinstance(raw, IntMatrix):
+        if not set(map(type, raw.entries)) <= {int}:
+            raise PreconditionError(f"matrix {raw} has a non-integer entry")
+        if len(raw.entries) != raw.rows * raw.cols:
+            raise DimensionError(f"a {raw.rows} x {raw.cols} matrix cannot"
+                                 f" hold {len(raw.entries)} entries")
     sys = _standardize(raw)
     witness = _tu_witness(sys.a_matrix, sys.base_rows)
     if witness is not None:
@@ -333,8 +341,7 @@ def form_pairing_matrix(sys):
     and drive both the isomorphism pruning and the zonotope projection.
     """
     a = sys.a_matrix
-    g = gram_matrix(sys)
-    return a @ adjugate(g) @ a.transpose(), determinant(g)
+    return a @ adjugate(gram_matrix(sys)) @ a.transpose(), complexity(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,36 @@ def test_check_text_witness_prints_the_fields_present(tmp_path, capsys,
     assert lines[-1].startswith("# elapsed_ms ")
 
 
+@pytest.mark.parametrize("text", [BAD_MINOR_MATRIX, ZERO_ROW_MATRIX],
+                         ids=["minor", "zero-row"])
+def test_failed_check_names_the_digest_of_the_text_read(tmp_path, capsys,
+                                                        text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert run(["check", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"# input {f} sha256={digest}")
+    assert run(["check", str(f), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"] == [{"source": str(f), "sha256": digest}]
+    assert doc["error"]["kind"] == "NotUnimodularError"
+
+
+def test_cap_failure_names_the_digest_of_the_catalog_input(capsys):
+    assert run(["aut", "catalog:sigma:5"]) == 0
+    ok = capsys.readouterr().out.splitlines()[1]
+    assert len(ok.split("sha256=")[1]) == 64
+    assert run(["aut", "catalog:sigma:5", "--cap", "1"]) == 3
+    assert capsys.readouterr().out.splitlines()[1] == ok
+    assert run(["aut", "catalog:sigma:5", "--json"]) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert inputs == [{"source": "catalog:sigma:5",
+                       "sha256": ok.split("sha256=")[1]}]
+    assert run(["aut", "catalog:sigma:5", "--cap", "1", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["inputs"] == inputs
+
+
 def test_unknown_catalog_entry_exits_2(capsys):
     rc = run(["complexity", "catalog:no_such_thing"])
     out = capsys.readouterr().out

@@ -17,7 +17,6 @@ from unimod.fileio import (
     parse_matrix_text,
     render_edges_text,
     render_json,
-    render_matrix_json,
     render_matrix_text,
     sha256_hex,
 )
@@ -115,13 +114,6 @@ def test_matrix_text_round_trip():
     back, labels = parse_matrix_text(text)
     assert [list(r) for r in back] == rows
     assert labels == ("p", "q")
-
-
-def test_matrix_json_round_trip():
-    rows = [[1], [-1]]
-    back, labels = parse_matrix_text(render_matrix_json(rows))
-    assert [list(r) for r in back] == rows
-    assert labels is None
 
 
 def test_edges_round_trip():

@@ -1,5 +1,7 @@
 """Graph-derived systems: cycles, cuts, tree counting, stabilization."""
 
+import time
+
 import pytest
 
 from unimod.catalog import make
@@ -93,6 +95,18 @@ def test_connectivity_and_loops():
 def test_bridges_requires_connected():
     with pytest.raises(ConnectivityError):
         bridges(Multigraph.build(3, [(1, 2)]))
+
+
+def test_too_few_edges_fail_before_per_vertex_work():
+    # a billion vertices and one edge: a per-vertex table would need many GB
+    g = Multigraph.build(10**9, [(1, 2)])
+    start = time.perf_counter()
+    assert not is_connected(g)
+    for derive in (bfs_tree, graphic_system, cographic_system, bridges,
+                   stabilize):
+        with pytest.raises(ConnectivityError):
+            derive(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bfs_tree_deterministic_first_edges():

@@ -9,7 +9,8 @@ import pytest
 
 from unimod.catalog import entries as catalog_entries
 from unimod.catalog import make
-from unimod.errors import CapError, NotUnimodularError, PreconditionError, RankError
+from unimod.errors import (CapError, DimensionError, NotUnimodularError,
+                           PreconditionError, RankError)
 from unimod.graphs import cographic_system, graphic_system
 from unimod.intlinalg import IntMatrix, determinant
 from unimod.lattice import build_polytope_report, lattice_of
@@ -130,6 +131,18 @@ def test_from_matrix_of_an_int_matrix_rejects_a_float_entry():
     # from_matrix cannot carry a truncated float
     with pytest.raises(PreconditionError):
         from_matrix(IntMatrix.from_rows([[1, 0], [0, 1], [1.7, 1]]))
+
+
+@pytest.mark.parametrize("m, error", [
+    (IntMatrix(1, 1, (True,)), PreconditionError),
+    (IntMatrix(2, 1, (1.5, 1)), PreconditionError),
+    (IntMatrix(2, 2, (1, 0, 0, 1, 7)), DimensionError),  # an entry too many
+    (IntMatrix(2, 2, (1, 0, 0)), DimensionError),        # an entry too few
+], ids=["bool", "float", "extra-entry", "missing-entry"])
+def test_from_matrix_checks_an_int_matrix_built_directly(m, error):
+    # an IntMatrix built without from_rows is checked as from_rows checks rows
+    with pytest.raises(error):
+        from_matrix(m)
 
 
 # ---------------------------------------------------------------------------
