@@ -18,7 +18,7 @@ computing, still names it; an input that cannot be read has none.
 
 Exit codes: 0 success, 1 verification failure (a witness is printed),
 2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
-default ``systems.DEFAULT_CAP``, points found, bases visited or search nodes),
+default ``systems.DEFAULT_CAP``, points or bases found, or search nodes),
 141 (128 + SIGPIPE) standard output closed by its reader, as in
 ``unimod dual FILE | head -3``.
 """

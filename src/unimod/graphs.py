@@ -29,11 +29,6 @@ from .intlinalg import IntMatrix
 from .systems import DEFAULT_CAP, _standardize, from_matrix
 
 
-def _is_int(x):
-    """Whether x is a plain integer (a bool is not one)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class Multigraph(NamedTuple):
     """Oriented multigraph; vertices are 1..vertex_count, edges (tail, head)."""
 
@@ -45,7 +40,7 @@ class Multigraph(NamedTuple):
         """Validated multigraph; edges must be a list or tuple of (tail, head)
         pairs, and the vertex count and every endpoint plain integers
         (PreconditionError otherwise, so 3.9 or True is never truncated)."""
-        if not _is_int(vertex_count):
+        if type(vertex_count) is not int:
             raise PreconditionError(
                 f"vertex count {vertex_count!r} is not an integer")
         if vertex_count < 1:
@@ -57,7 +52,7 @@ class Multigraph(NamedTuple):
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise PreconditionError(f"edge {edge!r} is not a (tail, head) pair")
             t, h = edge
-            if not (_is_int(t) and _is_int(h)):
+            if not (type(t) is int and type(h) is int):
                 raise PreconditionError(
                     f"edge ({t!r}, {h!r}) has a non-integer endpoint")
             if not (1 <= t <= vertex_count and 1 <= h <= vertex_count):
@@ -349,7 +344,7 @@ def deleted_laplacian(g, v0=1):
     its determinant is the spanning-tree count (Kirchhoff).  v0 must be a
     plain integer in 1..vertex_count (PreconditionError otherwise).
     """
-    if not (_is_int(v0) and 1 <= v0 <= g.vertex_count):
+    if not (type(v0) is int and 1 <= v0 <= g.vertex_count):
         raise PreconditionError(f"vertex {v0!r} is not in 1..{g.vertex_count}")
     lap = laplacian(g)
     keep = [v - 1 for v in range(1, g.vertex_count + 1) if v != v0]

@@ -337,7 +337,7 @@ def generation_index(lat, vectors):
             raise MembershipError(
                 f"{v} has {len(v)} coordinates, the lattice lives in "
                 f"Z^{lat.ambient_dim}")
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in v):
+        if any(type(x) is not int for x in v):
             raise PreconditionError(f"{v} has a non-integer entry")
         coords.append(_coefficients(sys, v))
     if not coords:

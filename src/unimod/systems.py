@@ -20,12 +20,13 @@ of certified systems are standardized without it, and graph systems check
 a spanning-tree certificate instead (see graphs).
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
-enumeration by +-1 pivots over the base graph, direct sums, splitting off
-unit summands, Gale duality, and signed isomorphism search with exact
-invariant pruning.  Automorphisms are counted down a stabilizer chain: the
-orbit of each base row under the symmetries that fix the earlier base
-rows, one witness search per candidate image, times the permutations of
-tail rows equal up to sign that remain once every base row is fixed.
+enumeration by the same walk over the nonzero tail minors as the scan
+(they are in bijection with the bases), direct sums, splitting off unit
+summands, Gale duality, and signed isomorphism search with exact invariant
+pruning.  Automorphisms are counted down a stabilizer chain: the orbit of
+each base row under the symmetries that fix the earlier base rows, one
+witness search per candidate image, times the permutations of tail rows
+equal up to sign that remain once every base row is fixed.
 """
 
 from __future__ import annotations
@@ -97,33 +98,27 @@ def _normalize_row(row):
     return row
 
 
-def _tu_witness(m, base):
-    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
+def _tail_minors(m, base, visit):
+    """Walk the nonzero square minors of the tail rows of m, row set by set.
 
-    The order is that of a full scan of m: sizes small to large, then row
-    sets, then column sets, each lexicographic.  m is in standard form, so
-    the rows listed in base are unit vectors.  A minor through base row e_p
-    is 0 when p is not among its columns and otherwise +- the smaller minor
-    without that row and column.  So every bad minor of the smallest bad
-    size uses tail rows only, and only tail rows are scanned.
-
-    The scan walks ascending tail-row tuples depth first; the preorder meets
-    the row sets of each size lexicographically.  Each row set keeps its
-    nonzero minors keyed by column bitmask.  Extending it by a row gives
-    every larger minor by Laplace expansion along that (last) row, O(k) per
-    minor instead of an elimination.  A row set whose minors are all 0 has
-    only zero extensions and is not extended.  Once a bad minor of size k is
-    found, only smaller sizes are searched, so a later find is strictly
-    smaller and replaces it.  Extended row sets thus hold only 0/+-1 minors.
+    m is in standard form, so the rows listed in base are unit vectors and
+    the others are the tail.  The walk goes depth first over ascending
+    tail-row tuples; the preorder meets the row sets of each size
+    lexicographically.  Each row set holds its nonzero minors keyed by
+    column bitmask.  Extending it by a row gives every larger minor by
+    Laplace expansion along that (last) row, O(k) per minor instead of an
+    elimination.  A row set whose minors are all 0 has only zero extensions
+    and is skipped.  visit(row_set, minors) is called on every other row
+    set and returns the largest row-set size the walk still enters, so it
+    decides whether that row set grows and whether larger ones are met.
     """
     rows = m.row_list()
     skip = set(base)
     tail = [i for i in range(m.rows) if i not in skip]
-    best = None
-    limit = min(len(tail), m.cols)  # largest minor size still searched
+    limit = m.cols
 
-    def visit(start, rs, minors):
-        nonlocal best, limit
+    def walk(start, rs, minors):
+        nonlocal limit
         k = len(rs)
         for t in range(start, len(tail)):
             if k >= limit:
@@ -140,15 +135,38 @@ def _tu_witness(m, base):
                         w = -x * v if (cs & (bit - 1)).bit_count() % 2 else x * v
                         grown[cs | bit] = grown.get(cs | bit, 0) + w
             grown = {cs: v for cs, v in grown.items() if v}
-            bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
-                   for cs, v in grown.items() if v not in (1, -1)]
-            if bad:
-                best = ((*rs, tail[t]), *min(bad))
-                limit = k
-            elif grown:
-                visit(t + 1, (*rs, tail[t]), grown)
+            if grown:
+                grown_rs = (*rs, tail[t])
+                limit = visit(grown_rs, grown)
+                walk(t + 1, grown_rs, grown)
 
-    visit(0, (), {0: 1})
+    walk(0, (), {0: 1})
+
+
+def _tu_witness(m, base):
+    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
+
+    The order is that of a full scan of m: sizes small to large, then row
+    sets, then column sets, each lexicographic.  A minor through base row
+    e_p is 0 when p is not among its columns and otherwise +- the smaller
+    minor without that row and column.  So every bad minor of the smallest
+    bad size uses tail rows only, and only the tail minors are walked
+    (_tail_minors), in the full scan's order of row sets.  A row set with a
+    bad minor is not extended, and once a bad minor of size k is found,
+    only smaller sizes are searched, so a later find is strictly smaller
+    and replaces it.  Extended row sets thus hold only 0/+-1 minors.
+    """
+    best = None
+
+    def visit(rs, minors):
+        nonlocal best
+        bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
+               for cs, v in minors.items() if v not in (1, -1)]
+        if bad:
+            best = (rs, *min(bad))
+        return m.cols if best is None else len(best[0]) - 1
+
+    _tail_minors(m, base, visit)
     return best
 
 
@@ -270,65 +288,32 @@ def complexity(sys):
     return determinant(gram_matrix(sys))
 
 
-def _pivot(cols, p, r):
-    """Tableau after row r enters the base at position p: T' = T M.
-
-    M is the column operation that makes row r the unit vector e_p; the
-    pivot entry is +-1, so dividing by it is multiplying by it.
-    """
-    t = cols[p][r]
-    piv = cols[p] if t == 1 else tuple(-x for x in cols[p])
-    out = []
-    for q, col in enumerate(cols):
-        f = col[r]
-        if q == p:
-            out.append(piv)
-        elif f:
-            out.append(tuple(x - f * y for x, y in zip(col, piv)))
-        else:
-            out.append(col)
-    return tuple(out)
-
-
-def _walk_bases(sys, cap=DEFAULT_CAP):
-    """Yield (rows, cols) once for every base, walking the base graph.
-
-    rows[p] is the base row at position p and cols are the columns of the
-    tableau T = A B^-1, B the base rows of A, so row rows[p] of T is e_p.
-    By Cramer's rule T[r][p] is the determinant of the rows with rows[p]
-    swapped for r, divided by det B: 0 or +-1 by total unimodularity, and
-    nonzero exactly when the swap gives a base.  The walk starts from the
-    standard form, whose tableau is A itself, and reaches every base
-    because the base graph of a matroid is connected; each new base costs
-    one O(N n) pivot.  CapError once more than cap bases have been seen.
-    """
-    start = tuple(sys.base_rows)
-    mask = sum(1 << r for r in start)
-    seen = {mask}
-    stack = [(start, tuple(sys.a_matrix.col(j) for j in range(sys.n)), mask)]
-    while stack:
-        if len(seen) > cap:
-            raise CapError(f"base walk exceeds cap {cap} bases")
-        rows, cols, mask = stack.pop()
-        yield rows, cols
-        for p, col in enumerate(cols):
-            for r, x in enumerate(col):
-                if not x or mask >> r & 1:
-                    continue
-                swapped = mask ^ (1 << rows[p]) | (1 << r)
-                if swapped not in seen:
-                    seen.add(swapped)
-                    stack.append((rows[:p] + (r,) + rows[p + 1:],
-                                  _pivot(cols, p, r), swapped))
-
-
 def enumerate_bases(sys, cap=DEFAULT_CAP):
     """All bases as ascending row tuples, lexicographically ordered.
 
-    The bases come from the pivot walk over the base graph (_walk_bases),
-    so the work grows with the number of bases, not with C(N, n).
+    Expanding a maximal minor of the standard form along its unit base rows
+    leaves +- the minor of the tail rows R on the columns C of the base
+    positions it lacks.  So the nonzero tail minors T[R, C] are in
+    bijection with the bases: R plus the base rows at the positions outside
+    C, the standard base itself for R empty (Cauchy-Binet counts them as
+    det A^T A).  The bases are read off the walk of _tail_minors, so the
+    work grows with the number of bases, not with C(N, n).  CapError once
+    more than cap bases have been found.
     """
-    return sorted(tuple(sorted(rows)) for rows, _ in _walk_bases(sys, cap))
+    base = sys.base_rows
+    bases = []
+
+    def visit(rs, minors):
+        for cs in minors:
+            bases.append(rs + tuple(r for p, r in enumerate(base)
+                                    if not cs >> p & 1))
+        if len(bases) > cap:
+            raise CapError(f"base enumeration exceeds cap {cap} bases")
+        return sys.n
+
+    visit((), {0: 1})  # the standard base
+    _tail_minors(sys.a_matrix, base, visit)
+    return sorted(tuple(sorted(b)) for b in bases)
 
 
 @lru_cache(maxsize=None)
@@ -518,11 +503,16 @@ def _correspondence_search(a, b, cap):
     t ascending and eps = 1 before -1, and returns None if no assignment
     completes.  Assignments must preserve the exact form pairings (P/d
     matrices), which prunes hard; a complete assignment forces the base
-    change, and the remaining rows are matched as a multiset.  prefix forces
-    the images of the first len(prefix) base rows; each forced choice still
-    has to pass the same tests.  The tables are built once per pair, so
-    repeated searches share them, and the budget: CapError once more than
-    cap signed images (search nodes) have been assigned.
+    change g, and the remaining rows are matched as a multiset.  g is
+    unimodular without a test: a's base rows are unit vectors, so the
+    pairing tests force adj(A^T A) = g adj(B^T B) g^T, and taking
+    determinants with det A^T A = det B^T B > 0 (the prefilter compares
+    the complexities; automorphisms compare a system with itself) gives
+    det(g)^2 = 1.  prefix forces the images of the first len(prefix) base
+    rows; each forced choice still has to pass the same tests.  The tables
+    are built once per pair, so repeated searches share them, and the
+    budget: CapError once more than cap signed images (search nodes) have
+    been assigned.
     """
     n, N = a.n, a.N
     pa = form_pairing_matrix(a)[0].row_list()
@@ -538,8 +528,6 @@ def _correspondence_search(a, b, cap):
     def complete():
         g = IntMatrix.from_rows(
             [tuple(signs[j] * x for x in b_rows[targets[j]]) for j in range(n)])
-        if determinant(g) == 0:
-            return None
         used = set(targets)
         free = {}
         for i in range(N):

@@ -88,7 +88,7 @@ def catalog_sweep():
 
 
 # The oracles below scan every n-subset of rows, so their cost grows with N,
-# not with the work the library's walker does: they keep a size guard.
+# not with the number of bases the library enumerates: they keep a size guard.
 ORACLE_ROW_CAP = 16
 
 
@@ -111,7 +111,7 @@ def adjugate_basic_vertices(sys, cap=ORACLE_ROW_CAP):
     unique solution, integral because base minors are +-1; it is a vertex of
     D exactly when all coordinates of the lifted point lie in [-1, 1].
     (Test-only oracle: the bases come from combinations_bases, so it shares
-    no code with the base walker or with vertex_test.)
+    no code with enumerate_bases or with vertex_test.)
     """
     a = sys.a_matrix
     verts = set()

@@ -158,11 +158,15 @@ def test_cap_exceeded_exits_3(capsys):
 
 
 def test_cap_zero_is_a_cap(capsys):
-    # --cap 0 is a budget of no points and no search nodes; it does not fall
-    # back to the default
+    # --cap 0 is a budget of no points, bases and search nodes; it does not
+    # fall back to the default
     rc = run(["polytope", "catalog:sigma:3", "--cap", "0"])
     assert rc == 3
     assert "exceeds cap 0" in capsys.readouterr().out
+    # upsilon:1 has no tail rows; its one base is already over the cap
+    rc = run(["complexity", "--enumerate", "--cap", "0", "catalog:upsilon:1"])
+    assert rc == 3
+    assert "exceeds cap 0 bases" in capsys.readouterr().out
     rc = run(["aut", "catalog:sigma:3", "--cap", "0", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 3

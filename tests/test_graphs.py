@@ -1,6 +1,7 @@
 """Graph-derived systems: cycles, cuts, tree counting, stabilization."""
 
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -52,6 +53,11 @@ def test_build_validates_endpoints():
         Multigraph.build(0, [])
 
 
+class _V(IntEnum):
+    A = 1
+    B = 2
+
+
 @pytest.mark.parametrize("vertex_count, edges", [
     (3.9, [(1, 2), (2, 3)]),       # float vertex count, truncated to 3
     (3.0, [(1, 2)]),               # integral float
@@ -60,6 +66,8 @@ def test_build_validates_endpoints():
     (3, [(1, 2), (2, 3.0)]),       # integral float endpoint
     (3, [(True, 2)]),              # boolean endpoint
     (3, [("1", 2)]),               # string endpoint
+    pytest.param(_V.B, [(1, 2)], id="IntEnum-vertex-count"),
+    pytest.param(2, [(_V.A, 2)], id="IntEnum-endpoint"),
 ])
 def test_build_rejects_non_integer_ids(vertex_count, edges):
     with pytest.raises(PreconditionError):
@@ -151,7 +159,8 @@ def test_kirchhoff_matches_enumeration(g):
     assert determinant(deleted_laplacian(g)) == len(spanning_trees(g))
 
 
-@pytest.mark.parametrize("v0", [0, 5, -1, 2.0, True])
+@pytest.mark.parametrize("v0", [0, 5, -1, 2.0, True,
+                                pytest.param(_V.A, id="IntEnum")])
 def test_deleted_laplacian_needs_a_vertex(v0):
     # out of range, v0 once deleted nothing: the full singular Laplacian
     with pytest.raises(PreconditionError):

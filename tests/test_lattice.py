@@ -1,7 +1,9 @@
 """Lattice and polytope geometry: scans, vertices, facets, censuses."""
 
 import json
+import re
 import typing
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -297,9 +299,11 @@ def test_generation_index_rejects_non_integer_entries():
     s = make("bixby_seymour")
     lat = lattice_of(s)
     col = list(s.a_matrix.col(0))
-    for x in (1.5, 1.0, True, "1"):
+    one = IntEnum("One", "A").A  # an int subclass, equal to 1
+    for x in (1.5, 1.0, True, "1", one):
         bad = [tuple([x] + col[1:])]
-        with pytest.raises(PreconditionError):
+        # the message names the input vector, not its coefficients
+        with pytest.raises(PreconditionError, match=re.escape(str(bad[0]))):
             generation_index(lat, bad)
         with pytest.raises(PreconditionError):
             lattice_generated_by(lat, bad)

@@ -6,15 +6,16 @@ agree: tree counts against Gram determinants, duals against cut-space
 derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
 tail-row total-unimodularity scan against a scan over every square minor,
-the base-coordinate point search against the cube scan, the base-graph
-walker against a scan over all row subsets, the closed-form zonotope
-verdict against the sign-vector scan, the stabilizer-chain automorphism
-count against the search that visits one leaf per automorphism, the
-GF(2) vertex test against the Hermite rank of the active rows, the
-one-pass standardization against the first base by Hermite ranks with
-the adjugate expansion, and the cycle rows, cut rows, bridges and
-stabilization read off one tree-potential map against the tree walks,
-union-finds, deletion tests and contraction loop they replaced.
+the base-coordinate point search against the cube scan, the bases read
+off the nonzero tail-row minors against a scan over all row subsets, the
+closed-form zonotope verdict against the sign-vector scan, the
+stabilizer-chain automorphism count against the search that visits one
+leaf per automorphism, the GF(2) vertex test against the Hermite rank of
+the active rows, the one-pass standardization against the first base by
+Hermite ranks with the adjugate expansion, and the cycle rows, cut rows,
+bridges and stabilization read off one tree-potential map against the
+tree walks, union-finds, deletion tests and contraction loop they
+replaced.
 """
 
 import math
@@ -79,7 +80,6 @@ from unimod.systems import (
     _normalize_row,
     _standardize,
     _tu_witness,
-    _walk_bases,
     are_isomorphic,
     automorphism_count,
     check_labels,
@@ -773,8 +773,9 @@ def test_standardization_runs_no_other_kernel(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # oracles for the polytope report: the routines the report used before the
-# base-coordinate search, the base-graph walker and the closed-form zonotope
-# verdict replaced them, bodies unchanged except where noted
+# base-coordinate search, the bases read off the tail minors and the
+# closed-form zonotope verdict replaced them, bodies unchanged except where
+# noted
 
 
 def _cube_scan(n_coords, kernel):
@@ -894,21 +895,26 @@ def test_points_match_cube_scan():
 
 def test_walker_visits_each_base_once():
     for s in _systems_under_test(170811):
-        visited = [tuple(sorted(rows)) for rows, _ in _walk_bases(s)]
-        assert len(visited) == len(set(visited)) == complexity(s), s
-        assert enumerate_bases(s) == combinations_bases(s), s
+        bases = enumerate_bases(s)
+        assert len(set(bases)) == len(bases) == complexity(s), s
+        assert bases == combinations_bases(s), s
 
 
-def test_walker_tableaux_are_the_base_inverses():
-    # T = A B^-1: the base rows of each tableau are the unit vectors, and
-    # T B = A row by row
-    for s in _systems_under_test(170812)[:20]:
-        a = s.a_matrix
-        for rows, cols in _walk_bases(s):
-            t = IntMatrix.from_rows(zip(*cols))
-            for p, r in enumerate(rows):
-                assert t.row(r) == tuple(int(q == p) for q in range(s.n))
-            assert t @ a.take_rows(rows) == a
+@pytest.mark.parametrize("order", [6, 7])
+@pytest.mark.parametrize("build", [graphic_system, cographic_system])
+def test_bases_of_complete_graphs_beyond_the_oracle(build, order):
+    # both systems of K_m have one base per spanning tree, m^(m-2) of them
+    # (Cayley); K_7 has N = 21 rows, past the subset oracle's size guard
+    bases = enumerate_bases(build(make("complete", order)))
+    assert len(set(bases)) == len(bases) == order ** (order - 2)
+
+
+def test_bases_of_cographic_k7_have_unit_determinant():
+    s = cographic_system(make("complete", 7))
+    assert s.n == 6
+    a = s.a_matrix
+    assert all(determinant(a.take_rows(b)) in (1, -1)
+               for b in enumerate_bases(s))
 
 
 def test_basic_vertices_match_adjugate_route():

@@ -182,6 +182,20 @@ def test_enumerate_bases_cap():
         enumerate_bases(make("bixby_seymour"), cap=9)
 
 
+@pytest.mark.parametrize("s", [make("bixby_seymour"), make("sigma", 8),
+                               graphic_system(make("complete", 5)),
+                               make("upsilon", 1)],
+                         ids=["bixby_seymour", "sigma:8", "graphic:complete:5",
+                              "upsilon:1"])
+def test_enumerate_bases_cap_boundaries(s):
+    # the cap counts the bases found: as many as there are is enough, one
+    # fewer is not, even for upsilon:1, one base with no tail rows (cap 0)
+    c = complexity(s)
+    assert len(enumerate_bases(s, cap=c)) == c
+    with pytest.raises(CapError, match=f"exceeds cap {c - 1} bases"):
+        enumerate_bases(s, cap=c - 1)
+
+
 # ---------------------------------------------------------------------------
 # direct sum / upsilon split
 
