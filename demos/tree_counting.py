@@ -1,9 +1,11 @@
-"""Three independent ways to count spanning trees.
+"""Three ways to count spanning trees.
 
 For a connected multigraph the number of spanning trees equals the
-deleted-Laplacian determinant (matrix-tree theorem) and also the
-complexity of either derived system.  On complete graphs this walks
-into Cayley's n^(n-2) formula.
+deleted-Laplacian determinant (matrix-tree theorem), the length of the
+tree list (spanning_trees reads it off the bases of the cut system, found
+by walking its nonzero minors) and the complexity of either derived system
+(the determinant of its Gram matrix).  On complete graphs this walks into
+Cayley's n^(n-2) formula.
 """
 
 from unimod.catalog import make

@@ -19,14 +19,13 @@ stabilization.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
 from .intlinalg import IntMatrix
-from .systems import DEFAULT_CAP, _standardize, from_matrix
+from .systems import DEFAULT_CAP, _standardize, enumerate_bases, from_matrix
 
 
 class Multigraph(NamedTuple):
@@ -109,17 +108,29 @@ def loops(g):
 def spanning_trees(g, cap=DEFAULT_CAP):
     """All spanning trees as lexicographic tuples of edge indices.
 
-    A disconnected graph has none (empty list); the one-vertex graph has
-    exactly the empty tree.  CapError past cap (V-1)-edge subsets examined.
+    The spanning trees of a connected graph are the bases of its cographic
+    system, whose rows are the non-loop edges in order, so the trees are
+    read off enumerate_bases through the row labels: loops are in no tree,
+    and bridges, unit summands of the system, are in every one.  The label
+    map is increasing, so the trees come out in lexicographic order.  A
+    disconnected graph has none (empty list); a graph with one vertex has
+    exactly the empty tree.  CapError once more than cap trees have been
+    found.
     """
-    out = []
-    for k, subset in enumerate(combinations(range(g.edge_count),
-                                            g.vertex_count - 1), 1):
-        if k > cap:
-            raise CapError(f"spanning-tree scan exceeds cap {cap} edge subsets")
-        if _spans_tree(g, subset):
-            out.append(subset)
-    return out
+    if not is_connected(g):
+        return []
+    too_many = f"spanning-tree enumeration exceeds cap {cap} trees"
+    if g.vertex_count == 1:
+        if cap < 1:
+            raise CapError(too_many)
+        return [()]
+    s = cographic_system(g)
+    edge = [int(label[1:]) - 1 for label in s.labels]
+    try:
+        bases = enumerate_bases(s, cap)
+    except CapError:
+        raise CapError(too_many) from None
+    return [tuple(edge[r] for r in b) for b in bases]
 
 
 def bfs_tree(g):

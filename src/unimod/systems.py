@@ -11,22 +11,25 @@ exactly when the row is an integer combination of the base rows, as every
 row of a unimodular system is.  Construction then certifies total
 unimodularity (every square minor in {0, 1, -1}), which is equivalent to
 all maximal independent row subsets generating the same group.
-Certification scans only the non-base (tail) rows, whose minors it expands
-row by row from those of each row set's prefix; a rejection still names the
-first bad minor in the order of a scan over every square minor.  The scan
-runs on raw matrix input only.  Total unimodularity survives transposition,
-submatrices and block sums, so Gale duals, unit-free cores and direct sums
-of certified systems are standardized without it, and graph systems check
-a spanning-tree certificate instead (see graphs).
+Certification scans only the minors of the tail block T (the non-base
+rows), expanding them line by line from those of each line set's prefix.
+A minor of T is one of T^t, so the walk goes along the shorter side: the
+rows of T, or its columns when T has more rows than columns.  A rejection
+still names the first bad minor in the order of a scan over every square
+minor, found by walking the rows.  The scan runs on raw matrix input
+only.  Total unimodularity survives transposition, submatrices and block
+sums, so Gale duals, unit-free cores and direct sums of certified systems
+are standardized without it, and graph systems check a spanning-tree
+certificate instead (see graphs).
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
-enumeration by the same walk over the nonzero tail minors as the scan
-(they are in bijection with the bases), direct sums, splitting off unit
-summands, Gale duality, and signed isomorphism search with exact invariant
-pruning.  Automorphisms are counted down a stabilizer chain: the orbit of
-each base row under the symmetries that fix the earlier base rows, one
-witness search per candidate image, times the permutations of tail rows
-equal up to sign that remain once every base row is fixed.
+enumeration by the same walk over the nonzero tail minors as the scan, on
+the same side (they are in bijection with the bases), direct sums,
+splitting off unit summands, Gale duality, and signed isomorphism search
+with exact invariant pruning.  Automorphisms are counted down a stabilizer
+chain: the orbit of each base row under the symmetries that fix the earlier
+base rows, one witness search per candidate image, times the permutations
+of tail rows equal up to sign that remain once every base row is fixed.
 """
 
 from __future__ import annotations
@@ -98,33 +101,39 @@ def _normalize_row(row):
     return row
 
 
-def _tail_minors(m, base, visit):
-    """Walk the nonzero square minors of the tail rows of m, row set by set.
-
-    m is in standard form, so the rows listed in base are unit vectors and
-    the others are the tail.  The walk goes depth first over ascending
-    tail-row tuples; the preorder meets the row sets of each size
-    lexicographically.  Each row set holds its nonzero minors keyed by
-    column bitmask.  Extending it by a row gives every larger minor by
-    Laplace expansion along that (last) row, O(k) per minor instead of an
-    elimination.  A row set whose minors are all 0 has only zero extensions
-    and is skipped.  visit(row_set, minors) is called on every other row
-    set and returns the largest row-set size the walk still enters, so it
-    decides whether that row set grows and whether larger ones are met.
-    """
-    rows = m.row_list()
+def _tail_block(m, base):
+    """The tail row indices of m (those not in base) and the tail rows."""
     skip = set(base)
     tail = [i for i in range(m.rows) if i not in skip]
-    limit = m.cols
+    rows = m.row_list()
+    return tail, [rows[i] for i in tail]
 
-    def walk(start, rs, minors):
+
+def _tail_minors(lines, visit):
+    """Walk the nonzero square minors of a block given by its lines.
+
+    The lines are the rows of the tail block T, or its columns (the rows of
+    T^t, whose minors are those of T).  The walk goes depth first over
+    ascending tuples of line positions; the preorder meets the line sets of
+    each size lexicographically.  Each line set holds its nonzero minors
+    keyed by a bitmask over the positions within a line.  Extending it by
+    a line gives every larger minor by Laplace expansion along that (last)
+    line, O(k) per minor instead of an elimination.  A line set whose
+    minors are all 0 has only zero extensions and is skipped.
+    visit(line_set, minors) is called on every other line set and returns
+    the largest line-set size the walk still enters, so it decides whether
+    that line set grows and whether larger ones are met.
+    """
+    limit = len(lines[0]) if lines else 0
+
+    def walk(start, ls, minors):
         nonlocal limit
-        k = len(rs)
-        for t in range(start, len(tail)):
+        k = len(ls)
+        for t in range(start, len(lines)):
             if k >= limit:
                 return
             grown = {}
-            for c, x in enumerate(rows[tail[t]]):
+            for c, x in enumerate(lines[t]):
                 if not x:
                     continue
                 bit = 1 << c
@@ -136,9 +145,9 @@ def _tail_minors(m, base, visit):
                         grown[cs | bit] = grown.get(cs | bit, 0) + w
             grown = {cs: v for cs, v in grown.items() if v}
             if grown:
-                grown_rs = (*rs, tail[t])
-                limit = visit(grown_rs, grown)
-                walk(t + 1, grown_rs, grown)
+                grown_ls = (*ls, t)
+                limit = visit(grown_ls, grown)
+                walk(t + 1, grown_ls, grown)
 
     walk(0, (), {0: 1})
 
@@ -150,23 +159,39 @@ def _tu_witness(m, base):
     sets, then column sets, each lexicographic.  A minor through base row
     e_p is 0 when p is not among its columns and otherwise +- the smaller
     minor without that row and column.  So every bad minor of the smallest
-    bad size uses tail rows only, and only the tail minors are walked
-    (_tail_minors), in the full scan's order of row sets.  A row set with a
-    bad minor is not extended, and once a bad minor of size k is found,
-    only smaller sizes are searched, so a later find is strictly smaller
-    and replaces it.  Extended row sets thus hold only 0/+-1 minors.
+    bad size uses tail rows only, and only the minors of the tail block T
+    are walked (_tail_minors).  A tall T (more rows than columns) is first
+    walked along its columns, the shorter side, which stops at the first
+    bad minor; if there is none, m is certified.  Otherwise, and for a
+    square or wide T, T is walked along its rows, in the full scan's order
+    of row sets.  There a row set with a bad minor is not extended, and
+    once a bad minor of size k is found, only smaller sizes are searched,
+    so a later find is strictly smaller and replaces it.  Extended row
+    sets thus hold only 0/+-1 minors.
     """
+    tail, t = _tail_block(m, base)
+    if len(tail) > m.cols:
+        clean = True
+
+        def visit_cols(cs, minors):
+            nonlocal clean
+            clean = set(minors.values()) <= {1, -1}
+            return m.cols if clean else 0
+
+        _tail_minors(list(zip(*t)), visit_cols)
+        if clean:
+            return None
     best = None
 
     def visit(rs, minors):
         nonlocal best
-        bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
-               for cs, v in minors.items() if v not in (1, -1)]
-        if bad:
-            best = (rs, *min(bad))
+        if not set(minors.values()) <= {1, -1}:
+            bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
+                   for cs, v in minors.items() if v not in (1, -1)]
+            best = (tuple(tail[q] for q in rs), *min(bad))
         return m.cols if best is None else len(best[0]) - 1
 
-    _tail_minors(m, base, visit)
+    _tail_minors(t, visit)
     return best
 
 
@@ -242,13 +267,13 @@ def from_matrix(raw, labels=None):
     """Construct and fully verify a unimodular system from integer row data.
 
     The rows are put in standard form (see _standardize), which is then
-    certified totally unimodular.  Only its tail rows are scanned, each
-    minor expanded from its row set's prefix (see _tu_witness), and the
-    witness is the first offending minor in the order of a scan over every
-    square minor (size, then rows, then columns).  The scan is for raw
-    input: systems the library derives from certified ones (graph systems,
-    Gale duals, cores, direct sums) are totally unimodular by construction
-    and skip it.  Scalar presentations collapse: [[2]] is accepted as the
+    certified totally unimodular.  Only the minors of its tail block are
+    scanned, along its shorter side, each minor expanded from its line
+    set's prefix (see _tu_witness), and the witness is the first offending
+    minor in the order of a scan over every square minor (size, then rows,
+    then columns).  The scan is for raw input: systems the library derives
+    from certified ones (graph systems, Gale duals, cores, direct sums) are
+    totally unimodular by construction and skip it.  Scalar presentations collapse: [[2]] is accepted as the
     unit system, since the single row is a base of the group it generates.
     A non-TU input is rejected before its labels are checked.  An IntMatrix
     is held to what IntMatrix.from_rows demands of rows: plain int entries
@@ -288,31 +313,60 @@ def complexity(sys):
     return determinant(gram_matrix(sys))
 
 
+def _picker(items):
+    """mask -> tuple of the items at the set bits of mask, memoized: the
+    masks of the minors a walk meets recur many times."""
+    memo = {}
+
+    def pick(mask):
+        got = memo.get(mask)
+        if got is None:
+            got = memo[mask] = tuple(x for q, x in enumerate(items)
+                                     if mask >> q & 1)
+        return got
+
+    return pick
+
+
 def enumerate_bases(sys, cap=DEFAULT_CAP):
     """All bases as ascending row tuples, lexicographically ordered.
 
     Expanding a maximal minor of the standard form along its unit base rows
     leaves +- the minor of the tail rows R on the columns C of the base
-    positions it lacks.  So the nonzero tail minors T[R, C] are in
-    bijection with the bases: R plus the base rows at the positions outside
-    C, the standard base itself for R empty (Cauchy-Binet counts them as
-    det A^T A).  The bases are read off the walk of _tail_minors, so the
-    work grows with the number of bases, not with C(N, n).  CapError once
-    more than cap bases have been found.
+    positions it lacks.  So the nonzero minors T[R, C] of the tail block T
+    are in bijection with the bases: R plus the base rows at the positions
+    outside C, the standard base itself for R empty (Cauchy-Binet counts
+    them as det A^T A).  The bases are read off the walk of _tail_minors
+    along the shorter side of T: its rows, or its columns when T has more
+    rows than columns.  So the work grows with the number of bases, not
+    with C(N, n).  CapError once more than cap bases have been found.
     """
     base = sys.base_rows
-    bases = []
+    tail, t = _tail_block(sys.a_matrix, base)
+    tail_of, base_of = _picker(tail), _picker(base)
+    full = (1 << sys.n) - 1
+    bases = [tuple(base)]  # the standard base
 
-    def visit(rs, minors):
-        for cs in minors:
-            bases.append(rs + tuple(r for p, r in enumerate(base)
-                                    if not cs >> p & 1))
+    def found():
         if len(bases) > cap:
             raise CapError(f"base enumeration exceeds cap {cap} bases")
         return sys.n
 
-    visit((), {0: 1})  # the standard base
-    _tail_minors(sys.a_matrix, base, visit)
+    def visit_rows(rs, minors):
+        rows = tuple(tail[q] for q in rs)
+        bases.extend(rows + base_of(full ^ cs) for cs in minors)
+        return found()
+
+    def visit_cols(cs, minors):
+        rest = base_of(full ^ sum(1 << p for p in cs))
+        bases.extend(tail_of(rs) + rest for rs in minors)
+        return found()
+
+    found()
+    if len(tail) > sys.n:
+        _tail_minors(list(zip(*t)), visit_cols)
+    else:
+        _tail_minors(t, visit_rows)
     return sorted(tuple(sorted(b)) for b in bases)
 
 

@@ -147,6 +147,24 @@ def test_spanning_trees_cap():
         spanning_trees(make("complete", 5), cap=9)
 
 
+@pytest.mark.parametrize("g", [make("complete", 5), _theta(3),
+                               Multigraph.build(1, [(1, 1)])],
+                         ids=["complete:5", "theta:3", "one-vertex"])
+def test_spanning_trees_cap_counts_trees(g):
+    # the cap counts the trees found: as many as there are is enough, one
+    # fewer is not, even for the one-vertex graph's empty tree (cap 0)
+    c = determinant(deleted_laplacian(g))
+    assert len(spanning_trees(g, cap=c)) == c
+    with pytest.raises(CapError, match=f"exceeds cap {c - 1} trees"):
+        spanning_trees(g, cap=c - 1)
+
+
+def test_spanning_trees_of_complete_8_within_the_default_budget():
+    trees = spanning_trees(make("complete", 8))
+    assert len(trees) == 8 ** 6 == 262144
+    assert trees[0] == (0, 1, 2, 3, 4, 5, 6) and trees == sorted(trees)
+
+
 def test_laplacian_row_sums_zero():
     lap = laplacian(make("complete", 4))
     for i in range(4):

@@ -5,17 +5,18 @@ with a fixed seed and confirms that independently computed quantities
 agree: tree counts against Gram determinants, duals against cut-space
 derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
-tail-row total-unimodularity scan against a scan over every square minor,
-the base-coordinate point search against the cube scan, the bases read
-off the nonzero tail-row minors against a scan over all row subsets, the
-closed-form zonotope verdict against the sign-vector scan, the
-stabilizer-chain automorphism count against the search that visits one
-leaf per automorphism, the GF(2) vertex test against the Hermite rank of
-the active rows, the one-pass standardization against the first base by
-Hermite ranks with the adjugate expansion, and the cycle rows, cut rows,
-bridges and stabilization read off one tree-potential map against the
-tree walks, union-finds, deletion tests and contraction loop they
-replaced.
+tail-minor total-unimodularity scan (along rows or columns) against a scan
+over every square minor, the base-coordinate point search against the
+cube scan, the bases read off the nonzero tail minors against a scan over
+all row subsets, the spanning trees read off the cographic bases against
+a scan over all edge subsets, the closed-form zonotope verdict against the
+sign-vector scan, the stabilizer-chain automorphism count against the
+search that visits one leaf per automorphism, the GF(2) vertex test
+against the Hermite rank of the active rows, the one-pass standardization
+against the first base by Hermite ranks with the adjugate expansion, and
+the cycle rows, cut rows, bridges and stabilization read off one
+tree-potential map against the tree walks, union-finds, deletion tests and
+contraction loop they replaced.
 """
 
 import math
@@ -219,16 +220,17 @@ def full_scan_tu_witness(m):
     return None
 
 
-def random_standard_form(rng):
+def random_standard_form(rng, max_tail=4):
     """A matrix whose n unit rows sit at random positions, plus base.
 
-    Tail entries lie in {-2..2}; some tails use only 0/+-1.  Half of the
-    tails carry a planted signed cycle block of size k >= 2: its determinant
-    is +-2 and all its smaller minors are 0/+-1, so witnesses of every size
-    turn up, not only entries and 2x2 minors.
+    n is at most 4 and the tail holds up to max_tail rows.  Tail entries lie
+    in {-2..2}; some tails use only 0/+-1.  Half of the tails carry a
+    planted signed cycle block of size k >= 2: its determinant is +-2 and
+    all its smaller minors are 0/+-1, so witnesses of every size turn up,
+    not only entries and 2x2 minors.
     """
     n = rng.randint(1, 4)
-    tail_count = rng.randint(0, 4)
+    tail_count = rng.randint(0, max_tail)
     pool = rng.choice(((-2, -1, 0, 1, 2), (-1, 0, 1), (-1, 0, 0, 0, 1)))
     tail = [[rng.choice(pool) for _ in range(n)] for _ in range(tail_count)]
     if min(n, tail_count) >= 2 and rng.random() < 0.5:
@@ -262,6 +264,28 @@ def test_tail_scan_matches_full_scan_witness():
         by_size[size] = by_size.get(size, 0) + 1
     # good matrices and bad ones of every size up to 4x4
     assert sorted(by_size) == [0, 1, 2, 3, 4] and min(by_size.values()) >= 20, by_size
+
+
+def test_tall_tail_scan_matches_full_scan_witness():
+    """A tail with more rows than columns is certified along its columns;
+    a rejected one still names the full scan's witness."""
+    rng = random.Random(170817)
+    by_shape = Counter()
+    tall_sizes = Counter()
+    for _ in range(3000):
+        m, base = random_standard_form(rng, max_tail=7)
+        want = full_scan_tu_witness(m)
+        assert _tu_witness(m, base) == want, (m.to_lists(), base)
+        tail_count = m.rows - m.cols
+        shape = ("tall" if tail_count > m.cols else
+                 "square" if tail_count == m.cols else "wide")
+        by_shape[shape] += 1
+        if shape == "tall":
+            tall_sizes[0 if want is None else len(want[0])] += 1
+    assert min(by_shape[s] for s in ("tall", "square", "wide")) >= 200, by_shape
+    # tall tails that pass, and tall ones rejected by minors of every size
+    assert sorted(tall_sizes) == [0, 1, 2, 3, 4], tall_sizes
+    assert min(tall_sizes.values()) >= 5, tall_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +441,55 @@ def test_tree_certificate_needs_a_spanning_tree():
     assert not _is_cut_matrix(g, kept, _standardize(rows))
     assert_same_system(_tree_certified(g, rows, kept, _is_cut_matrix),
                        from_matrix(rows, edge_labels(kept)))
+
+
+
+def subset_scan_spanning_trees(g):
+    """Every (V-1)-edge subset that connects g, lexicographically (test-only
+    oracle: the scan over all C(E, V-1) edge subsets that spanning_trees
+    ran before it read the trees off the cographic bases)."""
+    return [subset
+            for subset in combinations(range(g.edge_count), g.vertex_count - 1)
+            if is_connected(Multigraph(g.vertex_count,
+                                       [g.edges[k] for k in subset]))]
+
+
+def random_forest(rng, nverts, parts):
+    """A random forest on nverts vertices with `parts` components, plus
+    loops, randomly oriented and shuffled."""
+    cuts = sorted(rng.sample(range(2, nverts + 1), parts - 1))
+    edges = [(rng.randint(start, v - 1), v)
+             for start, stop in zip([1] + cuts, cuts + [nverts + 1])
+             for v in range(start + 1, stop)]
+    edges += [(rng.randint(1, nverts),) * 2 for _ in range(rng.randint(0, 2))]
+    rng.shuffle(edges)
+    return Multigraph.build(nverts, [(h, t) if rng.random() < 0.5 else (t, h)
+                                     for t, h in edges])
+
+
+def test_spanning_trees_match_subset_scan():
+    """The trees read off the cographic bases are the subsets that span."""
+    rng = random.Random(170818)
+    randoms = [random_multigraph_with_loops(rng) for _ in range(200)]
+    assert any(map(loops, randoms)) and any(map(bridges, randoms))
+    trees = [random_forest(rng, rng.randint(1, 7), 1) for _ in range(20)]
+    forests = [random_forest(rng, rng.randint(2, 7), 2) for _ in range(20)]
+    forests += [random_forest(rng, 7, 3), Multigraph.build(3, [])]
+    for g in randoms + trees:
+        got = spanning_trees(g)
+        assert got == subset_scan_spanning_trees(g), g
+        assert len(got) == determinant(deleted_laplacian(g)), g
+        # loops are in no tree, bridges in every tree
+        assert not set(loops(g)) & set().union(*got), g
+        if g.vertex_count > 1:
+            assert all(set(bridges(g)) <= set(t) for t in got), g
+    for g in trees:
+        # a tree with its loops dropped is its own only spanning tree
+        assert spanning_trees(g) == [tuple(
+            k for k, (t, h) in enumerate(g.edges) if t != h)], g
+    for g in forests:
+        assert not is_connected(g), g
+        assert spanning_trees(g) == subset_scan_spanning_trees(g) == [], g
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +970,27 @@ def test_walker_visits_each_base_once():
     for s in _systems_under_test(170811):
         bases = enumerate_bases(s)
         assert len(set(bases)) == len(bases) == complexity(s), s
+        assert bases == combinations_bases(s), s
+
+
+def test_bases_of_scrambled_tall_tails_match_the_oracle():
+    # a tail with more rows than columns is walked along its columns
+    rng = random.Random(170819)
+    tall = [s for _, s in catalog_sweep() if s.N - s.n > s.n]
+    dense = []
+    while len(dense) < 15:
+        g = random_connected_multigraph(rng, rng.randint(4, 6),
+                                        rng.randint(4, 9))
+        s = cographic_system(g)
+        if s.n < s.N - s.n and s.N <= 15:
+            dense.append(s)
+    copies = (scrambled_copies(rng, tall, 10)
+              + scrambled_copies(rng, dense, 30))
+    assert Counter(s.n for s in copies).keys() >= {1, 3, 4, 5}
+    for s in copies:
+        assert s.N - s.n > s.n
+        bases = enumerate_bases(s)
+        assert len(bases) == complexity(s), s
         assert bases == combinations_bases(s), s
 
 

@@ -184,12 +184,14 @@ def test_enumerate_bases_cap():
 
 @pytest.mark.parametrize("s", [make("bixby_seymour"), make("sigma", 8),
                                graphic_system(make("complete", 5)),
+                               cographic_system(make("complete", 5)),
                                make("upsilon", 1)],
                          ids=["bixby_seymour", "sigma:8", "graphic:complete:5",
-                              "upsilon:1"])
+                              "cographic:complete:5", "upsilon:1"])
 def test_enumerate_bases_cap_boundaries(s):
     # the cap counts the bases found: as many as there are is enough, one
-    # fewer is not, even for upsilon:1, one base with no tail rows (cap 0)
+    # fewer is not, even for upsilon:1, one base with no tail rows (cap 0);
+    # sigma:8 and cographic complete:5 (tail 6 > n 4) walk the tail columns
     c = complexity(s)
     assert len(enumerate_bases(s, cap=c)) == c
     with pytest.raises(CapError, match=f"exceeds cap {c - 1} bases"):
