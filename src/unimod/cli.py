@@ -213,23 +213,18 @@ def _cmd_aut(args, system):
 
 
 def _cmd_lattice(args, system):
-    gram = gram_matrix(system)
     census = short_vector_census(system, cap=_cap(args))
-    lines = [f"n {system.n}", f"N {system.N}"]
-    lines.append("# gram")
-    for i in range(system.n):
-        lines.append(" ".join(str(gram[i, j]) for j in range(system.n)))
-    lines += [f"discriminant {complexity(system)}",
-              f"units {census.units()}",
-              f"roots {census.roots()}",
-              f"square_3 {census.counts[3]}",
-              f"min_square {census.minimum_summary()}"]
     doc = {"n": system.n, "N": system.N,
-           "gram": gram.to_lists(),
+           "gram": gram_matrix(system).to_lists(),
            "discriminant": complexity(system),
            "units": census.units(), "roots": census.roots(),
            "square_3": census.counts[3],
            "min_square": census.minimum_summary()}
+    lines = [f"n {system.n}", f"N {system.N}", "# gram"]
+    lines += [" ".join(map(str, row)) for row in doc["gram"]]
+    lines += [f"{k} {doc[k]}"
+              for k in ("discriminant", "units", "roots", "square_3",
+                        "min_square")]
     return lines, doc
 
 
@@ -244,8 +239,8 @@ def _cmd_polytope(args, system):
     for f in report.facet_pairs:
         lines.append(
             f"pair rep={f.rep_row} rows={','.join(map(str, f.class_rows))}"
-            f" +side {f.plus_point_count}p/{len(f.plus_vertices)}v"
-            f" -side {f.minus_point_count}p/{len(f.minus_vertices)}v")
+            f" +side {f.plus_point_count}p/{f.plus_vertex_count}v"
+            f" -side {f.minus_point_count}p/{f.minus_vertex_count}v")
     lines += [f"zonotope {'yes' if report.zonotope_verified else 'no'}",
               f"reflexive {'yes' if report.reflexive_verified else 'no'}"]
     return lines, report.to_dict() if args.json else None

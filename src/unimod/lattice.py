@@ -16,6 +16,10 @@ over these base coordinates: depth first, cut as soon as some form can no
 longer come back to [-1, 1].  The census is also a complete certificate for
 lattice vectors of square <= 3, all of which lie in D.
 
+The report stores each fact once: a point is its vector w and its square
+(its coefficients are w at base_rows), a vertex is the vector of a point,
+a facet side is a count, and the square histogram is kept once.
+
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
 whether D equals Z by a closed form on the projection matrix, scaled by a
@@ -67,7 +71,7 @@ def discriminant(lat):
 
 
 def _box_points(cols, n_rows, cap):
-    """All (x, w) with x in {-1,0,1}^n and w = sum_j x_j cols[j] in the box
+    """All w = sum_j x_j cols[j] with x in {-1,0,1}^n that lie in the box
     [-1, 1]^n_rows; CapError once more than cap of them are found.
 
     Depth first over j.  Choosing x_j moves w only on the support of
@@ -78,24 +82,23 @@ def _box_points(cols, n_rows, cap):
     """
     n = len(cols)
     rest = [0] * n_rows
-    steps = [()] * n  # per column: (x_j, ((row, change, bound), ...)) pairs
+    steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
     for j in range(n - 1, -1, -1):
         support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
         for i, c, _ in support:
             rest[i] += abs(c)
-        steps[j] = tuple((v, tuple((i, v * c, b) for i, c, b in support))
+        steps[j] = tuple(tuple((i, v * c, b) for i, c, b in support)
                          for v in (-1, 0, 1))
     w = [0] * n_rows
-    x = [0] * n
     out = []
 
     def visit(j):
         if j == n:
-            out.append((tuple(x), tuple(w)))
+            out.append(tuple(w))
             if len(out) > cap:
                 raise CapError(f"point search exceeds cap {cap} points")
             return
-        for v, move in steps[j]:
+        for move in steps[j]:
             inside = True
             for i, d, b in move:
                 t = w[i] + d
@@ -103,7 +106,6 @@ def _box_points(cols, n_rows, cap):
                 if t > b or t < -b:
                     inside = False
             if inside:
-                x[j] = v
                 visit(j + 1)
             for i, d, _ in move:
                 w[i] -= d
@@ -113,9 +115,8 @@ def _box_points(cols, n_rows, cap):
 
 
 class PolytopePoint(NamedTuple):
-    vector: tuple
-    square: int
-    coefficients: tuple  # integer coordinates in the generating columns
+    vector: tuple  # form values w; the coefficients are w at base_rows
+    square: int    # number of nonzero form values
 
 
 def _coefficients(sys, z):
@@ -135,13 +136,13 @@ def polytope_points(sys, cap=DEFAULT_CAP):
 
     Complete by the base-coordinate argument: every point w of D has w_B in
     {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
-    box meets each point once, with x as its coefficients; CapError past cap.
+    box meets each point once; CapError past cap.
     """
-    cols = [sys.a_matrix.col(j) for j in range(sys.n)]
-    found = sorted((w, x) for x, w in _box_points(cols, sys.N, cap))
-    return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t),
-                               coefficients=x)
-                 for w, x in found)
+    found = _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
+                        sys.N, cap)
+    found.sort()
+    return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t))
+                 for w in found)
 
 
 @lru_cache(maxsize=None)
@@ -196,14 +197,15 @@ def _is_vertex(rows, n, point):
 
 
 class FacetPair(NamedTuple):
-    """The two opposite facets cut out by one multiplicity class of forms."""
+    """The two opposite facets cut out by one multiplicity class of forms;
+    a side is held as counts, its points being those at level +-1."""
 
     rep_row: int            # smallest row index of the class
     class_rows: tuple       # all rows whose form equals the rep's up to sign
     plus_point_count: int   # lattice points at level +1 of the rep form
     minus_point_count: int
-    plus_vertices: tuple
-    minus_vertices: tuple
+    plus_vertex_count: int  # vertices at level +1 of the rep form
+    minus_vertex_count: int
 
 
 def _vertices(sys, pts):
@@ -213,17 +215,14 @@ def _vertices(sys, pts):
 
 
 def _facet_pairs(sys, pts, vertices):
-    """Facet pairs from the points and the vertex vectors, in point order."""
+    """Facet pairs counted from the points and the vertex vectors."""
     out = []
     for cls in multiplicity_classes(sys):
         rep = cls[0]
         levels = [p.vector[rep] for p in pts]
-        out.append(FacetPair(
-            rep_row=rep, class_rows=cls,
-            plus_point_count=levels.count(1),
-            minus_point_count=levels.count(-1),
-            plus_vertices=tuple(v for v in vertices if v[rep] == 1),
-            minus_vertices=tuple(v for v in vertices if v[rep] == -1)))
+        vertex_levels = [v[rep] for v in vertices]
+        out.append(FacetPair(rep, cls, levels.count(1), levels.count(-1),
+                             vertex_levels.count(1), vertex_levels.count(-1)))
     return tuple(out)
 
 
@@ -315,6 +314,8 @@ def _census(by_square):
 
 
 def short_vector_census(sys, cap=DEFAULT_CAP):
+    """The exact counts of lattice vectors of square 1, 2 and 3, read off
+    the points of D (polytope_points, under the same cap)."""
     return _census(_by_square(polytope_points(sys, cap=cap)))
 
 
@@ -363,44 +364,46 @@ def lattice_generated_by(lat, vectors):
 class PolytopeReport(NamedTuple):
     system: UnimodularSystem
     discriminant: int
-    points: tuple
-    vertices: tuple
-    facet_pairs: tuple
-    census: ShortVectorCensus
+    points: tuple          # PolytopePoint per lattice point, sorted
+    vertices: tuple        # the vectors of the vertices, in point order
+    facet_pairs: tuple     # FacetPair per multiplicity class
+    square_counts: dict    # nonzero points by square, ascending
     zonotope_verified: bool
     reflexive_verified: bool
 
     def by_square(self):
         """Counts of nonzero lattice points by square (origin excluded)."""
-        return _by_square(self.points)
+        return self.square_counts
+
+    @property
+    def census(self):
+        return _census(self.square_counts)
 
     def to_dict(self):
         # each point is listed once: vertices index into points, and a facet
-        # side is a count, its points being those at level +-1 of rep_row
+        # side is a count, its points being those at level +-1 of rep_row;
+        # a point's coefficients are its vector at the base rows
         vertices = set(self.vertices)
+        base = self.system.base_rows
+        census = self.census
         return {
             "N": self.system.N,
             "n": self.system.n,
-            "base_rows": list(self.system.base_rows),
+            "base_rows": list(base),
             "discriminant": self.discriminant,
             "origin_included": True,
             "census_by_square": {str(k): v for k, v in self.by_square().items()},
             "point_count": len(self.points),
             "points": [{"vector": list(p.vector), "square": p.square,
-                        "coefficients": list(p.coefficients)}
+                        "coefficients": [p.vector[i] for i in base]}
                        for p in self.points],
             "vertex_count": len(self.vertices),
             "vertices": [i for i, p in enumerate(self.points)
                          if p.vector in vertices],
-            "facets": [{"rep_row": f.rep_row,
-                        "class_rows": list(f.class_rows),
-                        "plus_point_count": f.plus_point_count,
-                        "minus_point_count": f.minus_point_count,
-                        "plus_vertex_count": len(f.plus_vertices),
-                        "minus_vertex_count": len(f.minus_vertices)}
+            "facets": [{**f._asdict(), "class_rows": list(f.class_rows)}
                        for f in self.facet_pairs],
-            "min_nonzero_square": self.census.minimum_summary(),
-            "short_vectors": {str(k): v for k, v in self.census.counts.items()},
+            "min_nonzero_square": census.minimum_summary(),
+            "short_vectors": {str(k): v for k, v in census.counts.items()},
             "zonotope_verified": self.zonotope_verified,
             "reflexive_verified": self.reflexive_verified,
         }
@@ -421,18 +424,20 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     inequalities |f_i| <= 1 are primitive, so D is reflexive;
     reflexive_verified further checks that every facet pair has vertices on
     both sides.  The zonotope flag is zonotope_check's exact verdict on
-    whether D equals the cube's shadow.
+    whether D equals the cube's shadow.  Points are (vector, square),
+    vertices are vectors, facet sides are counts, and by_square(), census
+    and to_dict read the one square histogram.
     """
     pts = polytope_points(sys, cap=cap)
     vertices = _vertices(sys, pts)
     fp = _facet_pairs(sys, pts, vertices)
     reflexive = sys.n == 0 or all(
-        f.plus_vertices and f.minus_vertices for f in fp)
+        f.plus_vertex_count and f.minus_vertex_count for f in fp)
     return PolytopeReport(system=sys,
                           discriminant=complexity(sys),
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          census=_census(_by_square(pts)),
+                          square_counts=_by_square(pts),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

@@ -201,8 +201,8 @@ def test_criterion_05_ten_form_golden_report():
         assert len(rep.vertices) == 12
         assert 2 * len(rep.facet_pairs) == 20
         for f in rep.facet_pairs:
-            assert len(f.plus_vertices) == 6
-            assert len(f.minus_vertices) == 6
+            assert f.plus_vertex_count == 6
+            assert f.minus_vertex_count == 6
         lat = lattice_of(r)
         shortest = [p.vector for p in polytope_points(r)
                     if sum(x * x for x in p.vector) == 4]

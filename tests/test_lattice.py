@@ -151,7 +151,8 @@ def test_point_coefficients_reconstruct_vector():
     s = make("bixby_seymour")
     a = s.a_matrix
     for p in polytope_points(s):
-        recon = tuple(sum(a[k, i] * p.coefficients[i] for i in range(s.n))
+        w_b = [p.vector[i] for i in s.base_rows]
+        recon = tuple(sum(a[k, i] * w_b[i] for i in range(s.n))
                       for k in range(s.N))
         assert recon == p.vector
 
@@ -185,7 +186,9 @@ def test_facet_pairs_segment():
     assert len(fp) == 1
     assert fp[0].class_rows == (0, 1, 2)
     assert fp[0].plus_point_count == fp[0].minus_point_count == 1
-    assert fp[0].plus_vertices == ((1, 1, 1),)
+    assert fp[0].plus_vertex_count == fp[0].minus_vertex_count == 1
+    rep = build_polytope_report(make("sigma", 3))
+    assert [v for v in rep.vertices if v[fp[0].rep_row] == 1] == [(1, 1, 1)]
 
 
 def test_facet_pairs_k4():

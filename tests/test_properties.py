@@ -171,9 +171,9 @@ def test_scan_points_negate_and_reconstruct():
         assert {tuple(-x for x in v) for v in vecs} == vecs
         a = s.a_matrix
         for p in pts:
-            recon = tuple(
-                sum(a[k, i] * p.coefficients[i] for i in range(s.n))
-                for k in range(s.N))
+            w_b = [p.vector[i] for i in s.base_rows]
+            recon = tuple(sum(a[k, i] * w_b[i] for i in range(s.n))
+                          for k in range(s.N))
             assert recon == p.vector
 
 
@@ -893,9 +893,8 @@ def cube_scan_polytope_points(sys, cap=CUBE_SCAN_CAP):
     kernel = kernel_basis(sys.a_matrix)
     pts = []
     for z in _cube_scan(sys.N, kernel):
-        pts.append(PolytopePoint(vector=z,
-                                 square=sum(1 for x in z if x),
-                                 coefficients=_coefficients(sys, z)))
+        _coefficients(sys, z)  # every scanned point lies in the lattice
+        pts.append(PolytopePoint(vector=z, square=sum(1 for x in z if x)))
     return tuple(pts)
 
 
@@ -1052,8 +1051,20 @@ def test_report_vertices_match_vertex_test():
         systems += [graphic_system(g), cographic_system(g)]
     for s in systems:
         rep = build_polytope_report(s)
-        assert rep.vertices == tuple(
-            p.vector for p in rep.points if vertex_test(s, p.vector)), s
+        vertices = tuple(
+            p.vector for p in rep.points if vertex_test(s, p.vector))
+        assert rep.vertices == vertices, s
+        # each facet pair's four counts, recounted from the points
+        for f in rep.facet_pairs:
+            levels = [p.vector[f.rep_row] for p in rep.points]
+            vertex_levels = [v[f.rep_row] for v in vertices]
+            assert (f.plus_point_count, f.minus_point_count,
+                    f.plus_vertex_count, f.minus_vertex_count) == (
+                levels.count(1), levels.count(-1),
+                vertex_levels.count(1), vertex_levels.count(-1)), s
+            # central symmetry: -w is a point (vertex) whenever w is
+            assert f.plus_point_count == f.minus_point_count, s
+            assert f.plus_vertex_count == f.minus_vertex_count, s
 
 
 def test_zonotope_closed_form_matches_sign_scan():
