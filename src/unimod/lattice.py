@@ -31,7 +31,10 @@ outside D.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, partial
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
@@ -131,18 +134,28 @@ def _coefficients(sys, z):
     return c
 
 
-def polytope_points(sys, cap=DEFAULT_CAP):
-    """All lattice points of D, sorted lexicographically.
+def _point_vectors(sys, cap):
+    """The vectors of the lattice points of D, in search order.
 
     Complete by the base-coordinate argument: every point w of D has w_B in
     {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
     box meets each point once; CapError past cap.
     """
-    found = _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
-                        sys.N, cap)
+    return _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
+                       sys.N, cap)
+
+
+def _squares(sys, vectors):
+    """The squares of the vectors, each N minus its count of zeros."""
+    return map(sys.N.__sub__, map(tuple.count, vectors, repeat(0)))
+
+
+def polytope_points(sys, cap=DEFAULT_CAP):
+    """All lattice points of D, sorted lexicographically (_point_vectors,
+    under the same cap)."""
+    found = _point_vectors(sys, cap)
     found.sort()
-    return tuple(PolytopePoint(vector=w, square=sum(1 for t in w if t))
-                 for w in found)
+    return tuple(map(PolytopePoint, found, _squares(sys, found)))
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +186,8 @@ def vertex_test(sys, point):
 def _is_vertex(rows, n, point):
     """Whether the rows active at point (bitmasks mod 2) have GF(2) rank n.
 
-    The active rows are reduced against an XOR basis keyed by leading bit,
+    Only the support of point is read: the rows where it is nonzero.  The
+    active rows are reduced against an XOR basis keyed by leading bit,
     stopping as soon as the rank reaches n.
     """
     if n == 0:
@@ -208,28 +222,37 @@ class FacetPair(NamedTuple):
     minus_vertex_count: int
 
 
-def _vertices(sys, pts):
-    """The vectors of the points that are vertices, in point order."""
-    rows = _odd_rows(sys)
-    return tuple(p.vector for p in pts if _is_vertex(rows, sys.n, p.vector))
+def _vertices_and_facets(sys, pts):
+    """The vertex vectors (in point order) and the facet pairs of D.
 
-
-def _facet_pairs(sys, pts, vertices):
-    """Facet pairs counted from the points and the vertex vectors."""
+    A point is a vertex when its active rows have GF(2) rank n, so only the
+    points of square >= n are candidates, and the verdict depends on the
+    support alone: w, -w and every point with the same nonzero pattern
+    share it.  It is taken once per support, keyed by the pattern as bytes;
+    the per-point work (keys, cache hits, facet levels) runs in C loops.
+    Each class reads its levels through the points, one list at a time: a
+    transposed copy of the points would nearly double the memory they hold.
+    """
+    n = sys.n
+    vector = itemgetter(0)
+    candidates = list(compress(map(vector, pts),
+                               map(n.__le__, map(itemgetter(1), pts))))
+    verdict = lru_cache(maxsize=None)(partial(_is_vertex, _odd_rows(sys), n))
+    supports = map(bytes, map(map, repeat(abs), candidates))
+    vertices = tuple(compress(candidates, map(verdict, supports)))
     out = []
     for cls in multiplicity_classes(sys):
-        rep = cls[0]
-        levels = [p.vector[rep] for p in pts]
-        vertex_levels = [v[rep] for v in vertices]
-        out.append(FacetPair(rep, cls, levels.count(1), levels.count(-1),
+        side = itemgetter(cls[0])
+        levels = list(map(side, map(vector, pts)))
+        vertex_levels = list(map(side, vertices))
+        out.append(FacetPair(cls[0], cls, levels.count(1), levels.count(-1),
                              vertex_levels.count(1), vertex_levels.count(-1)))
-    return tuple(out)
+    return vertices, tuple(out)
 
 
 def facets(sys, cap=DEFAULT_CAP):
     """One facet pair per distinct form (up to sign), with their counts."""
-    pts = polytope_points(sys, cap=cap)
-    return _facet_pairs(sys, pts, _vertices(sys, pts))
+    return _vertices_and_facets(sys, polytope_points(sys, cap=cap))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +321,10 @@ class ShortVectorCensus(NamedTuple):
         return ">= 4"
 
 
-def _by_square(pts):
-    """Counts of nonzero points by square, in ascending square order."""
-    out = {}
-    for p in pts:
-        if p.square:
-            out[p.square] = out.get(p.square, 0) + 1
+def _by_square(squares):
+    """Counts of nonzero squares, in ascending square order."""
+    out = Counter(squares)
+    out.pop(0, None)
     return dict(sorted(out.items()))
 
 
@@ -315,8 +336,9 @@ def _census(by_square):
 
 def short_vector_census(sys, cap=DEFAULT_CAP):
     """The exact counts of lattice vectors of square 1, 2 and 3, read off
-    the points of D (polytope_points, under the same cap)."""
-    return _census(_by_square(polytope_points(sys, cap=cap)))
+    the squares of the points of D (_point_vectors, under the same cap),
+    which need no sort."""
+    return _census(_by_square(_squares(sys, _point_vectors(sys, cap))))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +436,11 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
 
     The points come from one base-coordinate search (polytope_points), under
     the same cap; the vertices, facet pairs and census are derived from that
-    list.  The form matrix mod 2 is taken once, and _is_vertex runs on each
-    point (GF(2) rank, valid because the system is TU) without vertex_test's
-    check that the point lies in D, which the search guarantees.  The list
+    list in one pass (_vertices_and_facets).  The form matrix mod 2 is taken
+    once, and the vertex verdict (_is_vertex: GF(2) rank, valid because the
+    system is TU) is taken once per support, that is once per nonzero
+    pattern among the points of square >= n, without vertex_test's check
+    that the point lies in D, which the search guarantees.  The list
     holds every vertex of D: the system was certified totally unimodular
     when it was built, so by Hoffman-Kruskal (Schrijver, Theory of Linear
     and Integer Programming, ch. 19) every vertex of
@@ -429,8 +453,7 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     and to_dict read the one square histogram.
     """
     pts = polytope_points(sys, cap=cap)
-    vertices = _vertices(sys, pts)
-    fp = _facet_pairs(sys, pts, vertices)
+    vertices, fp = _vertices_and_facets(sys, pts)
     reflexive = sys.n == 0 or all(
         f.plus_vertex_count and f.minus_vertex_count for f in fp)
     return PolytopeReport(system=sys,
@@ -438,6 +461,6 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          square_counts=_by_square(pts),
+                          square_counts=_by_square(map(itemgetter(1), pts)),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

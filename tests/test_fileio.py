@@ -13,6 +13,7 @@ from unimod.catalog import make
 from unimod.cli import run
 from unimod.errors import PreconditionError
 from unimod.fileio import (
+    _MIN_RECORDS,
     parse_edges_text,
     parse_matrix_text,
     render_edges_text,
@@ -276,18 +277,116 @@ def test_render_json_reflects_mutation_between_calls():
     assert render_json(doc) == json.dumps(doc, indent=2) != second
 
 
+class _Dict(dict):
+    """A dict subclass whose [] differs from its items(), which json.dumps
+    reads: a record of it must not be read column by column."""
+
+    def __getitem__(self, key):
+        return "not the stored value"
+
+
+class _List(list):
+    pass
+
+
+# keys that a row template would have to escape, or that encode to \u escapes
+_RECORD_KEYS = ["vector", "square", "{", "}", "{0}", "{}", 'say "hi"',
+                "back\\slash", "%s", "caf\u00e9", "\u2200x", "\U0001d4b5"]
+
+# odd values, one of which may be mixed into an otherwise uniform column
+_ODD_VALUES = [True, False, 1.0, -0.5, None, 10**30, -(10**30), 2**64, [], (),
+               [1, True], (0, 2.5), [None], _List([1, 0]), (1,), [1, 0, 1, 0, 1],
+               _Dict(a=1), {}, "s", [[1]]]
+
+
+def _record_column(rng, length):
+    """One column of a record list: ints, int lists or tuples of one width,
+    strs or fuzzed values, with one odd value now and then."""
+    kind = rng.randrange(6)
+    width = rng.randrange(4)
+
+    def value():
+        if kind == 0:
+            return rng.randint(-2, 40)
+        if kind == 1:
+            return [rng.randint(-1, 1) for _ in range(width)]
+        if kind == 2:
+            return tuple(rng.randint(-1, 1) for _ in range(width))
+        if kind == 3:
+            return rng.choice(["", "a", "{}", "%s", "caf\u00e9", "\ud800"])
+        if kind == 4:
+            return rng.randint(-10**20, 10**20)
+        return _fuzz_value(rng, 3)
+
+    col = [value() for _ in range(length)]
+    if rng.random() < 0.5:
+        col[rng.randrange(length)] = rng.choice(_ODD_VALUES)
+    return col
+
+
+def _record_list(rng):
+    """A list of records: plain dicts sharing one key order, or, now and
+    then, one row with its keys reordered or of a dict subclass, or a list
+    subclass or tuple holding the rows."""
+    length = rng.choice([1, 2, _MIN_RECORDS, _MIN_RECORDS + 1, 20])
+    keys = rng.sample(_RECORD_KEYS, rng.randrange(1, 5))
+    columns = [_record_column(rng, length) for _ in keys]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    change = rng.randrange(8)
+    i = rng.randrange(length)
+    if change == 0:
+        items = list(rows[i].items())
+        rng.shuffle(items)
+        rows[i] = dict(items)
+    elif change == 1:
+        rows[i] = _Dict(rows[i])
+    elif change == 2:
+        rows = _List(rows)
+    elif change == 3:
+        rows = tuple(rows)
+    return rows
+
+
+def test_render_json_matches_json_dumps_on_record_lists():
+    rng = random.Random(20261021)
+    for _ in range(1500):
+        rows = _record_list(rng)
+        doc = rng.choice([rows, {"records": rows}, [{"nested": [rows]}]])
+        assert render_json(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("rows", [
+    [{"{x}": [1, -1], "}": 0}, {"{x}": [0, 0], "}": 7}],
+    [{"a": [1, 0]}, {"a": []}, {"a": [0, 1]}],
+    [{"a": [1, 0]}, {"a": [1, 0, 1]}],
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+    [{"a": 1}, {"a": True}, {"a": None}, {"a": 1.5}, {"a": 10**40}],
+    [{"a": (1, 0)}, {"a": [0, True]}],
+    [{"a": (1, 0)}, {"a": _List([0, 1])}],
+    [{"a": "x"}, _Dict(a="y")],
+    [{}, {}],
+    [{"a": 0}],
+    [{"a": 0, "b": 1}, {"b": 0, "a": 1}, {"a": 1, "b": 0}],
+])
+def test_render_json_record_list_edge_cases(rows):
+    rows = rows * _MIN_RECORDS  # long enough to be written column by column
+    for doc in (rows, {"k": rows}):
+        assert render_json(doc) == json.dumps(doc, indent=2)
+
+
 def test_render_json_matches_json_dumps_on_large_reports():
     from test_properties import scrambled_copies
 
     k5, k6 = make("complete", 5), make("complete", 6)
-    systems = [cographic_system(k6)]
+    systems = [cographic_system(k6), graphic_system(k6)]
     systems += scrambled_copies(random.Random(20261020), [graphic_system(k5)], 1)
     for s in systems:
         doc = build_polytope_report(s).to_dict()
         assert render_json(doc) == json.dumps(doc, indent=2), s
 
 
-@pytest.mark.parametrize("doc", [{1: 2}, {"a": [{None: 0}]}, {("t",): 1}])
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": [{None: 0}]}, {("t",): 1},
+                                 [{1: 0}, {1: 1}], [{"a": 0}, {"a": 1, 2: 3}]])
 def test_render_json_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         render_json(doc)

@@ -66,9 +66,11 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
+    FacetPair,
     PolytopePoint,
     _coefficients,
     build_polytope_report,
+    facets,
     polytope_points,
     short_vector_census,
     vertex_test,
@@ -90,6 +92,7 @@ from unimod.systems import (
     form_pairing_matrix,
     from_matrix,
     gale_dual,
+    multiplicity_classes,
     split_upsilon,
 )
 
@@ -1040,9 +1043,26 @@ def test_gf2_vertex_test_matches_hermite_rank():
                 s, p.vector), (s, p.vector)
 
 
+def per_point_vertices_and_facets(sys, pts):
+    """The vertices and facet pairs of D, derived point by point.
+
+    vertex_test runs on every point, and each class lists the level of
+    every point and vertex on its rep row; the report instead takes the
+    verdict once per support and counts the levels in C loops.
+    """
+    vertices = tuple(p.vector for p in pts if vertex_test(sys, p.vector))
+    pairs = []
+    for cls in multiplicity_classes(sys):
+        levels = [p.vector[cls[0]] for p in pts]
+        vertex_levels = [v[cls[0]] for v in vertices]
+        pairs.append(FacetPair(cls[0], cls, levels.count(1), levels.count(-1),
+                               vertex_levels.count(1), vertex_levels.count(-1)))
+    return vertices, tuple(pairs)
+
+
 def test_report_vertices_match_vertex_test():
-    # the report runs _is_vertex on its own point list, without the public
-    # wrapper's check that the point lies in D
+    # the sweep, scrambled copies of it, and complete graphs, whose points
+    # share supports many times over (7839 points, 1024 supports at k = 6)
     rng = random.Random(170815)
     sweep = [s for _, s in catalog_sweep()]
     systems = sweep + [c for s in sweep for c in scrambled_copies(rng, [s], 1)]
@@ -1051,20 +1071,20 @@ def test_report_vertices_match_vertex_test():
         systems += [graphic_system(g), cographic_system(g)]
     for s in systems:
         rep = build_polytope_report(s)
-        vertices = tuple(
-            p.vector for p in rep.points if vertex_test(s, p.vector))
+        vertices, pairs = per_point_vertices_and_facets(s, rep.points)
         assert rep.vertices == vertices, s
-        # each facet pair's four counts, recounted from the points
+        assert rep.facet_pairs == pairs, s
+        assert facets(s) == rep.facet_pairs, s
         for f in rep.facet_pairs:
-            levels = [p.vector[f.rep_row] for p in rep.points]
-            vertex_levels = [v[f.rep_row] for v in vertices]
-            assert (f.plus_point_count, f.minus_point_count,
-                    f.plus_vertex_count, f.minus_vertex_count) == (
-                levels.count(1), levels.count(-1),
-                vertex_levels.count(1), vertex_levels.count(-1)), s
             # central symmetry: -w is a point (vertex) whenever w is
             assert f.plus_point_count == f.minus_point_count, s
             assert f.plus_vertex_count == f.minus_vertex_count, s
+        squares = [sum(1 for x in p.vector if x) for p in rep.points]
+        assert [p.square for p in rep.points] == squares, s
+        counts = Counter(squares)
+        del counts[0]  # the origin
+        assert rep.square_counts == dict(sorted(counts.items())), s
+        assert short_vector_census(s) == rep.census, s
 
 
 def test_zonotope_closed_form_matches_sign_scan():
