@@ -289,7 +289,7 @@ class _List(list):
     pass
 
 
-# keys that a row template would have to escape, or that encode to \u escapes
+# keys that str.format or % would read as fields, or that encode to \u escapes
 _RECORD_KEYS = ["vector", "square", "{", "}", "{0}", "{}", 'say "hi"',
                 "back\\slash", "%s", "caf\u00e9", "\u2200x", "\U0001d4b5"]
 
@@ -385,8 +385,10 @@ def test_render_json_matches_json_dumps_on_large_reports():
         assert render_json(doc) == json.dumps(doc, indent=2), s
 
 
-@pytest.mark.parametrize("doc", [{1: 2}, {"a": [{None: 0}]}, {("t",): 1},
-                                 [{1: 0}, {1: 1}], [{"a": 0}, {"a": 1, 2: 3}]])
+@pytest.mark.parametrize("doc", [
+    {1: 2}, {"a": [{None: 0}]}, {("t",): 1},
+    [{1: i} for i in range(_MIN_RECORDS)],
+    [{"a": i} for i in range(_MIN_RECORDS)] + [{"a": 0, 2: 3}]])
 def test_render_json_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         render_json(doc)
