@@ -113,7 +113,7 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
             print(f"error: {error['message']}")
             if "witness" in error:
                 # a minor has rows, cols and value; a zero or non-integral
-                # row has rows only
+                # row has rows only; a disconnected graph has a vertex
                 print("# witness " + " ".join(
                     f"{k}={v}" for k, v in error["witness"].items()))
         else:
@@ -447,8 +447,9 @@ def run(argv=None):
     except Exception as exc:  # mapped to exit codes below
         elapsed = round((time.perf_counter() - t0) * 1000, 1)
         error = {"kind": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NotUnimodularError):
-            error["witness"] = exc.witness()
+        witness = exc.witness() if hasattr(exc, "witness") else None
+        if witness:
+            error["witness"] = witness
         if isinstance(exc, CapError):
             code = 3
         elif isinstance(exc, _VERIFICATION_ERRORS):

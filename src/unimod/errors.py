@@ -56,7 +56,19 @@ class CapError(UnimodError):
 
 
 class ConnectivityError(UnimodError):
-    """Graph operation requires a connected multigraph."""
+    """Graph operation requires a connected multigraph.
+
+    Carries a witness when one is known: ``vertex``, the smallest vertex
+    that vertex 1 cannot reach.
+    """
+
+    def __init__(self, message, vertex=None):
+        super().__init__(message)
+        self.vertex = vertex
+
+    def witness(self):
+        """Witness data as a serializable dict (empty without a vertex)."""
+        return {} if self.vertex is None else {"vertex": self.vertex}
 
 
 class DegenerateSystemError(UnimodError):

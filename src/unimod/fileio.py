@@ -142,14 +142,19 @@ def parse_matrix_text(text):
 
 
 def render_matrix_text(rows, labels=None, comments=()):
-    """Canonical text rendering of a matrix (labels become comments)."""
+    """Canonical text rendering of a matrix (labels become comments).
+
+    Entries are ints.  Each distinct entry is rendered once, right-justified
+    to the widest, and every row is joined from that table.
+    """
     rows = [tuple(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     lines = [f"# {c}" for c in comments]
     lines.append(f"{len(rows)} {ncols}")
-    width = max((len(str(x)) for r in rows for x in r), default=1)
-    for r in rows:
-        lines.append(" ".join(str(x).rjust(width) for x in r))
+    text = {x: str(x) for x in set(chain.from_iterable(rows))}
+    width = max(map(len, text.values()), default=1)
+    text = {x: t.rjust(width) for x, t in text.items()}
+    lines += [" ".join(map(text.__getitem__, r)) for r in rows]
     if labels is not None:
         lines.append("# labels: " + " ".join(labels))
     return "\n".join(lines) + "\n"

@@ -1,31 +1,39 @@
 """Oriented multigraphs and the unimodular systems they induce.
 
 Edges act as functions on the cycle space (graphic system) or the cut space
-(cographic system).  Both come from one deterministic BFS spanning tree T,
-so the derived matrices are reproducible.  Potentials p are integrated
-along T from vertex 1 with p[head k] - p[tail k] = e_k on each tree edge k;
-the fundamental-cut row of an edge f is then p[head f] - p[tail f].  With
-the tree edges first, the cut rows are [I; Q], and the fundamental-cycle
-rows are their Gale partner [-Q^T; I], one unit row per non-tree edge.
-Bridges vanish on all cycles and loops vanish on all cuts, and those zero
-rows are omitted.  Such a system is totally unimodular by theorem (network
-matrices, Poincare), so it is certified in O(N n) by checking its standard
-form against a spanning tree of the graph, not by the minor scan; a failed
-certificate falls back to the scan.  Also provides spanning-tree
-enumeration, Laplacians, and the delete-loops/contract-bridges
-stabilization.
+(cographic system).  Each system is written straight in the standard form
+that systems._standardize would give any presentation of it: over the
+first maximal independent rows in edge order.  By the greedy algorithm,
+for the cut space that base is the first spanning tree in edge order; by
+matroid duality, for the cycle space it is the complement of the first
+spanning tree in reverse edge order (Oxley, Matroid Theory, 1.8 and ch. 2).
+One union-find pass picks the tree.  Potentials p are integrated along it
+from vertex 1 with p[head k] - p[tail k] = e_k on each tree edge k; the
+fundamental-cut row of an edge f is then p[head f] - p[tail f].  On one
+tree the cut rows are [I; Q] up to row order, and the fundamental-cycle
+rows are their Gale partner [-Q^T; I], one unit row per chord: the cut
+space reads the first, on the tree picked forward, and the cycle space the
+second, on the tree picked backward.  Bridges vanish on all cycles and loops vanish on all cuts, and
+those zero rows are omitted.  Such a system is totally unimodular by
+theorem (network matrices, Poincare), so it is certified in O(N n) by
+checking its standard form against a spanning tree of the graph, not by
+the minor scan; a failed certificate falls back to the scan.  A
+disconnected graph is refused with the smallest vertex that vertex 1
+cannot reach.  Also provides spanning-tree enumeration, Laplacians, and
+the delete-loops/contract-bridges stabilization.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
 from .intlinalg import IntMatrix
-from .systems import DEFAULT_CAP, _standardize, enumerate_bases, from_matrix
+from .systems import (DEFAULT_CAP, UnimodularSystem, enumerate_bases,
+                      from_matrix)
 
 
 class Multigraph(NamedTuple):
@@ -133,31 +141,60 @@ def spanning_trees(g, cap=DEFAULT_CAP):
     return [tuple(edge[r] for r in b) for b in bases]
 
 
-def bfs_tree(g):
-    """Edge indices of the BFS spanning tree from vertex 1, edges scanned in
-    input order; also returns the parent structure, vertex -> (edge index,
-    parent vertex).  ConnectivityError when g is disconnected, before any
-    per-vertex work when it has fewer than V - 1 edges."""
-    if g.edge_count < g.vertex_count - 1:
-        raise ConnectivityError("spanning tree needs a connected multigraph")
-    around = [[] for _ in range(g.vertex_count + 1)]
-    for k, (t, h) in enumerate(g.edges):
-        if t != h:
-            around[t].append((k, h))
-            around[h].append((k, t))
-    queue = deque([1])
+_DISCONNECTED = "spanning tree needs a connected multigraph"
+
+
+def _unreached(g):
+    """The smallest vertex that vertex 1 cannot reach in a disconnected g.
+
+    A search from vertex 1 over the edges, so O(E) time and space whatever
+    the vertex count: the vertices it meets are at most E + 1.
+    """
+    around = {}
+    for t, h in g.edges:
+        around.setdefault(t, []).append(h)
+        around.setdefault(h, []).append(t)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in around.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return next(v for v in range(2, g.vertex_count + 1) if v not in seen)
+
+
+def _first_tree(g, message, reverse=False):
+    """Edge indices, ascending, of the first spanning tree in edge order.
+
+    One union-find pass over the edges, in input order or in reverse: an
+    edge joins the tree when it joins two components of the edges taken
+    so far (Kruskal).  By the greedy algorithm of matroids, this is the
+    first maximal independent edge set of the cycle matroid in that order
+    (Oxley, Matroid Theory, 1.8).  ConnectivityError(message), naming the
+    smallest vertex that vertex 1 cannot reach, when g is disconnected;
+    with fewer than V - 1 edges, that is found before any per-vertex work.
+    """
+    size = g.vertex_count - 1
+    if g.edge_count < size:
+        raise ConnectivityError(message, vertex=_unreached(g))
+    parent = list(range(g.vertex_count + 1))
+    edges = g.edges
     tree = []
-    parent = {}
-    while queue:
-        u = queue.popleft()
-        for k, w in around[u]:
-            if w != 1 and w not in parent:
-                tree.append(k)
-                parent[w] = (k, u)
-                queue.append(w)
-    if len(parent) < g.vertex_count - 1:
-        raise ConnectivityError("spanning tree needs a connected multigraph")
-    return tuple(sorted(tree)), parent
+    for k in (range(len(edges) - 1, -1, -1) if reverse else range(len(edges))):
+        if len(tree) == size:
+            break
+        t, h = edges[k]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        if t != h:
+            parent[h] = t
+            tree.append(k)
+    if len(tree) < size:
+        raise ConnectivityError(message, vertex=_unreached(g))
+    return tree[::-1] if reverse else tree
 
 
 def _potentials(g, steps):
@@ -187,66 +224,40 @@ def _unit(i, n):
     return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
-def _tree_cuts(g):
-    """The BFS tree, the other edges (chords), and the fundamental-cut row
-    p[head f] - p[tail f] of every edge f under unit steps on the tree.
+def _unit_potentials(g, tree):
+    """Potentials under unit steps on the tree: p[head f] - p[tail f] is
+    the fundamental-cut row of edge f, entry i being +-1 when the tree path
+    from the tail of f to its head crosses tree[i] along or against its
+    orientation, else 0."""
+    return _potentials(g, {k: _unit(i, len(tree)) for i, k in enumerate(tree)})
 
-    Entry i of row f is +-1 when the tree path from the tail of f to its
-    head crosses tree edge tree[i] along or against its orientation, else 0.
-    Tree edges get unit rows and loops zero rows.
+
+def _cycle_table(g, message):
+    """The tree picked backward, its chords (the other edges), and the row
+    of each tree edge k over the chords' fundamental cycles.
+
+    The cycle of chord e runs along e, then back through the tree from its
+    head to its tail, so k reads (p[tail e] - p[head e])_k on it, the
+    negated cut row of e.
     """
-    tree, _ = bfs_tree(g)
+    tree = _first_tree(g, message, reverse=True)
     in_tree = set(tree)
-    p = _potentials(g, {k: _unit(i, len(tree)) for i, k in enumerate(tree)})
-    return (tree, [f for f in range(g.edge_count) if f not in in_tree],
-            [tuple(map(sub, p[h], p[t])) for t, h in g.edges])
+    chords = [f for f in range(g.edge_count) if f not in in_tree]
+    p = _unit_potentials(g, tree)
+    cols = [tuple(map(sub, p[t], p[h]))
+            for t, h in map(g.edges.__getitem__, chords)]
+    return tree, chords, list(zip(*cols)) if cols else [()] * len(tree)
 
 
-def _nonzero_rows(rows):
-    """(rows, kept): the nonzero rows, and kept[i] the edge of row i."""
-    kept = [f for f, row in enumerate(rows) if any(row)]
-    return [rows[f] for f in kept], kept
+def _bridges(g, message):
+    tree, _, rows = _cycle_table(g, message)
+    return tuple(k for k, row in zip(tree, rows) if not any(row))
 
 
 def bridges(g):
-    """Indices of bridges: the BFS tree edges on the fundamental cycle of
-    no non-tree edge."""
-    if not is_connected(g):
-        raise ConnectivityError("bridges are defined for connected multigraphs")
-    tree, chords, cuts = _tree_cuts(g)
-    return tuple(k for i, k in enumerate(tree)
-                 if not any(cuts[e][i] for e in chords))
-
-
-def _cycle_rows(g):
-    """Raw graphic rows: every non-bridge edge on the BFS fundamental cycles.
-
-    The cycle of non-tree edge e runs along e, then back through the tree
-    from its head to its tail, so tree edge k reads (p[tail e] - p[head e])_k
-    on it, the negated cut row of e.  Returns (rows, kept) with kept[i] the
-    edge of row i.
-    """
-    tree, chords, cuts = _tree_cuts(g)
-    if not chords:
-        raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
-    rows = [None] * g.edge_count
-    for j, e in enumerate(chords):
-        rows[e] = _unit(j, len(chords))
-    for k, col in zip(tree, zip(*(cuts[e] for e in chords))):
-        rows[k] = tuple(-x for x in col)
-    return _nonzero_rows(rows)
-
-
-def _cut_rows(g):
-    """Raw cographic rows: every non-loop edge on the BFS fundamental cuts.
-
-    Returns (rows, kept) with kept[i] the edge of row i.
-    """
-    tree, _, cuts = _tree_cuts(g)
-    if not tree:
-        raise DegenerateSystemError(
-            "the graph has no spanning-tree edges: its cut space is zero")
-    return _nonzero_rows(cuts)
+    """Indices of bridges: the tree edges on the fundamental cycle of no
+    chord.  The tree is the one graphic_system reads."""
+    return _bridges(g, "bridges are defined for connected multigraphs")
 
 
 def _spans_tree(g, tree):
@@ -299,17 +310,22 @@ def _is_cut_matrix(g, kept, sys):
                for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
 
 
-def _tree_certified(g, rows, kept, certificate):
-    """The system of rows, labelled by edge, certified by its spanning tree.
+def _tree_certified(g, kept, rows, base, certificate):
+    """The system of standard-form rows over base, labelled by edge.
 
-    The rows are put in standard form without the minor scan, and the
-    certificate checks that form against g.  Should it fail, which would
-    mean a construction bug, the rows go through the full from_matrix
-    verification, so the verdict is never weaker than the scan's.
+    Row i is edge kept[i].  The base rows must be the unit vectors, in
+    order, and the certificate checks the form against a spanning tree of
+    g, in O(N n) and without the minor scan.  Should either fail, which
+    would mean a construction bug, the rows go through the full
+    from_matrix verification, so the verdict is never weaker than the
+    scan's.
     """
-    labels = [f"e{f + 1}" for f in kept]
-    sys = _standardize(rows, labels)
-    if certificate(g, kept, sys):
+    n = len(base)
+    labels = tuple(f"e{f + 1}" for f in kept)
+    sys = UnimodularSystem(n, IntMatrix(len(rows), n, tuple(
+        chain.from_iterable(rows))), tuple(base), labels)
+    if all(sys.row(r) == _unit(i, n) for i, r in enumerate(base)) and \
+            certificate(g, kept, sys):
         return sys
     return from_matrix(rows, labels)
 
@@ -317,29 +333,60 @@ def _tree_certified(g, rows, kept, certificate):
 def graphic_system(g):
     """The system of edges acting on the cycle space of g.
 
-    The base is the set of fundamental cycles of the BFS tree, one per
-    non-tree edge and oriented along it, so non-tree edge rows come out as
-    unit vectors.  Bridges lie on no cycle and are dropped.  A tree (no
-    cycles at all) is degenerate.  The standard form is certified totally
-    unimodular by checking in O(N n) that it is the fundamental-cycle
-    matrix of a spanning tree (see _is_cycle_matrix), not by a minor scan.
+    Its matroid is the dual of the graph's, so a set of edges is a base
+    when the other edges form a spanning tree.  The tree is picked in
+    reverse edge order (_first_tree), so its chords are the first maximal
+    independent rows in edge order (matroid duality: Oxley, Matroid
+    Theory, ch. 2), the base _standardize would pick from any presentation.
+    The standard form is written at once: a chord's row is the unit vector
+    of its own fundamental cycle, oriented along it, and a tree edge's row
+    lists its coefficients on those cycles (_cycle_table).  Bridges lie on
+    no cycle and are dropped.  A tree (no cycles at all) is degenerate.
+    The form is certified totally unimodular by checking in O(N n) that it
+    is the fundamental-cycle matrix of a spanning tree (see
+    _is_cycle_matrix), not by a minor scan.
     """
-    rows, kept = _cycle_rows(g)
-    return _tree_certified(g, rows, kept, _is_cycle_matrix)
+    tree, chords, tree_rows = _cycle_table(g, _DISCONNECTED)
+    if not chords:
+        raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
+    row = dict(zip(tree, tree_rows))
+    row.update((e, _unit(j, len(chords))) for j, e in enumerate(chords))
+    kept = [f for f in range(g.edge_count) if any(row[f])]
+    chord_set = set(chords)
+    return _tree_certified(g, kept, [row[f] for f in kept],
+                           [i for i, f in enumerate(kept) if f in chord_set],
+                           _is_cycle_matrix)
 
 
 def cographic_system(g):
     """The system of edges acting on the cut space of g.
 
-    The base is the set of fundamental cuts of the BFS tree, one per tree
-    edge e (oriented so e crosses positively).  Loops vanish on every cut
-    and are dropped.  A single-vertex graph has a zero cut space.  The
-    standard form is certified totally unimodular by checking in O(N n)
-    that it is the fundamental-cut matrix of a spanning tree (see
-    _is_cut_matrix), not by a minor scan.
+    A set of edges is a base when it is a spanning tree.  The tree is
+    picked in edge order (_first_tree), so it is the first maximal
+    independent set of rows in edge order (the greedy algorithm: Oxley,
+    Matroid Theory, 1.8), the base _standardize would pick from any
+    presentation.  The standard form is written at once: under unit steps
+    on the tree, every edge f reads its fundamental-cut row p[head f] -
+    p[tail f], so tree edges read unit vectors (oriented so the edge
+    crosses its cut positively).  Loops vanish on every cut and are
+    dropped.  A single-vertex graph has a zero cut space.  The form is
+    certified totally unimodular by checking in O(N n) that it is the
+    fundamental-cut matrix of a spanning tree (see _is_cut_matrix), not by
+    a minor scan.
     """
-    rows, kept = _cut_rows(g)
-    return _tree_certified(g, rows, kept, _is_cut_matrix)
+    tree = _first_tree(g, _DISCONNECTED)
+    if not tree:
+        raise DegenerateSystemError(
+            "the graph has no spanning-tree edges: its cut space is zero")
+    p = _unit_potentials(g, tree)
+    # the zero rows are the loops: distinct vertices have distinct tree paths
+    kept = [f for f, (t, h) in enumerate(g.edges) if t != h]
+    in_tree = set(tree)
+    rows = [tuple(map(sub, p[h], p[t]))
+            for t, h in map(g.edges.__getitem__, kept)]
+    return _tree_certified(g, kept, rows,
+                           [i for i, f in enumerate(kept) if f in in_tree],
+                           _is_cut_matrix)
 
 
 def laplacian(g):
@@ -368,12 +415,12 @@ def stabilize(g):
     Once the loops are gone, contracting a bridge creates no loop and no
     new bridge, so one pass suffices: each class of vertices joined by
     bridges becomes one vertex, numbered by the rank of its smallest
-    member.  A tree collapses to the one-vertex graph.
+    member.  A tree collapses to the one-vertex graph.  The bridges come
+    from the tree graphic_system picks, in the same pass that checks that
+    g is connected.
     """
-    if not is_connected(g):
-        raise ConnectivityError("stabilize needs a connected multigraph")
     cur = Multigraph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1]))
-    br = set(bridges(cur))
+    br = set(_bridges(cur, "stabilize needs a connected multigraph"))
     if not br:
         return cur if cur.edge_count < g.edge_count else g
     comp = _components(g.vertex_count, [cur.edges[i] for i in br])

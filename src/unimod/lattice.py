@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -405,8 +405,14 @@ class PolytopeReport(NamedTuple):
         # each point is listed once: vertices index into points, and a facet
         # side is a count, its points being those at level +-1 of rep_row;
         # a point's coefficients are its vector at the base rows
-        vertices = set(self.vertices)
+        vectors = [p.vector for p in self.points]
         base = self.system.base_rows
+        if len(base) > 1:
+            coefficients = map(list, map(itemgetter(*base), vectors))
+        elif base:
+            coefficients = ([v[base[0]]] for v in vectors)
+        else:
+            coefficients = ([] for v in vectors)
         census = self.census
         return {
             "N": self.system.N,
@@ -416,12 +422,12 @@ class PolytopeReport(NamedTuple):
             "origin_included": True,
             "census_by_square": {str(k): v for k, v in self.by_square().items()},
             "point_count": len(self.points),
-            "points": [{"vector": list(p.vector), "square": p.square,
-                        "coefficients": [p.vector[i] for i in base]}
-                       for p in self.points],
+            "points": [{"vector": list(v), "square": p.square,
+                        "coefficients": c}
+                       for v, p, c in zip(vectors, self.points, coefficients)],
             "vertex_count": len(self.vertices),
-            "vertices": [i for i, p in enumerate(self.points)
-                         if p.vector in vertices],
+            "vertices": list(compress(count(), map(
+                set(self.vertices).__contains__, vectors))),
             "facets": [{**f._asdict(), "class_rows": list(f.class_rows)}
                        for f in self.facet_pairs],
             "min_nonzero_square": census.minimum_summary(),

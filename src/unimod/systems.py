@@ -19,8 +19,13 @@ still names the first bad minor in the order of a scan over every square
 minor, found by walking the rows.  The scan runs on raw matrix input
 only.  Total unimodularity survives transposition, submatrices and block
 sums, so Gale duals, unit-free cores and direct sums of certified systems
-are standardized without it, and graph systems check a spanning-tree
-certificate instead (see graphs).
+skip it, and graph systems check a spanning-tree certificate instead (see
+graphs).  Only raw input and Gale duals go through the elimination.  Direct
+sums, unit-free cores and graph systems are written straight in the
+standard form it would give them, because their first maximal independent
+rows are known: the operands' bases, block after block; the base left once
+the unit rows (coloops) are deleted; the first spanning tree in edge order,
+or the complement of the first one in reverse edge order.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration by the same walk over the nonzero tail minors as the scan, on
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -233,8 +239,12 @@ def _standardize(raw, labels=None):
     rows.  A row for which it does not lies outside the group generated by
     the base, so the maximal subsets generate different groups and the
     input is rejected.  Raw rows must hold plain integers (PreconditionError
-    otherwise, so 1.7 or True is never read as 1).  Callers either know the
-    result is totally unimodular or scan it (from_matrix).
+    otherwise, so 1.7 or True is never read as 1).  Two callers: from_matrix,
+    which scans the result, and gale_dual, whose result is totally
+    unimodular.  The systems derived otherwise (direct_sum, the
+    split_upsilon core, graphs.graphic_system and graphs.cographic_system)
+    are written straight in the form this pass would give them, over the
+    same base: each knows its first maximal independent rows in row order.
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
@@ -390,24 +400,31 @@ def form_pairing_matrix(sys):
 def direct_sum(a, b):
     """Block direct sum; left operand's rows first, then the right's.
 
-    The operands are systems, which the library hands out only certified,
-    and a block sum of totally unimodular matrices is totally unimodular,
-    so the sum is standardized without a rescan.
+    The block diagonal of the operands' standard forms is itself a
+    standard form, over a.base_rows followed by b.base_rows shifted by
+    a.N.  That is the base _standardize would pick: no row of one block
+    depends on rows of the other, so the first maximal independent rows
+    of the sum are those of a, then those of b.  The operands are systems,
+    which the library hands out only certified, and a block sum of
+    totally unimodular matrices is totally unimodular, so the sum needs
+    neither an elimination nor a rescan.
     """
     if a.N == 0:
         return b
     if b.N == 0:
         return a
-    rows = []
-    for i in range(a.N):
-        rows.append(a.row(i) + (0,) * b.n)
-    for i in range(b.N):
-        rows.append((0,) * a.n + b.row(i))
+    pad_a, pad_b = (0,) * b.n, (0,) * a.n
+    entries = (*chain.from_iterable(r + pad_a for r in a.a_matrix.row_list()),
+               *chain.from_iterable(pad_b + r for r in b.a_matrix.row_list()))
     labels = None
     if a.labels is not None or b.labels is not None:
         labels = tuple(a.label(i) for i in range(a.N)) + \
             tuple(b.label(i) for i in range(b.N))
-    return _standardize(IntMatrix.from_rows(rows), labels=labels)
+    n = a.n + b.n
+    return UnimodularSystem(
+        n=n, a_matrix=IntMatrix(a.N + b.N, n, entries),
+        base_rows=tuple(a.base_rows) + tuple(a.N + r for r in b.base_rows),
+        labels=labels)
 
 
 class UpsilonSplit(NamedTuple):
@@ -423,10 +440,14 @@ def split_upsilon(sys):
 
     A column of the standard form with a single nonzero entry is zero on
     every non-base row, so its base row is a unit vector of the lattice and
-    splits off; deleting such rows/columns never creates new ones.  sys was
-    certified when the library built it, and the core is a submatrix of its
-    standard form, so it is totally unimodular and is standardized without
-    a rescan.
+    splits off; deleting such rows/columns never creates new ones.  The
+    core is the submatrix of the standard form without them, which is
+    again a standard form: its base is the rest of sys's base, renumbered.
+    That is the base _standardize would pick, because a unit row is a
+    coloop (in every base) and deleting a coloop keeps the greedy base.  sys
+    was certified when the library built it, and a submatrix of a totally
+    unimodular matrix is totally unimodular, so the core needs neither an
+    elimination nor a rescan.
     """
     if sys.N == 0:
         return UpsilonSplit(core=EMPTY_SYSTEM, s=0, unit_rows=())
@@ -443,9 +464,12 @@ def split_upsilon(sys):
     if not keep_cols:
         return UpsilonSplit(core=EMPTY_SYSTEM, s=len(unit_cols),
                             unit_rows=tuple(sorted(drop_rows)))
-    sub = sys.a_matrix.submatrix(keep_rows, keep_cols)
+    position = {r: i for i, r in enumerate(keep_rows)}
     labels = tuple(sys.label(i) for i in keep_rows) if sys.labels else None
-    core = _standardize(sub, labels=labels)
+    core = UnimodularSystem(
+        n=len(keep_cols), a_matrix=m.submatrix(keep_rows, keep_cols),
+        base_rows=tuple(position[sys.base_rows[j]] for j in keep_cols),
+        labels=labels)
     return UpsilonSplit(core=core, s=len(unit_cols),
                         unit_rows=tuple(sorted(drop_rows)))
 

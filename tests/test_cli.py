@@ -380,6 +380,26 @@ def test_graph_degenerate_exits_1(tmp_path, capsys):
     assert "error:" in out
 
 
+def test_graph_disconnected_names_an_unreached_vertex(tmp_path, capsys):
+    # vertices 1, 2 and 4 are joined; 3 and 5 are not reached from vertex 1
+    f = tmp_path / "apart.txt"
+    f.write_text("5 4\n1 2\n2 4\n3 5\n4 1\n")
+    for mode in ("--graphic", "--cographic"):
+        rc = run(["graph", str(f), mode])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        at = lines.index("error: spanning tree needs a connected multigraph")
+        assert lines[at + 1] == "# witness vertex=3"
+        assert lines[at + 2].startswith("# elapsed_ms ")
+        rc = run(["graph", str(f), mode, "--stabilize", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert doc["error"] == {
+            "kind": "ConnectivityError",
+            "message": "stabilize needs a connected multigraph",
+            "witness": {"vertex": 3}}
+
+
 def test_catalog_listing(capsys):
     rc = run(["catalog"])
     out = capsys.readouterr().out

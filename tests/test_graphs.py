@@ -1,6 +1,8 @@
 """Graph-derived systems: cycles, cuts, tree counting, stabilization."""
 
+import random
 import time
+from collections import deque
 from enum import IntEnum
 
 import pytest
@@ -14,7 +16,6 @@ from unimod.errors import (
 )
 from unimod.graphs import (
     Multigraph,
-    bfs_tree,
     bridges,
     cographic_system,
     deleted_laplacian,
@@ -28,6 +29,8 @@ from unimod.graphs import (
 )
 from unimod.intlinalg import determinant
 from unimod.systems import are_isomorphic, complexity
+
+from test_properties import bfs_tree, random_multigraph_with_loops
 
 
 def _theta(n):
@@ -114,6 +117,71 @@ def test_too_few_edges_fail_before_per_vertex_work():
                    stabilize):
         with pytest.raises(ConnectivityError):
             derive(g)
+    assert time.perf_counter() - start < 0.5
+
+
+def bfs_unreached(g):
+    """The smallest vertex a plain BFS from vertex 1 does not reach, or None."""
+    seen = {1}
+    queue = deque([1])
+    while queue:
+        u = queue.popleft()
+        for t, h in g.edges:
+            for a, b in ((t, h), (h, t)):
+                if a == u and b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+    return next((v for v in range(1, g.vertex_count + 1) if v not in seen),
+                None)
+
+
+def _cut_apart(rng):
+    """A random multigraph with loops, cut apart: a few extra vertices, and
+    its edges shuffled and some dropped."""
+    g = random_multigraph_with_loops(rng)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    del edges[:rng.randint(0, len(edges))]
+    return Multigraph.build(g.vertex_count + rng.randint(0, 2), edges)
+
+
+def test_disconnected_graphs_name_the_smallest_unreached_vertex():
+    rng = random.Random(170824)
+    cases = [_cut_apart(rng) for _ in range(300)]
+    wants = [bfs_unreached(g) for g in cases]
+    # both branches: fewer than V - 1 edges, and enough edges but disconnected
+    assert any(w and g.edge_count < g.vertex_count - 1
+               for g, w in zip(cases, wants))
+    assert any(w and g.edge_count >= g.vertex_count - 1
+               for g, w in zip(cases, wants))
+    assert None in wants
+    for g, want in zip(cases, wants):
+        for derive in (graphic_system, cographic_system, bridges, stabilize):
+            if want is None:
+                try:
+                    derive(g)
+                except DegenerateSystemError:
+                    pass
+                continue
+            with pytest.raises(ConnectivityError) as info:
+                derive(g)
+            assert info.value.vertex == want, (g, derive)
+            assert info.value.witness() == {"vertex": want}
+
+
+@pytest.mark.parametrize("edges, vertex", [
+    ([(1, 2)], 3),
+    ([(2, 3)], 2),
+    ([(1, 1), (4, 2), (1, 4), (3, 5)], 3),
+])
+def test_unreached_vertex_without_per_vertex_work(edges, vertex):
+    # a billion vertices: the witness comes from the edges alone
+    g = Multigraph.build(10**9, edges)
+    start = time.perf_counter()
+    for derive in (graphic_system, cographic_system, bridges, stabilize):
+        with pytest.raises(ConnectivityError) as info:
+            derive(g)
+        assert info.value.vertex == vertex
     assert time.perf_counter() - start < 0.5
 
 

@@ -16,13 +16,17 @@ against the Hermite rank of the active rows, the one-pass standardization
 against the first base by Hermite ranks with the adjugate expansion, and
 the cycle rows, cut rows, bridges and stabilization read off one
 tree-potential map against the tree walks, union-finds, deletion tests and
-contraction loop they replaced.
+contraction loop they replaced, the graph systems written in standard form
+over the edge-order spanning tree against the raw rows on the BFS tree put
+in standard form by elimination, and the direct sums and unit-free cores
+written without elimination against the same rows standardized.
 """
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, product
+from operator import sub
 
 import pytest
 
@@ -40,12 +44,11 @@ from unimod.errors import (
 from unimod.graphs import (
     Multigraph,
     _components,
-    _cut_rows,
-    _cycle_rows,
     _is_cut_matrix,
     _is_cycle_matrix,
+    _potentials,
     _tree_certified,
-    bfs_tree,
+    _unit,
     bridges,
     cographic_system,
     deleted_laplacian,
@@ -292,9 +295,95 @@ def test_tall_tail_scan_matches_full_scan_witness():
 
 
 # ---------------------------------------------------------------------------
+# graph systems on a BFS spanning tree: the route graphic_system and
+# cographic_system took before they were written in standard form over the
+# edge-order tree, raw rows on the BFS tree, which _standardize then put in
+# standard form, is the oracle (bodies unchanged)
+
+
+def bfs_tree(g):
+    """Edge indices of the BFS spanning tree from vertex 1, edges scanned in
+    input order; also returns the parent structure, vertex -> (edge index,
+    parent vertex).  ConnectivityError when g is disconnected, before any
+    per-vertex work when it has fewer than V - 1 edges."""
+    if g.edge_count < g.vertex_count - 1:
+        raise ConnectivityError("spanning tree needs a connected multigraph")
+    around = [[] for _ in range(g.vertex_count + 1)]
+    for k, (t, h) in enumerate(g.edges):
+        if t != h:
+            around[t].append((k, h))
+            around[h].append((k, t))
+    queue = deque([1])
+    tree = []
+    parent = {}
+    while queue:
+        u = queue.popleft()
+        for k, w in around[u]:
+            if w != 1 and w not in parent:
+                tree.append(k)
+                parent[w] = (k, u)
+                queue.append(w)
+    if len(parent) < g.vertex_count - 1:
+        raise ConnectivityError("spanning tree needs a connected multigraph")
+    return tuple(sorted(tree)), parent
+
+
+def _tree_cuts(g):
+    """The BFS tree, the other edges (chords), and the fundamental-cut row
+    p[head f] - p[tail f] of every edge f under unit steps on the tree.
+
+    Entry i of row f is +-1 when the tree path from the tail of f to its
+    head crosses tree edge tree[i] along or against its orientation, else 0.
+    Tree edges get unit rows and loops zero rows.
+    """
+    tree, _ = bfs_tree(g)
+    in_tree = set(tree)
+    p = _potentials(g, {k: _unit(i, len(tree)) for i, k in enumerate(tree)})
+    return (tree, [f for f in range(g.edge_count) if f not in in_tree],
+            [tuple(map(sub, p[h], p[t])) for t, h in g.edges])
+
+
+def _nonzero_rows(rows):
+    """(rows, kept): the nonzero rows, and kept[i] the edge of row i."""
+    kept = [f for f, row in enumerate(rows) if any(row)]
+    return [rows[f] for f in kept], kept
+
+
+def _cycle_rows(g):
+    """Raw graphic rows: every non-bridge edge on the BFS fundamental cycles.
+
+    The cycle of non-tree edge e runs along e, then back through the tree
+    from its head to its tail, so tree edge k reads (p[tail e] - p[head e])_k
+    on it, the negated cut row of e.  Returns (rows, kept) with kept[i] the
+    edge of row i.
+    """
+    tree, chords, cuts = _tree_cuts(g)
+    if not chords:
+        raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
+    rows = [None] * g.edge_count
+    for j, e in enumerate(chords):
+        rows[e] = _unit(j, len(chords))
+    for k, col in zip(tree, zip(*(cuts[e] for e in chords))):
+        rows[k] = tuple(-x for x in col)
+    return _nonzero_rows(rows)
+
+
+def _cut_rows(g):
+    """Raw cographic rows: every non-loop edge on the BFS fundamental cuts.
+
+    Returns (rows, kept) with kept[i] the edge of row i.
+    """
+    tree, _, cuts = _tree_cuts(g)
+    if not tree:
+        raise DegenerateSystemError(
+            "the graph has no spanning-tree edges: its cut space is zero")
+    return _nonzero_rows(cuts)
+
+
+# ---------------------------------------------------------------------------
 # certification without the scan: graph systems check a spanning-tree
-# certificate, and systems derived from certified ones are standardized
-# unscanned; from_matrix on the same raw rows is the oracle
+# certificate, and systems derived from certified ones are built unscanned;
+# from_matrix on the same raw rows, or on their own rows, is the oracle
 
 
 def random_multigraph_with_loops(rng):
@@ -346,38 +435,110 @@ def test_tree_certificate_matches_the_scan(monkeypatch):
         assert_same_system(build(g), from_matrix(rows, edge_labels(kept)))
 
 
-def _standardized(monkeypatch, derive):
-    """(raw, labels, result) of every _standardize call that derive() makes."""
-    calls = []
-    real = systems._standardize
-
-    def record(raw, labels=None):
-        out = real(raw, labels)
-        calls.append((raw, labels, out))
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(systems, "_standardize", record)
-        derive()
-    return calls
-
-
-def test_derived_systems_match_the_scan(monkeypatch):
-    """gale_dual, the split_upsilon core and direct_sum skip the scan; on
-    the same raw rows from_matrix certifies them and builds the same."""
+def test_derived_systems_match_the_scan():
+    """gale_dual, the split_upsilon core and direct_sum skip the scan; each
+    system they derive is what from_matrix certifies and builds from its
+    own rows, so it is totally unimodular and in standard form over the
+    first maximal independent rows."""
     subjects = _systems_under_test(170817)
     unit = make("upsilon", 1)
+    derived = []
+    for s, t in zip(subjects, subjects[1:] + subjects[:1]):
+        summed = direct_sum(unit, s)
+        derived += [gale_dual(s), summed, split_upsilon(summed).core,
+                    direct_sum(s, t)]
+    derived = [d for d in derived if d.N]
+    assert len(derived) >= 3 * len(subjects)
+    for got in derived:
+        assert_same_system(got, from_matrix(got.a_matrix, got.labels))
 
-    def derive():
-        for s, t in zip(subjects, subjects[1:] + subjects[:1]):
-            gale_dual(s)
-            split_upsilon(direct_sum(unit, s))
-            direct_sum(s, t)
 
-    calls = _standardized(monkeypatch, derive)
-    assert len(calls) >= 3 * len(subjects)
-    for raw, labels, got in calls:
-        assert_same_system(got, from_matrix(raw, labels))
+def standardized_direct_sum(a, b):
+    """The block sum put in standard form by _standardize (the route
+    direct_sum took before it wrote the block diagonal at once)."""
+    if a.N == 0:
+        return b
+    if b.N == 0:
+        return a
+    rows = []
+    for i in range(a.N):
+        rows.append(a.row(i) + (0,) * b.n)
+    for i in range(b.N):
+        rows.append((0,) * a.n + b.row(i))
+    labels = None
+    if a.labels is not None or b.labels is not None:
+        labels = tuple(a.label(i) for i in range(a.N)) + \
+            tuple(b.label(i) for i in range(b.N))
+    return _standardize(IntMatrix.from_rows(rows), labels=labels)
+
+
+def standardized_core(sys):
+    """The unit-free core put in standard form by _standardize (the route
+    split_upsilon took before it renumbered the base of the submatrix)."""
+    unit_cols = [j for j in range(sys.n)
+                 if sum(1 for x in sys.a_matrix.col(j) if x) == 1]
+    drop_rows = {sys.base_rows[j] for j in unit_cols}
+    keep_rows = [i for i in range(sys.N) if i not in drop_rows]
+    keep_cols = [j for j in range(sys.n) if j not in unit_cols]
+    if not keep_cols:
+        return EMPTY_SYSTEM
+    sub = sys.a_matrix.submatrix(keep_rows, keep_cols)
+    labels = tuple(sys.label(i) for i in keep_rows) if sys.labels else None
+    return _standardize(sub, labels=labels)
+
+
+def test_sums_and_cores_match_standardize():
+    """direct_sum and the split_upsilon core equal _standardize of the same
+    rows, on the systems under test and on shuffled sums: sums with unit
+    summands, their rows permuted and sign-flipped, under a unimodular
+    change of base, so that unit rows sit anywhere in the row order."""
+    subjects = _systems_under_test(170817)
+    units = [make("upsilon", m) for m in (1, 2)]
+    sums = [direct_sum(direct_sum(units[i % 2], s), t) for i, (s, t) in
+            enumerate(zip(subjects, subjects[2:] + subjects[:2]))]
+    shuffled = scrambled_copies(random.Random(170820), sums, 40)
+    labelled = [s for s in subjects if s.labels is not None]
+    assert labelled
+    pairs = list(zip(subjects, subjects[1:] + subjects[:1]))
+    pairs += list(zip(shuffled, subjects + labelled + [EMPTY_SYSTEM]))
+    pairs += [(EMPTY_SYSTEM, s) for s in labelled]
+    for a, b in pairs:
+        assert_same_system(direct_sum(a, b), standardized_direct_sum(a, b))
+    cores = 0
+    for s in subjects + sums + shuffled:
+        got = split_upsilon(s).core
+        assert_same_system(got, standardized_core(s))
+        if got.N and got.N < s.N and got.base_rows != tuple(range(got.n)):
+            cores += 1
+    # cores whose base rows are renumbered out of the first positions
+    assert cores >= 20, cores
+
+
+def test_builders_run_no_elimination_and_no_scan(monkeypatch):
+    """graphic_system, cographic_system, direct_sum and the split_upsilon
+    core write their standard forms at once: neither _standardize nor
+    _tu_witness runs, and the graph builders never fall back."""
+    rng = random.Random(170822)
+    graphs_ = [random_multigraph_with_loops(rng) for _ in range(40)]
+    graphs_ += [make("complete", k) for k in range(3, 9)]
+    graphs_ += [make("theta", 3), make("cycle", 5), Multigraph.build(1, [])]
+    subjects = _systems_under_test(170823)
+    unit = make("upsilon", 1)
+    monkeypatch.setattr(systems, "_standardize", _must_not_run)
+    monkeypatch.setattr(systems, "_tu_witness", _must_not_run)
+    monkeypatch.setattr(graphs, "from_matrix", _must_not_run)
+    built = Counter()
+    for g in graphs_:
+        for build in (graphic_system, cographic_system):
+            try:
+                build(g)
+                built[build.__name__] += 1
+            except DegenerateSystemError:
+                pass
+    for s, t in zip(subjects, subjects[1:] + subjects[:1]):
+        assert split_upsilon(direct_sum(unit, s)).s == 1 + split_upsilon(s).s
+        direct_sum(s, t)
+    assert min(built.values()) >= 30, built
 
 
 def test_derived_systems_never_scan(monkeypatch):
@@ -423,7 +584,7 @@ def test_tree_certificate_rejects_a_flipped_sign(rows_of, certificate):
                 bad[i][j] = -x
                 assert not certificate(g, kept, _standardize(bad)), (i, j)
                 assert _outcome(lambda: _tree_certified(
-                    g, bad, kept, certificate)) == _outcome(
+                    g, kept, bad, range(std.n), certificate)) == _outcome(
                     lambda: from_matrix(bad, edge_labels(kept)))
                 flips += 1
     assert flips >= 6
@@ -435,14 +596,14 @@ def test_tree_certificate_needs_a_spanning_tree():
     g = Multigraph.build(2, [(1, 2)] * 3)
     rows, kept = [[1], [-2], [1]], [0, 1, 2]
     assert not _is_cycle_matrix(g, kept, _standardize(rows))
-    got = _outcome(lambda: _tree_certified(g, rows, kept, _is_cycle_matrix))
+    got = _outcome(lambda: _tree_certified(g, kept, rows, [0], _is_cycle_matrix))
     assert got == _outcome(lambda: from_matrix(rows, edge_labels(kept)))
     assert got[3] == -2
     # base edges e1, e2 are parallel: a cycle, and vertex 3 is left out
     g = Multigraph.build(3, [(1, 2), (1, 2), (2, 3)])
     rows = [[1, 0], [0, 1], [1, 1]]
     assert not _is_cut_matrix(g, kept, _standardize(rows))
-    assert_same_system(_tree_certified(g, rows, kept, _is_cut_matrix),
+    assert_same_system(_tree_certified(g, kept, rows, [0, 1], _is_cut_matrix),
                        from_matrix(rows, edge_labels(kept)))
 
 
@@ -640,11 +801,12 @@ def contraction_stabilize(g):
         changed = True
 
 
-def _system_from(rows_of, certificate):
-    """The graph system as the parent route built it from rows_of."""
+def _system_from(rows_of):
+    """The graph system as the BFS route built it: rows_of's raw rows, put
+    in standard form by _standardize."""
     def build(g):
         rows, kept = rows_of(g)
-        return _tree_certified(g, rows, kept, certificate)
+        return _standardize(rows, edge_labels(kept))
     return build
 
 
@@ -664,7 +826,7 @@ def _potential_map_cases():
     cases = [random_multigraph_with_loops(rng) for _ in range(200)]
     cases += [make("theta", k) for k in range(2, 13)]
     cases += [make("cycle", k) for k in range(3, 13)]
-    cases += [make("complete", k) for k in range(3, 9)]
+    cases += [make("complete", k) for k in range(3, 10)]
     return cases + [
         Multigraph.build(4, [(1, 2), (3, 4), (3, 3)]),  # disconnected
         Multigraph.build(4, [(1, 2), (3, 2), (2, 4)]),  # a tree
@@ -675,8 +837,8 @@ def _potential_map_cases():
 @pytest.mark.parametrize("new,old", [
     (_cycle_rows, walk_cycle_rows),
     (_cut_rows, union_find_cut_rows),
-    (graphic_system, _system_from(walk_cycle_rows, _is_cycle_matrix)),
-    (cographic_system, _system_from(union_find_cut_rows, _is_cut_matrix)),
+    (graphic_system, _system_from(_cycle_rows)),
+    (cographic_system, _system_from(_cut_rows)),
     (bridges, deletion_bridges),
     (stabilize, contraction_stabilize),
 ], ids=["cycle_rows", "cut_rows", "graphic", "cographic", "bridges",
