@@ -61,13 +61,17 @@ def _int(token):
 
 
 def _data_lines(text):
-    out = []
+    """The stripped data lines of text, and the words of each of its
+    '# labels:' comment lines, in one pass."""
+    lines, labels = [], []
     for line in text.splitlines():
         s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        out.append(s)
-    return out
+        if not s.startswith("#"):
+            if s:
+                lines.append(s)
+        elif s[1:].lstrip().startswith("labels:"):
+            labels.append(tuple(s[1:].lstrip()[len("labels:"):].split()))
+    return lines, labels
 
 
 def _unique_keys(pairs):
@@ -106,14 +110,10 @@ def parse_matrix_text(text):
                 raise PreconditionError('"labels" must be a list')
             labels = check_labels(labels, len(rows))
         return [tuple(r) for r in rows], labels
-    labels = None
-    for line in text.splitlines():
-        s = line.strip()
-        if s.startswith("#") and s[1:].lstrip().startswith("labels:"):
-            if labels is not None:
-                raise PreconditionError("more than one '# labels:' line")
-            labels = tuple(s[1:].lstrip()[len("labels:"):].split())
-    lines = _data_lines(text)
+    lines, labels = _data_lines(text)
+    if len(labels) > 1:
+        raise PreconditionError("more than one '# labels:' line")
+    labels = labels[0] if labels else None
     if not lines:
         raise PreconditionError("empty matrix file")
     head = lines[0].split()
@@ -273,7 +273,7 @@ def _records(rows, nl):
 
 def parse_edges_text(text):
     """Parse an edge-list file into a Multigraph."""
-    lines = _data_lines(text)
+    lines, _ = _data_lines(text)
     if not lines:
         raise PreconditionError("empty edge file")
     head = lines[0].split()

@@ -7,20 +7,20 @@ first maximal independent rows in edge order.  By the greedy algorithm,
 for the cut space that base is the first spanning tree in edge order; by
 matroid duality, for the cycle space it is the complement of the first
 spanning tree in reverse edge order (Oxley, Matroid Theory, 1.8 and ch. 2).
-One union-find pass picks the tree.  Potentials p are integrated along it
-from vertex 1 with p[head k] - p[tail k] = e_k on each tree edge k; the
-fundamental-cut row of an edge f is then p[head f] - p[tail f].  On one
-tree the cut rows are [I; Q] up to row order, and the fundamental-cycle
-rows are their Gale partner [-Q^T; I], one unit row per chord: the cut
-space reads the first, on the tree picked forward, and the cycle space the
-second, on the tree picked backward.  Bridges vanish on all cycles and loops vanish on all cuts, and
-those zero rows are omitted.  Such a system is totally unimodular by
-theorem (network matrices, Poincare), so it is certified in O(N n) by
-checking its standard form against a spanning tree of the graph, not by
-the minor scan; a failed certificate falls back to the scan.  A
-disconnected graph is refused with the smallest vertex that vertex 1
-cannot reach.  Also provides spanning-tree enumeration, Laplacians, and
-the delete-loops/contract-bridges stabilization.
+One union-find (_forest) picks the tree.  Potentials p are integrated
+along it from vertex 1 with p[head k] - p[tail k] = e_k on each tree edge
+k; the fundamental-cut row of an edge f is then p[head f] - p[tail f].  On
+one tree the cut rows are [I; Q] up to row order, and the fundamental-
+cycle rows are their Gale partner [-Q^T; I], one unit row per chord: the
+cut space reads the first, on the tree picked forward, and the cycle space
+the second, on the tree picked backward.  Bridges vanish on all cycles and
+loops vanish on all cuts, and those zero rows are omitted.  Such a system
+is totally unimodular by theorem (network matrices, Poincare), so it is
+certified in O(N n), not by the minor scan, against the tree its base rows
+name, which one walk checks to span; a failed certificate falls back to
+the scan.  A disconnected graph is refused with the smallest vertex that
+vertex 1 cannot reach.  Also provides spanning-tree enumeration,
+Laplacians, and the delete-loops/contract-bridges stabilization.
 """
 
 from __future__ import annotations
@@ -85,27 +85,42 @@ def incidence_matrix(g):
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, g.vertex_count)
 
 
-def _components(vertex_count, edges):
-    """Connected components as a vertex -> representative map (union-find)."""
+def _forest(vertex_count, edges, order):
+    """(forest, find): Kruskal over the edge indices in order.
+
+    An edge joins the forest when it joins two of its components, and the
+    pass stops at vertex_count - 1 edges, a spanning tree.  find maps a
+    vertex to the representative of its component.
+    """
     parent = list(range(vertex_count + 1))
+    size = vertex_count - 1
+    forest = []
+    for k in order:
+        if len(forest) == size:
+            break
+        t, h = edges[k]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        if t != h:
+            parent[h] = t
+            forest.append(k)
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
-    for t, h in edges:
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rh] = rt
-    return {v: find(v) for v in range(1, vertex_count + 1)}
+    return forest, find
 
 
 def is_connected(g):
-    """Whether g is connected; fewer than V - 1 edges answer at once."""
-    return (g.edge_count >= g.vertex_count - 1 and
-            len(set(_components(g.vertex_count, g.edges).values())) == 1)
+    """Whether g is connected: its Kruskal forest spans.  Fewer than V - 1
+    edges answer at once."""
+    size = g.vertex_count - 1
+    return g.edge_count >= size and len(
+        _forest(g.vertex_count, g.edges, range(g.edge_count))[0]) == size
 
 
 def loops(g):
@@ -118,22 +133,23 @@ def spanning_trees(g, cap=DEFAULT_CAP):
 
     The spanning trees of a connected graph are the bases of its cographic
     system, whose rows are the non-loop edges in order, so the trees are
-    read off enumerate_bases through the row labels: loops are in no tree,
-    and bridges, unit summands of the system, are in every one.  The label
-    map is increasing, so the trees come out in lexicographic order.  A
-    disconnected graph has none (empty list); a graph with one vertex has
-    exactly the empty tree.  CapError once more than cap trees have been
-    found.
+    read off enumerate_bases, row r being the r-th non-loop edge: loops are
+    in no tree, and bridges, unit summands of the system, are in every one.
+    That map is increasing, so the trees come out in lexicographic order.
+    A disconnected graph has none (empty list), as cographic_system's
+    ConnectivityError says; a graph with one vertex has exactly the empty
+    tree.  CapError once more than cap trees have been found.
     """
-    if not is_connected(g):
-        return []
     too_many = f"spanning-tree enumeration exceeds cap {cap} trees"
     if g.vertex_count == 1:
         if cap < 1:
             raise CapError(too_many)
         return [()]
-    s = cographic_system(g)
-    edge = [int(label[1:]) - 1 for label in s.labels]
+    try:
+        s = cographic_system(g)
+    except ConnectivityError:
+        return []
+    edge = [f for f, (t, h) in enumerate(g.edges) if t != h]
     try:
         bases = enumerate_bases(s, cap)
     except CapError:
@@ -167,42 +183,28 @@ def _unreached(g):
 def _first_tree(g, message, reverse=False):
     """Edge indices, ascending, of the first spanning tree in edge order.
 
-    One union-find pass over the edges, in input order or in reverse: an
-    edge joins the tree when it joins two components of the edges taken
-    so far (Kruskal).  By the greedy algorithm of matroids, this is the
-    first maximal independent edge set of the cycle matroid in that order
-    (Oxley, Matroid Theory, 1.8).  ConnectivityError(message), naming the
-    smallest vertex that vertex 1 cannot reach, when g is disconnected;
-    with fewer than V - 1 edges, that is found before any per-vertex work.
+    Kruskal's forest (_forest) over the edges in input order or in
+    reverse.  By the greedy algorithm of matroids, it is the first maximal
+    independent edge set of the cycle matroid in that order (Oxley,
+    Matroid Theory, 1.8).  ConnectivityError(message), naming the smallest
+    vertex that vertex 1 cannot reach, when g is disconnected; with fewer
+    than V - 1 edges, that is found before any per-vertex work.
     """
-    size = g.vertex_count - 1
-    if g.edge_count < size:
-        raise ConnectivityError(message, vertex=_unreached(g))
-    parent = list(range(g.vertex_count + 1))
-    edges = g.edges
-    tree = []
-    for k in (range(len(edges) - 1, -1, -1) if reverse else range(len(edges))):
-        if len(tree) == size:
-            break
-        t, h = edges[k]
-        while parent[t] != t:
-            parent[t] = t = parent[parent[t]]
-        while parent[h] != h:
-            parent[h] = h = parent[parent[h]]
-        if t != h:
-            parent[h] = t
-            tree.append(k)
-    if len(tree) < size:
-        raise ConnectivityError(message, vertex=_unreached(g))
-    return tree[::-1] if reverse else tree
+    if g.edge_count >= g.vertex_count - 1:
+        order = range(g.edge_count)
+        tree, _ = _forest(g.vertex_count, g.edges,
+                          order[::-1] if reverse else order)
+        if len(tree) == g.vertex_count - 1:
+            return tree[::-1] if reverse else tree
+    raise ConnectivityError(message, vertex=_unreached(g))
 
 
 def _potentials(g, steps):
     """Vertex potentials integrated from vertex 1 along a tree.
 
-    steps maps the edge indices of the tree to vectors of one length; p[1]
-    is zero and p[head k] - p[tail k] = steps[k] on each tree edge k.  A
-    vertex the tree does not reach gets no potential.
+    steps maps edge indices to vectors of one length; p[1] is zero and
+    p[head k] - p[tail k] = steps[k] on each edge k the walk takes, all of
+    them on a tree.  A vertex the walk does not reach gets no potential.
     """
     around = [[] for _ in range(g.vertex_count + 1)]
     for k, step in steps.items():
@@ -260,26 +262,21 @@ def bridges(g):
     return _bridges(g, "bridges are defined for connected multigraphs")
 
 
-def _spans_tree(g, tree):
-    """Whether the edge indices in tree form a spanning tree of g."""
-    return len(tree) == g.vertex_count - 1 and is_connected(
-        Multigraph(g.vertex_count, [g.edges[k] for k in tree]))
-
-
 def _is_cycle_matrix(g, kept, sys):
     """Whether sys is the fundamental-cycle matrix of a spanning tree of g.
 
     Row i is edge kept[i].  The tree is every edge but the base-row edges,
-    so it holds the tail-row edges and the edges left out.  Each column,
-    read as an edge vector that is 0 on the edges left out, must be a
-    circulation: zero signed sum at every vertex.  Its base-row entries are
-    those of a unit vector, so it is then the fundamental cycle of its base
-    edge, and sys is [I; network matrix] up to row order: totally
-    unimodular.  O(N n).
+    the tail-row edges and the edges left out: V - 1 edges that a walk
+    from vertex 1 takes to all V vertices.  Each column, read as an edge
+    vector that is 0 on the edges left out, must be a circulation: zero
+    signed sum at every vertex.  Its base-row entries are those of a unit
+    vector, so it is then the fundamental cycle of its base edge, and sys
+    is [I; network matrix] up to row order: totally unimodular.  O(N n).
     """
     base_edges = {kept[r] for r in sys.base_rows}
-    if not _spans_tree(g, [k for k in range(g.edge_count)
-                           if k not in base_edges]):
+    tree = [k for k in range(g.edge_count) if k not in base_edges]
+    if len(tree) != g.vertex_count - 1 or len(
+            _potentials(g, dict.fromkeys(tree, ()))) != g.vertex_count:
         return False
     excess = [[0] * sys.n for _ in range(g.vertex_count + 1)]
     for f, row in zip(kept, sys.a_matrix.row_list()):
@@ -296,18 +293,21 @@ def _is_cut_matrix(g, kept, sys):
     """Whether sys is the fundamental-cut matrix of a spanning tree of g.
 
     Row i is edge kept[i], and the base-row edges must form the tree.  With
-    the base rows as steps, potentials p are integrated along the tree, so
-    that p[head] - p[tail] is the base row of each tree edge; then every
-    row must read p[head] - p[tail] as well.  Each column is then the cut
-    of a unit tree edge, so sys is [I; transposed network matrix] up to row
-    order: totally unimodular.  O(N n).
+    the base rows as steps, potentials p are integrated from vertex 1 along
+    the base edges; they must reach all V vertices, and every row must
+    read p[head] - p[tail].  Then the base edges span: each base row is a
+    potential difference and a distinct unit vector, and round a cycle of
+    base edges the signed differences sum to zero, which distinct unit
+    vectors cannot; so the base edges are acyclic, and they reach every
+    vertex.  Each column is then the cut of a unit tree edge, so sys is
+    [I; transposed network matrix] up to row order: totally unimodular.
+    O(N n).
     """
-    if not _spans_tree(g, [kept[r] for r in sys.base_rows]):
-        return False
     rows = sys.a_matrix.row_list()
     p = _potentials(g, {kept[r]: rows[r] for r in sys.base_rows})
-    return all(row == tuple(map(sub, p[h], p[t]))
-               for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
+    return len(p) == g.vertex_count and all(
+        row == tuple(map(sub, p[h], p[t]))
+        for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
 
 
 def _tree_certified(g, kept, rows, base, certificate):
@@ -417,15 +417,16 @@ def stabilize(g):
     bridges becomes one vertex, numbered by the rank of its smallest
     member.  A tree collapses to the one-vertex graph.  The bridges come
     from the tree graphic_system picks, in the same pass that checks that
-    g is connected.
+    g is connected, and the classes from a union-find over the bridges.
     """
     cur = Multigraph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1]))
     br = set(_bridges(cur, "stabilize needs a connected multigraph"))
     if not br:
         return cur if cur.edge_count < g.edge_count else g
-    comp = _components(g.vertex_count, [cur.edges[i] for i in br])
-    # comp lists the vertices in order, so classes come in order of their minima
-    rank = {r: i for i, r in enumerate(dict.fromkeys(comp.values()), 1)}
+    _, find = _forest(g.vertex_count, cur.edges, br)
+    # vertices in order, so classes come in order of their minima
+    rank = {r: i for i, r in enumerate(
+        dict.fromkeys(map(find, range(1, g.vertex_count + 1))), 1)}
     return Multigraph(len(rank), tuple(
-        (rank[comp[t]], rank[comp[h]])
+        (rank[find(t)], rank[find(h)])
         for i, (t, h) in enumerate(cur.edges) if i not in br))

@@ -581,16 +581,19 @@ def _correspondence_search(a, b, cap):
     t ascending and eps = 1 before -1, and returns None if no assignment
     completes.  Assignments must preserve the exact form pairings (P/d
     matrices), which prunes hard; a complete assignment forces the base
-    change g, and the remaining rows are matched as a multiset.  g is
-    unimodular without a test: a's base rows are unit vectors, so the
-    pairing tests force adj(A^T A) = g adj(B^T B) g^T, and taking
-    determinants with det A^T A = det B^T B > 0 (the prefilter compares
-    the complexities; automorphisms compare a system with itself) gives
-    det(g)^2 = 1.  prefix forces the images of the first len(prefix) base
-    rows; each forced choice still has to pass the same tests.  The tables
-    are built once per pair, so repeated searches share them, and the
-    budget: CapError once more than cap signed images (search nodes) have
-    been assigned.
+    change g.  Then each tail row of a, in order, takes the smallest free
+    b-row equal to its image up to sign, and the first miss fails: the
+    N - n tail rows meet N - n free rows (the targets are distinct), so
+    all find one exactly when the two multisets agree.  g is unimodular
+    without a test: a's base rows are unit vectors, so the pairing tests
+    force adj(A^T A) = g adj(B^T B) g^T, and taking determinants with
+    det A^T A = det B^T B > 0 (the prefilter compares the complexities;
+    automorphisms compare a system with itself) gives det(g)^2 = 1.
+    prefix forces the images of the first len(prefix) base rows; each
+    forced choice still has to pass the same tests.  The tables (pairings,
+    b's rows normalized) are built once per pair, so repeated searches
+    share them, and the budget: CapError once more than cap signed images
+    (search nodes) have been assigned.
     """
     n, N = a.n, a.N
     pa = form_pairing_matrix(a)[0].row_list()
@@ -599,36 +602,31 @@ def _correspondence_search(a, b, cap):
     rest_a = a.tail_rows()
     a_rows = a.a_matrix.row_list()
     b_rows = b.a_matrix.row_list()
+    b_keys = [_normalize_row(r) for r in b_rows]
     targets = [0] * n
     signs = [0] * n
     nodes = 0
 
     def complete():
-        g = IntMatrix.from_rows(
-            [tuple(signs[j] * x for x in b_rows[targets[j]]) for j in range(n)])
+        g = IntMatrix(n, n, tuple(signs[j] * x for j in range(n)
+                                  for x in b_rows[targets[j]]))
         used = set(targets)
         free = {}
         for i in range(N):
             if i not in used:
-                free.setdefault(_normalize_row(b_rows[i]), []).append(i)
-        need = {}
-        images = {}
-        for i in rest_a:
-            w = vecmat(a_rows[i], g)
-            key = _normalize_row(w)
-            images[i] = w
-            need[key] = need.get(key, 0) + 1
-        if need != {key: len(rows) for key, rows in free.items()}:
-            return None
-        # the first witness: smallest free b-row per a-row, ascending
+                free.setdefault(b_keys[i], []).append(i)
         row_map = [None] * N
         sgn = [0] * N
         for j in range(n):
             row_map[ba[j]] = targets[j]
             sgn[ba[j]] = signs[j]
+        # the first witness: smallest free b-row per a-row, ascending
         for i in rest_a:
-            w = images[i]
-            t = free[_normalize_row(w)].pop(0)
+            w = vecmat(a_rows[i], g)
+            match = free.get(_normalize_row(w))
+            if not match:
+                return None
+            t = match.pop(0)
             row_map[i] = t
             sgn[i] = 1 if b_rows[t] == w else -1
         return SignedCorrespondence(tuple(row_map), tuple(sgn), g)

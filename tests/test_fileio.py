@@ -71,6 +71,22 @@ def test_parse_matrix_rejects_malformed(bad):
         parse_matrix_text(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    # the second labels line comes after a bad row, and still wins
+    ("2 1\n# labels: a b\n1\nx\n# labels: c d\n",
+     "more than one '# labels:' line"),
+    ("# labels: a\n2 one\n1\n1\n", 'matrix header must be "N n"'),
+    ("2 1\n1\nx\n# labels: a\n", "non-integer matrix entry in 'x'"),
+    ("2 1\n1\n#labels: a b c\n", "expected 2 matrix rows, found 1"),
+    ("# labels: a\n", "empty matrix file"),
+    ("2 1\n1\n1\n  #  labels: a\n", "labels length must match the row count"),
+])
+def test_matrix_text_errors_come_in_a_fixed_order(text, message):
+    with pytest.raises(PreconditionError) as info:
+        parse_matrix_text(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text", [
     '{"rows": [[1.7, 0], [0, true]]}',
     "2 2\n1_0 0\n0 1\n",

@@ -113,6 +113,7 @@ def test_too_few_edges_fail_before_per_vertex_work():
     g = Multigraph.build(10**9, [(1, 2)])
     start = time.perf_counter()
     assert not is_connected(g)
+    assert spanning_trees(g) == []
     for derive in (bfs_tree, graphic_system, cographic_system, bridges,
                    stabilize):
         with pytest.raises(ConnectivityError):

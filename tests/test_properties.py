@@ -18,8 +18,11 @@ the cycle rows, cut rows, bridges and stabilization read off one
 tree-potential map against the tree walks, union-finds, deletion tests and
 contraction loop they replaced, the graph systems written in standard form
 over the edge-order spanning tree against the raw rows on the BFS tree put
-in standard form by elimination, and the direct sums and unit-free cores
-written without elimination against the same rows standardized.
+in standard form by elimination, the direct sums and unit-free cores
+written without elimination against the same rows standardized, the one
+union-find and the certificates that check their own tree against the
+component map and the spanning check they replaced, and the one-pass
+isomorphism completion against the two-pass one.
 """
 
 import math
@@ -43,7 +46,7 @@ from unimod.errors import (
 )
 from unimod.graphs import (
     Multigraph,
-    _components,
+    _bridges,
     _is_cut_matrix,
     _is_cycle_matrix,
     _potentials,
@@ -851,6 +854,175 @@ def test_potential_map_matches_the_routines_it_replaced(new, old):
 
 
 # ---------------------------------------------------------------------------
+# one union-find, and certificates that check their own tree: the
+# per-vertex component map, and the certificates that asked it whether
+# their tree spans, are the oracles (bodies unchanged but for their names)
+
+
+def _components(vertex_count, edges):
+    """Connected components as a vertex -> representative map (union-find)."""
+    parent = list(range(vertex_count + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, h in edges:
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rh] = rt
+    return {v: find(v) for v in range(1, vertex_count + 1)}
+
+
+def components_connected(g):
+    """Whether g is connected; fewer than V - 1 edges answer at once."""
+    return (g.edge_count >= g.vertex_count - 1 and
+            len(set(_components(g.vertex_count, g.edges).values())) == 1)
+
+
+def components_stabilize(g):
+    """Delete loops, then contract every bridge, classes by _components."""
+    cur = Multigraph(g.vertex_count, tuple(e for e in g.edges if e[0] != e[1]))
+    br = set(_bridges(cur, "stabilize needs a connected multigraph"))
+    if not br:
+        return cur if cur.edge_count < g.edge_count else g
+    comp = _components(g.vertex_count, [cur.edges[i] for i in br])
+    # comp lists the vertices in order, so classes come in order of their minima
+    rank = {r: i for i, r in enumerate(dict.fromkeys(comp.values()), 1)}
+    return Multigraph(len(rank), tuple(
+        (rank[comp[t]], rank[comp[h]])
+        for i, (t, h) in enumerate(cur.edges) if i not in br))
+
+
+def _spans_tree(g, tree):
+    """Whether the edge indices in tree form a spanning tree of g."""
+    return len(tree) == g.vertex_count - 1 and components_connected(
+        Multigraph(g.vertex_count, [g.edges[k] for k in tree]))
+
+
+def spans_tree_cycle_matrix(g, kept, sys):
+    """Whether sys is the fundamental-cycle matrix of a spanning tree of g."""
+    base_edges = {kept[r] for r in sys.base_rows}
+    if not _spans_tree(g, [k for k in range(g.edge_count)
+                           if k not in base_edges]):
+        return False
+    excess = [[0] * sys.n for _ in range(g.vertex_count + 1)]
+    for f, row in zip(kept, sys.a_matrix.row_list()):
+        t, h = g.edges[f]
+        at_t, at_h = excess[t], excess[h]
+        for j, x in enumerate(row):
+            if x:
+                at_h[j] += x
+                at_t[j] -= x
+    return not any(map(any, excess))
+
+
+def spans_tree_cut_matrix(g, kept, sys):
+    """Whether sys is the fundamental-cut matrix of a spanning tree of g."""
+    if not _spans_tree(g, [kept[r] for r in sys.base_rows]):
+        return False
+    rows = sys.a_matrix.row_list()
+    p = _potentials(g, {kept[r]: rows[r] for r in sys.base_rows})
+    return all(row == tuple(map(sub, p[h], p[t]))
+               for row, (t, h) in zip(rows, (g.edges[f] for f in kept)))
+
+
+def test_union_find_matches_the_component_map():
+    rng = random.Random(170825)
+    cases = [random_multigraph_with_loops(rng) for _ in range(200)]
+    cases += [random_forest(rng, rng.randint(3, 9), rng.choice((2, 3)))
+              for _ in range(40)]
+    cases += [random_forest(rng, rng.randint(1, 9), 1) for _ in range(20)]
+    connected = [is_connected(g) for g in cases]
+    assert connected == [components_connected(g) for g in cases]
+    assert connected.count(False) >= 40 and connected.count(True) >= 200
+    contracted = 0
+    for g in cases:
+        got = _graph_result(stabilize, g)
+        assert got == _graph_result(components_stabilize, g), g
+        contracted += isinstance(got, Multigraph) and \
+            got.vertex_count < g.vertex_count
+    assert contracted >= 100
+
+
+def _form(kept, rows, base):
+    """The system of rows over base, labelled by edge, unchecked, as
+    _tree_certified builds it before its certificate."""
+    return UnimodularSystem(len(base), IntMatrix.from_rows(rows), tuple(base),
+                            tuple(edge_labels(kept)))
+
+
+def _perturbed(g, kept, rows, base):
+    """(g, kept, rows, base) cases near a certified form: a base edge
+    swapped for a tail edge, a flipped sign in the tail, and a loop put in
+    for a base edge."""
+    tail = sorted(set(range(len(kept))) - set(base))
+    for r in base:
+        for q in tail:
+            swapped = list(kept)
+            swapped[r], swapped[q] = kept[q], kept[r]
+            yield g, swapped, rows, base
+    for q in tail:
+        for j, x in enumerate(rows[q]):
+            if x:
+                flipped = [list(row) for row in rows]
+                flipped[q][j] = -x
+                yield g, kept, flipped, base
+    with_loop = Multigraph(g.vertex_count, g.edges + ((1, 1),))
+    for r in base:
+        looped = list(kept)
+        looped[r] = g.edge_count
+        yield with_loop, looped, rows, base
+
+
+def _certificate_cases():
+    """(g, kept, rows, base, certificate, oracle) for the graph systems of
+    the potential-map graphs, their perturbations, and bases on a cycle
+    that leaves a vertex out."""
+    pairs = ((graphic_system, _is_cycle_matrix, spans_tree_cycle_matrix),
+             (cographic_system, _is_cut_matrix, spans_tree_cut_matrix))
+    for g in _potential_map_cases():
+        for build, certificate, oracle in pairs:
+            try:
+                s = build(g)
+            except UnimodError:
+                continue
+            kept = [int(label[1:]) - 1 for label in s.labels]
+            rows = s.a_matrix.to_lists()
+            yield g, kept, rows, s.base_rows, certificate, oracle
+            if g.edge_count <= 12:  # the fallback scans the perturbed rows
+                for case in _perturbed(g, kept, rows, s.base_rows):
+                    yield (*case, certificate, oracle)
+    # the base edges e1 e2 e3 are a triangle, and vertex 4 is left out
+    g = Multigraph.build(4, [(1, 2), (2, 3), (3, 1), (3, 4)])
+    yield (g, [0, 1, 2, 3], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]],
+           [0, 1, 2], _is_cut_matrix, spans_tree_cut_matrix)
+    # the non-base edges e1 e2 e3 are a triangle, and vertex 4 is left out
+    g = Multigraph.build(4, [(1, 2), (2, 3), (3, 1), (3, 4), (3, 4)])
+    yield (g, [0, 1, 2, 3, 4], [[0, 0], [0, 0], [0, 0], [1, 0], [0, 1]],
+           [3, 4], _is_cycle_matrix, spans_tree_cycle_matrix)
+    # the same with vertex 4 isolated: the column of e4 is a circulation
+    g = Multigraph.build(4, [(1, 2), (2, 3), (3, 1), (1, 2)])
+    yield g, [0, 3], [[-1], [1]], [1], _is_cycle_matrix, spans_tree_cycle_matrix
+
+
+def test_tree_certificates_match_the_spanning_check():
+    verdicts = Counter()
+    for g, kept, rows, base, certificate, oracle in _certificate_cases():
+        form = _form(kept, rows, base)
+        verdict = certificate(g, kept, form)
+        assert verdict == oracle(g, kept, form), (g, kept, rows, base)
+        verdicts[verdict] += 1
+        if not verdict:
+            assert _outcome(lambda: _tree_certified(
+                g, kept, rows, base, certificate)) == _outcome(
+                lambda: from_matrix(rows, edge_labels(kept)))
+    assert verdicts[True] >= 1000 and verdicts[False] >= 5000, verdicts
+
+
+# ---------------------------------------------------------------------------
 # standardization by one elimination: the route it replaced, a first base
 # by one Hermite rank per row, then the adjugate expansion, is the oracle
 # (bodies unchanged)
@@ -1381,3 +1553,150 @@ def test_isomorphism_witness_matches_enumeration():
             assert corr.row_map == tuple(range(s.N))
         else:
             assert corr == enumerate_correspondences(s, t, count_all=False), s
+
+
+# ---------------------------------------------------------------------------
+# one-pass isomorphism completion: the search whose completion compared the
+# multisets of tail images and free rows first, then walked the tail again
+# to assign them, is the oracle (body unchanged but for the failed list and
+# the pairings read through the systems module, as the search reads them)
+
+
+def two_pass_correspondence_search(a, b, cap, failed=None):
+    """A function first(prefix=()): the first signed correspondence a -> b,
+    each completion matching the tail rows in two passes.  Each completion
+    that fails appends to failed, when given."""
+    n, N = a.n, a.N
+    pa = systems.form_pairing_matrix(a)[0].row_list()
+    pb = systems.form_pairing_matrix(b)[0].row_list()
+    ba = a.base_rows
+    rest_a = a.tail_rows()
+    a_rows = a.a_matrix.row_list()
+    b_rows = b.a_matrix.row_list()
+    targets = [0] * n
+    signs = [0] * n
+    nodes = 0
+
+    def complete():
+        g = IntMatrix.from_rows(
+            [tuple(signs[j] * x for x in b_rows[targets[j]]) for j in range(n)])
+        used = set(targets)
+        free = {}
+        for i in range(N):
+            if i not in used:
+                free.setdefault(_normalize_row(b_rows[i]), []).append(i)
+        need = {}
+        images = {}
+        for i in rest_a:
+            w = vecmat(a_rows[i], g)
+            key = _normalize_row(w)
+            images[i] = w
+            need[key] = need.get(key, 0) + 1
+        if need != {key: len(rows) for key, rows in free.items()}:
+            if failed is not None:
+                failed.append(tuple(zip(targets, signs)))
+            return None
+        # the first witness: smallest free b-row per a-row, ascending
+        row_map = [None] * N
+        sgn = [0] * N
+        for j in range(n):
+            row_map[ba[j]] = targets[j]
+            sgn[ba[j]] = signs[j]
+        for i in rest_a:
+            w = images[i]
+            t = free[_normalize_row(w)].pop(0)
+            row_map[i] = t
+            sgn[i] = 1 if b_rows[t] == w else -1
+        return SignedCorrespondence(tuple(row_map), tuple(sgn), g)
+
+    def first(prefix=(), j=0):
+        nonlocal nodes
+        if j == n:
+            return complete()
+        aj = ba[j]
+        choices = (prefix[j:j + 1] if j < len(prefix)
+                   else [(t, eps) for t in range(N) for eps in (1, -1)])
+        for t, eps in choices:
+            if t in targets[:j] or pb[t][t] != pa[aj][aj]:
+                continue
+            if any(pa[ba[i]][aj] != signs[i] * eps * pb[targets[i]][t]
+                   for i in range(j)):
+                continue
+            nodes += 1
+            if nodes > cap:
+                raise CapError(f"correspondence search exceeds cap {cap} nodes")
+            targets[j] = t
+            signs[j] = eps
+            found = first(prefix, j + 1)
+            if found is not None:
+                return found
+        return None
+
+    return first
+
+
+def _random_graph_systems(rng, count, builds):
+    out = []
+    while len(out) < count:
+        g = random_multigraph_with_loops(rng)
+        for build in builds:
+            try:
+                out.append(build(g))
+            except UnimodError:
+                pass
+    return out[:count]
+
+
+def test_one_pass_completion_matches_two_pass(monkeypatch):
+    rng = random.Random(170826)
+    sweep = [s for _, s in catalog_sweep()]
+    randoms = _random_graph_systems(rng, 30, (graphic_system, cographic_system))
+    pairs = [(s, scrambled_copies(rng, [s], 1)[0]) for s in sweep + randoms]
+    # automorphisms: the level-0 orbit candidates (t, 1), about half of
+    # which have no witness
+    autos = [make("bixby_seymour"), graphic_system(make("complete", 5)),
+             cographic_system(make("complete", 5)),
+             graphic_system(make("theta", 5))]
+    autos += _random_graph_systems(rng, 30, (cographic_system,))
+    found = Counter()
+    for s in autos:
+        one = systems._correspondence_search(s, s, systems.DEFAULT_CAP)
+        two = two_pass_correspondence_search(s, s, systems.DEFAULT_CAP)
+        for t in range(s.N):
+            got = one(((t, 1),))
+            assert got == two(((t, 1),)), (s, t)
+            found[got is None] += 1
+    assert found[True] >= 50 and found[False] >= 50, found
+    got = ([are_isomorphic(s, t) for s, t in pairs],
+           [automorphism_count(s) for s in autos])
+    monkeypatch.setattr(systems, "_correspondence_search",
+                        two_pass_correspondence_search)
+    assert got == ([are_isomorphic(s, t) for s, t in pairs],
+                   [automorphism_count(s) for s in autos])
+    assert all(got[0])
+
+
+def test_completion_misses_as_two_pass_does(monkeypatch):
+    """Completions that fail, which no pair of systems above produced: b is
+    a with one tail row doubled, searched under a's pairings, so every
+    assignment passes the pairing tests as it does for a, and the doubled
+    row matches no image."""
+    pairing = systems.form_pairing_matrix
+    for _, a in catalog_sweep():
+        if a.N == a.n:
+            continue
+        rows = a.a_matrix.to_lists()
+        for r in (a.tail_rows()[0], a.tail_rows()[-1]):
+            doubled = [[2 * x for x in row] if i == r else row
+                       for i, row in enumerate(rows)]
+            b = UnimodularSystem(a.n, IntMatrix.from_rows(doubled),
+                                 a.base_rows, None)
+            monkeypatch.setattr(systems, "form_pairing_matrix",
+                                lambda s: pairing(a))
+            failed = []
+            one = systems._correspondence_search(a, b, systems.DEFAULT_CAP)
+            two = two_pass_correspondence_search(a, b, systems.DEFAULT_CAP,
+                                                 failed)
+            for t in range(a.N):
+                assert one(((t, 1),)) is two(((t, 1),)) is None, (a, t)
+            assert failed, a
