@@ -13,8 +13,12 @@ it is odd.  Every point of L is w = A x for one integer x, and the base rows
 of A are unit vectors, so x = w_B, the point's values on the base forms.  A
 point of D therefore has w_B in {-1,0,1}^n, and an exact census is a search
 over these base coordinates: depth first, cut as soon as some form can no
-longer come back to [-1, 1].  The census is also a complete certificate for
-lattice vectors of square <= 3, all of which lie in D.
+longer come back to [-1, 1].  D is centrally symmetric, so the search
+returns one of each +-pair of nonzero points, those whose first nonzero
+base coordinate is 1; the sorted point list adds the negations and the
+origin, and the vertices, facet sides and census are read off the half
+after the origin.  The census is also a complete certificate for lattice
+vectors of square <= 3, all of which lie in D.
 
 The report stores each fact once: a point is its vector w and its square
 (its coefficients are w at base_rows), a vertex is the vector of a point,
@@ -22,18 +26,19 @@ a facet side is a count, and the square histogram is kept once.
 
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
-whether D equals Z by a closed form on the projection matrix, scaled by a
-single common denominator (the discriminant) so that the verdict takes
-integer comparisons only; False is an exact answer, not a failure of the
-computation, and zonotope_witness names a sign vector that projects
-outside D.
+whether D equals Z by a closed form: exactly when the forms fall into n
+classes of parallel forms, that is when D is a parallelepiped.  False is
+an exact answer, not a failure of the computation, and zonotope_witness
+names a sign vector that projects outside D, read off the projection
+matrix scaled by a single common denominator (the discriminant) so that
+it takes integer comparisons only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -74,16 +79,24 @@ def discriminant(lat):
 
 
 def _box_points(cols, n_rows, cap):
-    """All w = sum_j x_j cols[j] with x in {-1,0,1}^n that lie in the box
-    [-1, 1]^n_rows; CapError once more than cap of them are found.
+    """One of each +-pair of the nonzero w = sum_j x_j cols[j] with x in
+    {-1,0,1}^n that lie in the box [-1, 1]^n_rows: those whose first
+    nonzero x_j is 1.  CapError once the whole count, 2 per pair found plus
+    the origin, exceeds cap; a cap below 1 raises at once.
 
-    Depth first over j.  Choosing x_j moves w only on the support of
-    cols[j]; there a coordinate may stray at most 1 + (its absolute sum
-    over the later columns) and still come back into [-1, 1], so a branch
-    is cut as soon as one strays further.  After a coordinate's last column
-    that bound is 1, so every leaf lies in the box.
+    The box is centrally symmetric, so -w is in it exactly when w is, and
+    x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
+    later coordinates depth first over j.  The columns are those of a TU
+    matrix, so their entries are 0 or +-1.  Choosing x_j moves w only on the
+    support of cols[j]; there a coordinate may stray at most 1 + (its
+    absolute sum over the later columns) and still come back into [-1, 1],
+    so a branch is cut as soon as one strays further.  After a coordinate's
+    last column that bound is 1, so every leaf lies in the box.
     """
     n = len(cols)
+    half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
+    if half_cap < 0:
+        raise CapError(f"point search exceeds cap {cap} points")
     rest = [0] * n_rows
     steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
     for j in range(n - 1, -1, -1):
@@ -98,7 +111,7 @@ def _box_points(cols, n_rows, cap):
     def visit(j):
         if j == n:
             out.append(tuple(w))
-            if len(out) > cap:
+            if len(out) > half_cap:
                 raise CapError(f"point search exceeds cap {cap} points")
             return
         for move in steps[j]:
@@ -113,7 +126,14 @@ def _box_points(cols, n_rows, cap):
             for i, d, _ in move:
                 w[i] -= d
 
-    visit(0)
+    # x_j is the first nonzero coordinate and is 1: w = cols[j] is in the box
+    for j in range(n):
+        lead = steps[j][2]
+        for i, d, _ in lead:
+            w[i] = d
+        visit(j + 1)
+        for i, _, _ in lead:
+            w[i] = 0
     return out
 
 
@@ -135,11 +155,13 @@ def _coefficients(sys, z):
 
 
 def _point_vectors(sys, cap):
-    """The vectors of the lattice points of D, in search order.
+    """One of each +-pair of the nonzero lattice points of D (the vectors),
+    in search order.
 
     Complete by the base-coordinate argument: every point w of D has w_B in
     {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
-    box meets each point once; CapError past cap.
+    box meets each point once, and D = -D; CapError once the whole count
+    exceeds cap (_box_points).
     """
     return _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
                        sys.N, cap)
@@ -151,11 +173,26 @@ def _squares(sys, vectors):
 
 
 def polytope_points(sys, cap=DEFAULT_CAP):
-    """All lattice points of D, sorted lexicographically (_point_vectors,
-    under the same cap)."""
+    """All lattice points of D, sorted lexicographically: the half the
+    search returns (_point_vectors, under the same cap), its negations and
+    the origin.
+
+    Negation reverses the lexicographic order, so the sorted list is
+    symmetric: point k from the end is minus point k, the origin sits in
+    the middle, and the points after it are one of each +-pair (_half).
+    """
     found = _point_vectors(sys, cap)
+    # tuple of a list, not of a map, so that each is allocated at its size
+    found.extend([tuple([-x for x in w]) for w in found])
+    found.append((0,) * sys.N)
     found.sort()
     return tuple(map(PolytopePoint, found, _squares(sys, found)))
+
+
+def _half(pts):
+    """The points after the origin in the symmetric sorted list: one of
+    each +-pair of nonzero points."""
+    return islice(pts, len(pts) // 2 + 1, None)
 
 
 @lru_cache(maxsize=None)
@@ -223,31 +260,39 @@ class FacetPair(NamedTuple):
 
 
 def _vertices_and_facets(sys, pts):
-    """The vertex vectors (in point order) and the facet pairs of D.
+    """The vertex vectors (in point order) and the facet pairs of D, read
+    off the half of the sorted points after the origin (_half).
 
     A point is a vertex when its active rows have GF(2) rank n, so only the
     points of square >= n are candidates, and the verdict depends on the
     support alone: w, -w and every point with the same nonzero pattern
-    share it.  It is taken once per support, keyed by the pattern as bytes;
-    the per-point work (keys, cache hits, facet levels) runs in C loops.
-    Each class reads its levels through the points, one list at a time: a
+    share it.  It is taken on the half, once per support, keyed by the
+    pattern as bytes; the per-point work (keys, cache hits, facet counts)
+    runs in C loops.  The vertices before the origin are the negations of
+    those after it in reverse order; for n = 0 the origin is the vertex.
+    A point lies on the + side of a pair when it is 1 on the rep form, so
+    -w lies on the - side, and each side holds one of each pair nonzero on
+    the rep form: both sides count the half's points (and vertices) that
+    are.  Each class counts them through the half, one class at a time: a
     transposed copy of the points would nearly double the memory they hold.
     """
     n = sys.n
-    vector = itemgetter(0)
-    candidates = list(compress(map(vector, pts),
-                               map(n.__le__, map(itemgetter(1), pts))))
+    half = list(map(itemgetter(0), _half(pts)))
+    candidates = list(compress(half, map(n.__le__,
+                                         map(itemgetter(1), _half(pts)))))
     verdict = lru_cache(maxsize=None)(partial(_is_vertex, _odd_rows(sys), n))
     supports = map(bytes, map(map, repeat(abs), candidates))
-    vertices = tuple(compress(candidates, map(verdict, supports)))
+    upper = tuple(compress(candidates, map(verdict, supports)))
+    lower = tuple([tuple([-x for x in v]) for v in reversed(upper)])
+    middle = (pts[len(pts) // 2].vector,) if n == 0 else ()
     out = []
     for cls in multiplicity_classes(sys):
         side = itemgetter(cls[0])
-        levels = list(map(side, map(vector, pts)))
-        vertex_levels = list(map(side, vertices))
-        out.append(FacetPair(cls[0], cls, levels.count(1), levels.count(-1),
-                             vertex_levels.count(1), vertex_levels.count(-1)))
-    return vertices, tuple(out)
+        on_points = sum(map(abs, map(side, half)))
+        on_vertices = sum(map(abs, map(side, upper)))
+        out.append(FacetPair(cls[0], cls, on_points, on_points,
+                             on_vertices, on_vertices))
+    return lower + middle + upper, tuple(out)
 
 
 def facets(sys, cap=DEFAULT_CAP):
@@ -262,30 +307,54 @@ def facets(sys, cap=DEFAULT_CAP):
 def zonotope_witness(sys):
     """A sign vector whose projection leaves D, or None when D equals Z.
 
-    The projection of s is (P s)/d with P = A adj(A^T A) A^T and
-    d = det(A^T A).  Over s in {-1,1}^N the largest (P s)_i is the absolute
-    sum of row i of P, reached at that row's sign pattern.  So Z lies in D,
-    and D = Z, exactly when no row's absolute sum exceeds d; otherwise the
-    sign pattern of the first row that does (zeros read as +1) projects to
-    a point whose i-th form value is above 1.
+    zonotope_check(sys) == (zonotope_witness(sys) is None).  Only for a
+    "no" is the projection built: the projection of s is (P s)/d with
+    P = A adj(A^T A) A^T and d = det(A^T A).  Over s in {-1,1}^N the
+    largest (P s)_i is the absolute sum of row i of P, reached at that
+    row's sign pattern.  Z lies in D exactly when no row's absolute sum
+    exceeds d, so when D is not Z some row's does, and its sign pattern
+    (zeros read as +1), the first such row's, projects to a point whose
+    i-th form value is above 1.
     """
+    if zonotope_check(sys):
+        return None
     p, d = form_pairing_matrix(sys)
-    for row in p.row_list():
-        if sum(abs(x) for x in row) > d:
-            return tuple(-1 if x < 0 else 1 for x in row)
-    return None
+    return next(tuple(-1 if x < 0 else 1 for x in row) for row in p.row_list()
+                if sum(map(abs, row)) > d)
 
 
 def zonotope_check(sys):
-    """Whether D equals the cube's shadow Z = pi([-1,1]^N).
+    """Whether D equals the cube's shadow Z = pi([-1,1]^N): exactly when
+    the forms fall into n classes of parallel forms (multiplicity_classes),
+    that is when D is a parallelepiped.
 
-    D is always contained in Z, so they are equal exactly when every +-1
-    sign vector projects into D; zonotope_witness decides that in closed
-    form.  The answer is exact either way: False means some sign vector
-    projects strictly outside D, which happens for many unimodular systems
-    (the plane triangle system among them).
+    D is always contained in Z (pi fixes D), so D = Z exactly when Z lies
+    in D.  Write Pi = P/d for the orthogonal projection of R^N onto W, whose
+    rows are the largest form values over Z: Z lies in D exactly when every
+    row of Pi has absolute sum <= 1 (zonotope_witness).
+
+    (<=) The class representatives form a base, and over that base every
+    row is +-e_k.  So Pi is block-diagonal, with entries +-1/k inside a
+    class of k forms, and every row of Pi sums to 1 in absolute value.
+
+    (=>) Assume Z lies in D.  Take a fundamental cocircuit vector c: a
+    column of A B^-1 for some base B, so a point of D whose entries are in
+    {0, +-1}, as the fundamental cocircuits of a totally unimodular matrix
+    are (Schrijver, Theory of Linear and Integer Programming, ch. 19).
+    Take any s in {-1,1}^N that equals c on supp c.  Then
+    <Pi s, c> = <s, c> = |supp c|, while |(Pi s)_i| <= 1 for every i;
+    together these force (Pi s)_i = c_i on supp c, whatever s is off it.
+    So Pi_ij = 0 for every i in supp c and j outside it.  Two forms that
+    are not parallel lie in a common base, and the fundamental cocircuit of
+    one of them with respect to that base avoids the other.  So Pi is
+    block-diagonal on the classes, with rank one per class, and
+    n = rank Pi is the number of classes.
+
+    The answer is exact either way: False means some sign vector projects
+    strictly outside D, which happens for many unimodular systems (the
+    plane triangle system among them).
     """
-    return zonotope_witness(sys) is None
+    return len(multiplicity_classes(sys)) == sys.n
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +403,19 @@ def _census(by_square):
                              min_nonzero_square=next(iter(by_square), None))
 
 
+def _doubled(by_square):
+    """The square histogram of all nonzero points of D from that of one of
+    each +-pair: w and -w have the same square."""
+    return {s: 2 * c for s, c in by_square.items()}
+
+
 def short_vector_census(sys, cap=DEFAULT_CAP):
     """The exact counts of lattice vectors of square 1, 2 and 3, read off
-    the squares of the points of D (_point_vectors, under the same cap),
-    which need no sort."""
-    return _census(_by_square(_squares(sys, _point_vectors(sys, cap))))
+    the squares of one of each +-pair of nonzero points of D
+    (_point_vectors, under the same cap) and doubled; the other half is
+    never built, and nothing is sorted."""
+    squares = _squares(sys, _point_vectors(sys, cap))
+    return _census(_doubled(_by_square(squares)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +518,25 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     """Assemble the full polytope report from one point search.
 
     The points come from one base-coordinate search (polytope_points), under
-    the same cap; the vertices, facet pairs and census are derived from that
-    list in one pass (_vertices_and_facets).  The form matrix mod 2 is taken
-    once, and the vertex verdict (_is_vertex: GF(2) rank, valid because the
-    system is TU) is taken once per support, that is once per nonzero
-    pattern among the points of square >= n, without vertex_test's check
-    that the point lies in D, which the search guarantees.  The list
-    holds every vertex of D: the system was certified totally unimodular
-    when it was built, so by Hoffman-Kruskal (Schrijver, Theory of Linear
-    and Integer Programming, ch. 19) every vertex of
-    D = {w in W : |f_i(w)| <= 1} is integral, a lattice point.  The
-    inequalities |f_i| <= 1 are primitive, so D is reflexive;
-    reflexive_verified further checks that every facet pair has vertices on
-    both sides.  The zonotope flag is zonotope_check's exact verdict on
-    whether D equals the cube's shadow.  Points are (vector, square),
-    vertices are vectors, facet sides are counts, and by_square(), census
-    and to_dict read the one square histogram.
+    the same cap, which finds one of each +-pair; the vertices, facet pairs
+    and census are derived in one pass over the half of the sorted list
+    after the origin (_vertices_and_facets), and the square histogram of
+    that half is doubled.  The form matrix mod 2 is taken once, and the
+    vertex verdict (_is_vertex: GF(2) rank, valid because the system is TU)
+    is taken once per support, that is once per nonzero pattern among the
+    half's points of square >= n, without vertex_test's check that the
+    point lies in D, which the search guarantees.  The list holds every
+    vertex of D: the system was certified totally unimodular when it was
+    built, so by Hoffman-Kruskal (Schrijver, Theory of Linear and Integer
+    Programming, ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is
+    integral, a lattice point.  The inequalities |f_i| <= 1 are primitive,
+    so D is reflexive; reflexive_verified further checks that every facet
+    pair has vertices on both sides.  The zonotope flag is zonotope_check's
+    exact verdict on whether D equals the cube's shadow, a count of the
+    classes of parallel forms: the report never builds the projection
+    matrix.  Points are (vector, square), vertices are vectors, facet sides
+    are counts, and by_square(), census and to_dict read the one square
+    histogram.
     """
     pts = polytope_points(sys, cap=cap)
     vertices, fp = _vertices_and_facets(sys, pts)
@@ -467,6 +547,7 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          square_counts=_by_square(map(itemgetter(1), pts)),
+                          square_counts=_doubled(_by_square(
+                              map(itemgetter(1), _half(pts)))),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

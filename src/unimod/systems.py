@@ -387,7 +387,9 @@ def form_pairing_matrix(sys):
     Returns (P, d) with P = A adj(A^T A) A^T and d = det(A^T A): the matrix
     of inner products of the forms is P/d.  These pairings are invariant
     under signed isomorphism (up to the signs), unlike raw row dot products,
-    and drive both the isomorphism pruning and the zonotope projection.
+    and drive the isomorphism pruning and lattice.zonotope_witness, which
+    reads a sign vector off P only when the zonotope verdict is "no"; the
+    verdict itself is a count of multiplicity_classes.
     """
     a = sys.a_matrix
     return a @ adjugate(gram_matrix(sys)) @ a.transpose(), complexity(sys)

@@ -296,13 +296,9 @@ def _minimal_support_points(vectors):
             if not any(sw < sv for sw in supports.values())}
 
 
-def _shadow_inside_section(s):
-    """Whether Z lies in D, from the projection matrix in Fractions.
-
-    The largest i-th coordinate over Z is max_s <s, pi(e_i)> = |pi(e_i)|_1,
-    so Z is inside D iff every row of A (A^T A)^-1 A^T has absolute sum
-    <= 1.  Gauss-Jordan over Fractions shares no code with the library.
-    """
+def _projection_rows(s):
+    """The rows of the orthogonal projection A (A^T A)^-1 A^T onto the span,
+    in Fractions, by Gauss-Jordan: shares no code with the library."""
     a, n, big_n = s.a_matrix, s.n, s.N
     aug = [[Fraction(sum(a[k, i] * a[k, j] for k in range(big_n)))
             for j in range(n)] + [Fraction(a[k, i]) for k in range(big_n)]
@@ -317,10 +313,18 @@ def _shadow_inside_section(s):
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     # column k of (A^T A)^-1 A^T is aug[.][n + k]; row i of the projection
     # is row i of A times it
-    return all(
-        sum(abs(sum(a[i, t] * aug[t][n + k] for t in range(n)))
-            for k in range(big_n)) <= 1
-        for i in range(big_n))
+    return [[sum(a[i, t] * aug[t][n + k] for t in range(n))
+             for k in range(big_n)] for i in range(big_n)]
+
+
+def _shadow_inside_section(s):
+    """Whether Z lies in D, from the projection matrix in Fractions.
+
+    The largest i-th coordinate over Z is max_s <s, pi(e_i)> = |pi(e_i)|_1,
+    so Z is inside D iff every row of A (A^T A)^-1 A^T has absolute sum
+    <= 1 (_projection_rows).
+    """
+    return all(sum(map(abs, row)) <= 1 for row in _projection_rows(s))
 
 
 def test_criterion_09_projection_and_reflexivity():

@@ -157,6 +157,25 @@ def test_cap_exceeded_exits_3(capsys):
     assert "error:" in out
 
 
+@pytest.mark.parametrize("src, count", [("catalog:bixby_seymour", 73),
+                                        ("graphic complete:5", 219),
+                                        ("catalog:pair2", 9),
+                                        ("catalog:sigma:3", 3)])
+@pytest.mark.parametrize("command", ["polytope", "lattice"])
+def test_cap_boundary_is_the_point_count(command, src, count, tmp_path,
+                                         capsys):
+    if src == "graphic complete:5":
+        src = str(tmp_path / "k5.txt")
+        assert run(["graph", "catalog:complete:5", "--graphic", "-o", src]) == 0
+    for cap in (count - 2, count - 1):
+        assert run([command, src, "--cap", str(cap)]) == 3
+        assert f"exceeds cap {cap} points" in capsys.readouterr().out
+    assert run([command, src, "--cap", str(count)]) == 0
+    out = capsys.readouterr().out
+    if command == "polytope":
+        assert f"points {count}" in payload(out)
+
+
 def test_cap_zero_is_a_cap(capsys):
     # --cap 0 is a budget of no points, bases and search nodes; it does not
     # fall back to the default

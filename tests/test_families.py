@@ -13,7 +13,12 @@ cube [0,1]^k along (1, ..., 1): the lattice zonotope spanned by the k
 vertex stars.  Its points are the 2^k - 2 proper nonempty vertex subsets
 (each a vertex) plus the origin, and its facet pairs are the k(k-1)/2 edge
 forms.  D is nevertheless not the shadow of the cube [-1,1]^N of its
-N = k(k-1)/2 edge forms, so the zonotope flag reads no.
+N = k(k-1)/2 edge forms, so the zonotope flag reads no: D equals that
+shadow exactly when the forms fall into n classes of parallel forms, and
+the k(k-1)/2 edge forms, no two of them parallel, are more than
+n = k - 1 classes.  On the same count the flag reads yes for the
+one-dimensional systems, cographic theta:k and graphic cycle:k, and no for
+graphic theta:k (k classes, n = k - 1) and cographic cycle:k (the same).
 """
 
 from math import comb, factorial
@@ -22,8 +27,10 @@ import pytest
 
 from unimod.catalog import make
 from unimod.graphs import cographic_system, graphic_system
-from unimod.lattice import build_polytope_report, polytope_points, vertex_test
-from unimod.systems import automorphism_count, complexity, gale_dual
+from unimod.lattice import (build_polytope_report, polytope_points,
+                            vertex_test, zonotope_check)
+from unimod.systems import (automorphism_count, complexity, direct_sum,
+                            gale_dual)
 
 
 def central_trinomial(k):
@@ -78,3 +85,15 @@ def test_cycle_complexity(k):
     g = make("cycle", k)
     assert complexity(graphic_system(g)) == k
     assert complexity(cographic_system(g)) == k
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_zonotope_flag_of_theta_and_cycle(k):
+    theta, cycle = make("theta", k), make("cycle", k)
+    pinned = [(cographic_system(theta), True), (graphic_system(cycle), True),
+              (graphic_system(theta), False), (cographic_system(cycle), False)]
+    for s, flag in pinned:
+        assert zonotope_check(s) is flag
+    for a, flag_a in pinned:
+        for b, flag_b in pinned:
+            assert zonotope_check(direct_sum(a, b)) is (flag_a and flag_b)

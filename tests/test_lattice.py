@@ -181,6 +181,30 @@ def test_scan_cap():
         polytope_points(make("bixby_seymour"), cap=8)
 
 
+# every point count is odd: the origin and the pairs +-w
+CAP_PINS = [("bixby_seymour", lambda: make("bixby_seymour"), 73),
+            ("graphic complete:5",
+             lambda: graphic_system(make("complete", 5)), 219),
+            ("pair2", lambda: make("pair2"), 9),
+            ("sigma:3", lambda: make("sigma", 3), 3),
+            ("empty", lambda: EMPTY_SYSTEM, 1)]
+
+
+@pytest.mark.parametrize("build, count", [pin[1:] for pin in CAP_PINS],
+                         ids=[pin[0] for pin in CAP_PINS])
+@pytest.mark.parametrize("routine", [polytope_points, short_vector_census,
+                                     facets, build_polytope_report])
+def test_cap_bounds_the_whole_point_count(routine, build, count):
+    # the search finds one of each pair, yet the cap is on all the points
+    s = build()
+    for cap in (count - 2, count - 1):
+        with pytest.raises(CapError,
+                           match=f"^point search exceeds cap {cap} points$"):
+            routine(s, cap=cap)
+    routine(s, cap=count)
+    assert len(polytope_points(s, cap=count)) == count
+
+
 def test_facet_pairs_segment():
     fp = facets(make("sigma", 3))
     assert len(fp) == 1

@@ -74,6 +74,7 @@ from unimod.intlinalg import (
 from unimod.lattice import (
     FacetPair,
     PolytopePoint,
+    _box_points,
     _coefficients,
     build_polytope_report,
     facets,
@@ -81,6 +82,7 @@ from unimod.lattice import (
     short_vector_census,
     vertex_test,
     zonotope_check,
+    zonotope_witness,
 )
 from unimod.systems import (
     EMPTY_SYSTEM,
@@ -103,6 +105,8 @@ from unimod.systems import (
 )
 
 from test_acceptance import (
+    _projection_rows,
+    _shadow_inside_section,
     adjugate_basic_vertices,
     catalog_sweep,
     combinations_bases,
@@ -1297,9 +1301,40 @@ def _systems_under_test(seed):
     return sweep + scrambled_copies(random.Random(seed), sweep[3:], 12)
 
 
+def random_graph_systems(rng, count):
+    """The graphic and cographic systems of seeded multigraphs with loops,
+    bridges and parallel edges, up to count of them."""
+    out = []
+    while len(out) < count:
+        g = random_multigraph_with_loops(rng)
+        for build in (graphic_system, cographic_system):
+            try:
+                out.append(build(g))
+            except DegenerateSystemError:  # a tree, or one vertex
+                pass
+    return out[:count]
+
+
 def test_points_match_cube_scan():
     for s in _systems_under_test(170810):
         assert polytope_points(s) == cube_scan_polytope_points(s), s
+
+
+def test_half_search_returns_one_of_each_pair():
+    # _box_points returns the nonzero points whose first nonzero base
+    # coordinate is 1; with their negations and the origin they are D
+    subjects = _systems_under_test(170830)
+    subjects += random_graph_systems(random.Random(170831), 60)
+    subjects.append(EMPTY_SYSTEM)
+    for s in subjects:
+        half = _box_points([s.a_matrix.col(j) for j in range(s.n)], s.N,
+                           systems.DEFAULT_CAP)
+        origin = (0,) * s.N
+        negations = [tuple(-x for x in w) for w in half]
+        assert origin not in half, s
+        assert len(set(half + negations)) == 2 * len(half), s
+        assert tuple(sorted(half + negations + [origin])) == tuple(
+            p.vector for p in cube_scan_polytope_points(s)), s
 
 
 def test_walker_visits_each_base_once():
@@ -1403,6 +1438,7 @@ def test_report_vertices_match_vertex_test():
     for k in (5, 6):
         g = make("complete", k)
         systems += [graphic_system(g), cographic_system(g)]
+    systems += random_graph_systems(rng, 60)
     for s in systems:
         rep = build_polytope_report(s)
         vertices, pairs = per_point_vertices_and_facets(s, rep.points)
@@ -1426,6 +1462,42 @@ def test_zonotope_closed_form_matches_sign_scan():
     systems += [s for _, s in catalog_sweep()]
     for s in systems:
         assert zonotope_check(s) == sign_scan_zonotope_check(s), s
+
+
+def verdict_subjects(seed):
+    """Seeded systems for the zonotope verdict: the graphic and cographic
+    systems of random multigraphs with loops, bridges and parallel edges,
+    their Gale duals and unit-free cores, direct sums of pairs of them, and
+    scrambled copies of the sweep."""
+    rng = random.Random(seed)
+    graph_systems = random_graph_systems(rng, 200)
+    derived = [d for s in graph_systems
+               for d in (s, gale_dual(s), split_upsilon(s).core) if d.N]
+    sums = [direct_sum(rng.choice(derived), rng.choice(derived))
+            for _ in range(100)]
+    sweep = [s for _, s in catalog_sweep()]
+    return derived + sums + scrambled_copies(rng, sweep[3:], 60)
+
+
+def test_zonotope_verdict_is_the_class_count():
+    # zonotope_check counts the classes of parallel forms; the oracle sums
+    # the rows of the projection matrix in Fractions, and every "no"
+    # witness must project outside D
+    subjects = verdict_subjects(170832)
+    assert len(subjects) >= 500
+    verdicts = Counter()
+    for s in subjects:
+        verdict = zonotope_check(s)
+        assert verdict == _shadow_inside_section(s), s
+        verdicts[verdict] += 1
+        witness = zonotope_witness(s)
+        assert (witness is None) == verdict, s
+        if witness is not None:
+            assert len(witness) == s.N and set(witness) <= {1, -1}, s
+            image = [sum(p * x for p, x in zip(row, witness))
+                     for row in _projection_rows(s)]
+            assert max(map(abs, image)) > 1, s
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
 
 
 def enumerate_correspondences(a, b, *, count_all):
