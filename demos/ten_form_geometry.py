@@ -32,7 +32,7 @@ def main():
     rep = build_polytope_report(b)
     print(f"\nlattice points of the polytope: {len(rep.points)}"
           f" (origin + {len(rep.points) - 1} in symmetric pairs)")
-    for sq, cnt in rep.by_square().items():
+    for sq, cnt in rep.square_counts.items():
         print(f"  square {sq:2d}: {cnt} points")
     print(f"vertices: {len(rep.vertices)} (the square-10 shell)")
     print(f"facets: {2 * len(rep.facet_pairs)} in {len(rep.facet_pairs)}"
@@ -48,8 +48,8 @@ def main():
 
     lat = lattice_of(b)
     for sq in (4, 6, 10):
-        shell = [p.vector for p in polytope_points(b)
-                 if sum(x * x for x in p.vector) == sq]
+        shell = [v for v in polytope_points(b)
+                 if sum(x * x for x in v) == sq]
         idx = generation_index(lat, shell)
         print(f"sublattice generated by the square-{sq} shell:"
               f" index {idx}")

@@ -18,7 +18,7 @@ from .graphs import (Multigraph, bridges, cographic_system, deleted_laplacian,
                      laplacian, loops, spanning_trees, stabilize)
 from .intlinalg import (IntMatrix, adjugate, determinant, hermite_form,
                         kernel_basis, rank, solve_unimodular, square_minors)
-from .lattice import (FacetPair, LatticeModel, PolytopePoint, PolytopeReport,
+from .lattice import (FacetPair, LatticeModel, PolytopeReport,
                       ShortVectorCensus, build_polytope_report, discriminant,
                       facets, generation_index, lattice_generated_by,
                       lattice_of, polytope_points, short_vector_census,
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapError", "CatalogError", "ConnectivityError", "DegenerateSystemError",
     "DimensionError", "EMPTY_SYSTEM", "FacetPair", "IntMatrix", "LatticeModel",
-    "MembershipError", "Multigraph", "NotUnimodularError", "PolytopePoint",
-    "PolytopeReport", "PreconditionError", "RankError", "ShortVectorCensus",
+    "MembershipError", "Multigraph", "NotUnimodularError", "PolytopeReport",
+    "PreconditionError", "RankError", "ShortVectorCensus",
     "SignedCorrespondence", "UnimodError", "UnimodularSystem", "UpsilonSplit",
     "adjugate", "are_isomorphic", "automorphism_count", "bridges",
     "build_polytope_report", "catalog_entries", "catalog_make",

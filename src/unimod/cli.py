@@ -231,7 +231,7 @@ def _cmd_lattice(args, system):
 def _cmd_polytope(args, system):
     report = build_polytope_report(system, cap=_cap(args))
     lines = ["origin 1"]
-    for sq, cnt in report.by_square().items():
+    for sq, cnt in report.square_counts.items():
         lines.append(f"square {sq} count {cnt}")
     lines += [f"points {len(report.points)}",
               f"vertices {len(report.vertices)}",

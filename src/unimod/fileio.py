@@ -1,7 +1,8 @@
 """Plain-text and JSON input formats.
 
 Matrix files: first non-comment line "N n", then N lines of n signed
-decimal integers ([+-]?[0-9]+); '#' starts a comment line.  A comment of
+decimal integers ([+-]?[0-9]+); '#' starts a comment line.  "0 0" is the
+empty system, and "0 n" with n >= 1 is refused.  A comment of
 the form "# labels: a b c" carries row labels and survives a parse/render
 round trip, so each label must be a nonempty word without whitespace.  A
 JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
@@ -123,6 +124,9 @@ def parse_matrix_text(text):
         nrows, ncols = _int(head[0]), _int(head[1])
     except ValueError:
         raise PreconditionError('matrix header must be "N n"') from None
+    if nrows == 0 and ncols:
+        raise PreconditionError(
+            f'a matrix without rows has the header "0 0", not "0 {ncols}"')
     if len(lines) - 1 != nrows:
         raise PreconditionError(
             f"expected {nrows} matrix rows, found {len(lines) - 1}")

@@ -20,9 +20,10 @@ origin, and the vertices, facet sides and census are read off the half
 after the origin.  The census is also a complete certificate for lattice
 vectors of square <= 3, all of which lie in D.
 
-The report stores each fact once: a point is its vector w and its square
-(its coefficients are w at base_rows), a vertex is the vector of a point,
-a facet side is a count, and the square histogram is kept once.
+The report stores each fact once: a point is its vector w, a plain tuple
+of ints (its square is N minus its count of zeros, its coefficients are w
+at base_rows), a vertex is the vector of a point, a facet side is a
+count, and the square histogram is kept once.
 
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -137,11 +138,6 @@ def _box_points(cols, n_rows, cap):
     return out
 
 
-class PolytopePoint(NamedTuple):
-    vector: tuple  # form values w; the coefficients are w at base_rows
-    square: int    # number of nonzero form values
-
-
 def _coefficients(sys, z):
     """Exact coordinates of a lattice point in the column basis.
 
@@ -173,26 +169,21 @@ def _squares(sys, vectors):
 
 
 def polytope_points(sys, cap=DEFAULT_CAP):
-    """All lattice points of D, sorted lexicographically: the half the
-    search returns (_point_vectors, under the same cap), its negations and
-    the origin.
+    """All lattice points of D as vectors, plain tuples of ints, sorted
+    lexicographically: the half the search returns (_point_vectors, under
+    the same cap), its negations and the origin.
 
     Negation reverses the lexicographic order, so the sorted list is
     symmetric: point k from the end is minus point k, the origin sits in
-    the middle, and the points after it are one of each +-pair (_half).
+    the middle, and the points after it, pts[len(pts) // 2 + 1:], are one
+    of each +-pair.
     """
     found = _point_vectors(sys, cap)
     # tuple of a list, not of a map, so that each is allocated at its size
     found.extend([tuple([-x for x in w]) for w in found])
     found.append((0,) * sys.N)
     found.sort()
-    return tuple(map(PolytopePoint, found, _squares(sys, found)))
-
-
-def _half(pts):
-    """The points after the origin in the symmetric sorted list: one of
-    each +-pair of nonzero points."""
-    return islice(pts, len(pts) // 2 + 1, None)
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)
@@ -259,9 +250,10 @@ class FacetPair(NamedTuple):
     minus_vertex_count: int
 
 
-def _vertices_and_facets(sys, pts):
+def _vertices_and_facets(sys, half, squares):
     """The vertex vectors (in point order) and the facet pairs of D, read
-    off the half of the sorted points after the origin (_half).
+    off the half of the sorted points after the origin (one of each +-pair
+    of nonzero points) and the list of their squares.
 
     A point is a vertex when its active rows have GF(2) rank n, so only the
     points of square >= n are candidates, and the verdict depends on the
@@ -277,14 +269,12 @@ def _vertices_and_facets(sys, pts):
     transposed copy of the points would nearly double the memory they hold.
     """
     n = sys.n
-    half = list(map(itemgetter(0), _half(pts)))
-    candidates = list(compress(half, map(n.__le__,
-                                         map(itemgetter(1), _half(pts)))))
+    candidates = list(compress(half, map(n.__le__, squares)))
     verdict = lru_cache(maxsize=None)(partial(_is_vertex, _odd_rows(sys), n))
     supports = map(bytes, map(map, repeat(abs), candidates))
     upper = tuple(compress(candidates, map(verdict, supports)))
     lower = tuple([tuple([-x for x in v]) for v in reversed(upper)])
-    middle = (pts[len(pts) // 2].vector,) if n == 0 else ()
+    middle = ((0,) * sys.N,) if n == 0 else ()
     out = []
     for cls in multiplicity_classes(sys):
         side = itemgetter(cls[0])
@@ -297,7 +287,9 @@ def _vertices_and_facets(sys, pts):
 
 def facets(sys, cap=DEFAULT_CAP):
     """One facet pair per distinct form (up to sign), with their counts."""
-    return _vertices_and_facets(sys, polytope_points(sys, cap=cap))[1]
+    pts = polytope_points(sys, cap=cap)
+    half = pts[len(pts) // 2 + 1:]
+    return _vertices_and_facets(sys, half, list(_squares(sys, half)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +455,12 @@ def lattice_generated_by(lat, vectors):
 class PolytopeReport(NamedTuple):
     system: UnimodularSystem
     discriminant: int
-    points: tuple          # PolytopePoint per lattice point, sorted
+    points: tuple          # the vector of each lattice point, sorted
     vertices: tuple        # the vectors of the vertices, in point order
     facet_pairs: tuple     # FacetPair per multiplicity class
     square_counts: dict    # nonzero points by square, ascending
     zonotope_verified: bool
     reflexive_verified: bool
-
-    def by_square(self):
-        """Counts of nonzero lattice points by square (origin excluded)."""
-        return self.square_counts
 
     @property
     def census(self):
@@ -481,8 +469,8 @@ class PolytopeReport(NamedTuple):
     def to_dict(self):
         # each point is listed once: vertices index into points, and a facet
         # side is a count, its points being those at level +-1 of rep_row;
-        # a point's coefficients are its vector at the base rows
-        vectors = [p.vector for p in self.points]
+        # a point's square and coefficients are read off its vector
+        vectors = self.points
         base = self.system.base_rows
         if len(base) > 1:
             coefficients = map(list, map(itemgetter(*base), vectors))
@@ -497,11 +485,12 @@ class PolytopeReport(NamedTuple):
             "base_rows": list(base),
             "discriminant": self.discriminant,
             "origin_included": True,
-            "census_by_square": {str(k): v for k, v in self.by_square().items()},
-            "point_count": len(self.points),
-            "points": [{"vector": list(v), "square": p.square,
-                        "coefficients": c}
-                       for v, p, c in zip(vectors, self.points, coefficients)],
+            "census_by_square": {str(k): v for k, v in self.square_counts.items()},
+            "point_count": len(vectors),
+            "points": [{"vector": list(v), "square": s, "coefficients": c}
+                       for v, s, c in zip(vectors,
+                                          _squares(self.system, vectors),
+                                          coefficients)],
             "vertex_count": len(self.vertices),
             "vertices": list(compress(count(), map(
                 set(self.vertices).__contains__, vectors))),
@@ -520,8 +509,9 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     The points come from one base-coordinate search (polytope_points), under
     the same cap, which finds one of each +-pair; the vertices, facet pairs
     and census are derived in one pass over the half of the sorted list
-    after the origin (_vertices_and_facets), and the square histogram of
-    that half is doubled.  The form matrix mod 2 is taken once, and the
+    after the origin (_vertices_and_facets).  The squares of that half are
+    taken once, as a list, which picks the vertex candidates and whose
+    histogram is doubled.  The form matrix mod 2 is taken once, and the
     vertex verdict (_is_vertex: GF(2) rank, valid because the system is TU)
     is taken once per support, that is once per nonzero pattern among the
     half's points of square >= n, without vertex_test's check that the
@@ -534,12 +524,13 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     pair has vertices on both sides.  The zonotope flag is zonotope_check's
     exact verdict on whether D equals the cube's shadow, a count of the
     classes of parallel forms: the report never builds the projection
-    matrix.  Points are (vector, square), vertices are vectors, facet sides
-    are counts, and by_square(), census and to_dict read the one square
-    histogram.
+    matrix.  Points and vertices are vectors, facet sides are counts, and
+    census and to_dict read the one square histogram, square_counts.
     """
     pts = polytope_points(sys, cap=cap)
-    vertices, fp = _vertices_and_facets(sys, pts)
+    half = pts[len(pts) // 2 + 1:]
+    squares = list(_squares(sys, half))
+    vertices, fp = _vertices_and_facets(sys, half, squares)
     reflexive = sys.n == 0 or all(
         f.plus_vertex_count and f.minus_vertex_count for f in fp)
     return PolytopeReport(system=sys,
@@ -547,7 +538,6 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          square_counts=_doubled(_by_square(
-                              map(itemgetter(1), _half(pts)))),
+                          square_counts=_doubled(_by_square(squares)),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

@@ -239,7 +239,9 @@ def _standardize(raw, labels=None):
     rows.  A row for which it does not lies outside the group generated by
     the base, so the maximal subsets generate different groups and the
     input is rejected.  Raw rows must hold plain integers (PreconditionError
-    otherwise, so 1.7 or True is never read as 1).  Two callers: from_matrix,
+    otherwise, so 1.7 or True is never read as 1).  The 0 x 0 matrix gives
+    EMPTY_SYSTEM, the Gale dual of a pure unit block, so that a written
+    dual reads back; rows of width 0 are refused.  Two callers: from_matrix,
     which scans the result, and gale_dual, whose result is totally
     unimodular.  The systems derived otherwise (direct_sum, the
     split_upsilon core, graphs.graphic_system and graphs.cographic_system)
@@ -248,7 +250,7 @@ def _standardize(raw, labels=None):
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
-    if n < 1:
+    if n < 1 and N:
         raise PreconditionError("a system needs at least one coordinate")
     if N < n:
         raise RankError(f"only {N} rows cannot have rank {n}")

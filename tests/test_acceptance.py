@@ -149,7 +149,7 @@ def test_criterion_01_sigma_family():
         for n in range(1, 9):
             s = make("sigma", n)
             assert complexity(s) == n
-            vecs = {p.vector for p in polytope_points(s)}
+            vecs = set(polytope_points(s))
             assert vecs == {(0,) * n, (1,) * n, (-1,) * n}
             rep = build_polytope_report(s)
             assert len(rep.vertices) == 2
@@ -197,15 +197,15 @@ def test_criterion_05_ten_form_golden_report():
         assert corr is not None and corr.verify(gale_dual(r), r)
         rep = build_polytope_report(r)
         assert len(rep.points) == 73
-        assert rep.by_square() == {4: 30, 6: 30, 10: 12}
+        assert rep.square_counts == {4: 30, 6: 30, 10: 12}
         assert len(rep.vertices) == 12
         assert 2 * len(rep.facet_pairs) == 20
         for f in rep.facet_pairs:
             assert f.plus_vertex_count == 6
             assert f.minus_vertex_count == 6
         lat = lattice_of(r)
-        shortest = [p.vector for p in polytope_points(r)
-                    if sum(x * x for x in p.vector) == 4]
+        shortest = [v for v in polytope_points(r)
+                    if sum(x * x for x in v) == 4]
         assert generation_index(lat, shortest) == 1
         census = short_vector_census(r)
         assert census.units() == 0
@@ -349,8 +349,7 @@ def test_criterion_09_projection_and_reflexivity():
             assert all(x in (-1, 0, 1) for u in normals for x in u), (
                 f"{label}: a facet normal of the cube shadow leaves "
                 "{0, +-1}^N")
-            assert normals == _minimal_support_points(
-                p.vector for p in rep.points), (
+            assert normals == _minimal_support_points(rep.points), (
                 f"{label}: facet normals of the cube shadow differ from "
                 "the minimal-support points of the polytope")
             assert rep.zonotope_verified == _shadow_inside_section(s), (

@@ -331,6 +331,26 @@ def test_dual_output_file_round_trips(tmp_path, capsys):
     assert "isomorphic yes" in out
 
 
+def test_empty_dual_reads_back(tmp_path, capsys):
+    # upsilon:2 is a pure unit block, so its Gale dual is the empty system
+    out_file = tmp_path / "e.txt"
+    assert run(["dual", "catalog:upsilon:2", "-o", str(out_file)]) == 0
+    assert payload(out_file.read_text(encoding="utf-8")) == ["0 0"]
+    json_file = tmp_path / "e.json"
+    json_file.write_text('{"rows": []}', encoding="utf-8")
+    capsys.readouterr()
+    for src in (out_file, json_file):
+        for cmd in (["check"], ["complexity", "--enumerate"], ["aut"],
+                    ["lattice"], ["polytope"]):
+            assert run([cmd[0], str(src), *cmd[1:]]) == 0, (src, cmd)
+            out = capsys.readouterr().out
+        assert "points 1" in payload(out)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 3\n", encoding="utf-8")
+    assert run(["check", str(bad)]) == 2
+    assert 'header "0 0"' in capsys.readouterr().out
+
+
 def test_isomorphic_no(capsys):
     rc = run(["isomorphic", "catalog:sigma:3", "catalog:upsilon:3"])
     out = capsys.readouterr().out

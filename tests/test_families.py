@@ -74,7 +74,7 @@ def test_graphic_theta(k):
     assert complexity(s) == k
     points = polytope_points(s)
     assert len(points) == central_trinomial(k)
-    vertices = sum(1 for p in points if vertex_test(s, p.vector))
+    vertices = sum(1 for v in points if vertex_test(s, v))
     half = k // 2
     assert vertices == (comb(k, half) if k % 2 == 0 else k * comb(k - 1, half))
     assert automorphism_count(s) == 2 * factorial(k)

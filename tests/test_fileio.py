@@ -57,6 +57,7 @@ def test_parse_matrix_json_form():
     "1 1\n1_0\n",             # underscore digit grouping
     "1 1\n\u0661\n",          # non-ASCII digit
     "1_0 1\n1\n",             # underscore in the header
+    "0 3\n",                  # no rows but 3 columns
     '{"rows": [[1], [1]], "labels": ["a b", "c"]}',  # label with a space
     '{"rows": [[1], [1]], "labels": ["", "c"]}',     # empty label
     '{"rows": [[1], [1]], "labels": "ab"}',          # labels not a list

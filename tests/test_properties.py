@@ -25,6 +25,7 @@ component map and the spanning check they replaced, and the one-pass
 isomorphism completion against the two-pass one.
 """
 
+import gc
 import math
 import random
 from collections import Counter, deque
@@ -73,7 +74,6 @@ from unimod.intlinalg import (
 )
 from unimod.lattice import (
     FacetPair,
-    PolytopePoint,
     _box_points,
     _coefficients,
     build_polytope_report,
@@ -180,14 +180,14 @@ def test_scan_points_negate_and_reconstruct():
     for _ in range(5):
         s, _ = random_graphic_system(rng)
         pts = polytope_points(s)
-        vecs = {p.vector for p in pts}
+        vecs = set(pts)
         assert {tuple(-x for x in v) for v in vecs} == vecs
         a = s.a_matrix
-        for p in pts:
-            w_b = [p.vector[i] for i in s.base_rows]
+        for v in pts:
+            w_b = [v[i] for i in s.base_rows]
             recon = tuple(sum(a[k, i] * w_b[i] for i in range(s.n))
                           for k in range(s.N))
-            assert recon == p.vector
+            assert recon == v
 
 
 def test_census_total_matches_scan():
@@ -198,8 +198,8 @@ def test_census_total_matches_scan():
         pts = polytope_points(s)
         for sq in (1, 2, 3):
             assert census.counts[sq] == sum(
-                1 for p in pts
-                if sum(x * x for x in p.vector) == sq)
+                1 for v in pts
+                if sum(x * x for x in v) == sq)
 
 
 def test_sign_scrambled_copy_is_isomorphic():
@@ -1053,7 +1053,7 @@ def adjugate_standardize(raw, labels=None):
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
-    if n < 1:
+    if n < 1 and N:
         raise PreconditionError("a system needs at least one coordinate")
     if N < n:
         raise RankError(f"only {N} rows cannot have rank {n}")
@@ -1149,6 +1149,12 @@ def _raw_cases():
         elif t % 16 == 3:
             labels = ["x y"] * len(rows)
         cases.append((rows, labels))
+    # the empty system, with labels of each length up to 3, and 1 to 8
+    # rows of width 0; a 0 x 0 matrix from random_raw_rows ("short" with
+    # n = 1) is the empty system too
+    cases += [([], None)] + [([], [f"x{i}" for i in range(k)])
+                             for k in range(4)]
+    cases += [([()] * k, None) for k in range(1, 9)]
     return cases
 
 
@@ -1223,7 +1229,7 @@ CUBE_SCAN_CAP = 18
 
 
 def cube_scan_polytope_points(sys, cap=CUBE_SCAN_CAP):
-    """All lattice points of D, sorted lexicographically.
+    """All lattice points of D as vectors, sorted lexicographically.
 
     Complete by the cube argument: a point of D has every form value in
     {-1,0,1}, and membership in W is equivalent to orthogonality against a
@@ -1235,7 +1241,7 @@ def cube_scan_polytope_points(sys, cap=CUBE_SCAN_CAP):
     pts = []
     for z in _cube_scan(sys.N, kernel):
         _coefficients(sys, z)  # every scanned point lies in the lattice
-        pts.append(PolytopePoint(vector=z, square=sum(1 for x in z if x)))
+        pts.append(z)
     return tuple(pts)
 
 
@@ -1315,9 +1321,35 @@ def random_graph_systems(rng, count):
     return out[:count]
 
 
+def _is_vector(v, length):
+    return (type(v) is tuple and len(v) == length
+            and all(type(x) is int for x in v))
+
+
 def test_points_match_cube_scan():
     for s in _systems_under_test(170810):
-        assert polytope_points(s) == cube_scan_polytope_points(s), s
+        scanned = cube_scan_polytope_points(s)
+        assert all(_is_vector(v, s.N) for v in scanned), s
+        assert polytope_points(s) == scanned, s
+
+
+def test_points_are_plain_int_tuples():
+    # a point is its vector: an exact tuple of plain ints, not a record
+    systems = [s for _, s in catalog_sweep()]
+    systems += random_graph_systems(random.Random(170840), 40)
+    for s in systems:
+        for pts in (polytope_points(s), build_polytope_report(s).points):
+            assert type(pts) is tuple, s
+            assert all(_is_vector(v, s.N) for v in pts), s
+
+
+def test_report_points_are_not_tracked_by_the_gc():
+    # exact tuples of ints are untracked by a collection, so a full
+    # collection does not walk every point of a large report
+    rep = build_polytope_report(graphic_system(make("complete", 5)))
+    gc.collect()
+    assert len(rep.points) == 219
+    assert not any(map(gc.is_tracked, rep.points))
 
 
 def test_half_search_returns_one_of_each_pair():
@@ -1333,8 +1365,8 @@ def test_half_search_returns_one_of_each_pair():
         negations = [tuple(-x for x in w) for w in half]
         assert origin not in half, s
         assert len(set(half + negations)) == 2 * len(half), s
-        assert tuple(sorted(half + negations + [origin])) == tuple(
-            p.vector for p in cube_scan_polytope_points(s)), s
+        assert tuple(sorted(half + negations + [origin])) == (
+            cube_scan_polytope_points(s)), s
 
 
 def test_walker_visits_each_base_once():
@@ -1407,9 +1439,8 @@ def test_gf2_vertex_test_matches_hermite_rank():
     systems = _systems_under_test(170814)
     systems += [graphic_system(k6), cographic_system(k6), EMPTY_SYSTEM]
     for s in systems:
-        for p in polytope_points(s):
-            assert vertex_test(s, p.vector) == hermite_vertex_test(
-                s, p.vector), (s, p.vector)
+        for v in polytope_points(s):
+            assert vertex_test(s, v) == hermite_vertex_test(s, v), (s, v)
 
 
 def per_point_vertices_and_facets(sys, pts):
@@ -1419,10 +1450,10 @@ def per_point_vertices_and_facets(sys, pts):
     every point and vertex on its rep row; the report instead takes the
     verdict once per support and counts the levels in C loops.
     """
-    vertices = tuple(p.vector for p in pts if vertex_test(sys, p.vector))
+    vertices = tuple(v for v in pts if vertex_test(sys, v))
     pairs = []
     for cls in multiplicity_classes(sys):
-        levels = [p.vector[cls[0]] for p in pts]
+        levels = [v[cls[0]] for v in pts]
         vertex_levels = [v[cls[0]] for v in vertices]
         pairs.append(FacetPair(cls[0], cls, levels.count(1), levels.count(-1),
                                vertex_levels.count(1), vertex_levels.count(-1)))
@@ -1449,8 +1480,8 @@ def test_report_vertices_match_vertex_test():
             # central symmetry: -w is a point (vertex) whenever w is
             assert f.plus_point_count == f.minus_point_count, s
             assert f.plus_vertex_count == f.minus_vertex_count, s
-        squares = [sum(1 for x in p.vector if x) for p in rep.points]
-        assert [p.square for p in rep.points] == squares, s
+        squares = [sum(1 for x in v if x) for v in rep.points]
+        assert [p["square"] for p in rep.to_dict()["points"]] == squares, s
         counts = Counter(squares)
         del counts[0]  # the origin
         assert rep.square_counts == dict(sorted(counts.items())), s
