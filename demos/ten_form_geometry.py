@@ -39,7 +39,7 @@ def main():
           " opposite pairs, one pair per form:")
     for f in rep.facet_pairs:
         print(f"  |form {f.rep_row}| = 1 (rows {list(f.class_rows)}):"
-              f" {f.plus_point_count} points / {f.plus_vertex_count}"
+              f" {f.point_count} points / {f.vertex_count}"
               " vertices per side")
     print(f"every vertex integral, all facet levels 1:"
           f" {rep.reflexive_verified}")

@@ -3,7 +3,8 @@
 System entries are built through the ordinary verification pipeline (never
 trusted blobs); graph entries return multigraphs for the graphic/cographic
 constructors.  References look like "catalog:<name>" or
-"catalog:<name>:<param>".
+"catalog:<name>:<param>".  A parameter whose object would hold more than
+DEFAULT_CAP matrix entries or edges is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 from .errors import CatalogError
 from .fileio import _DECIMAL
 from .graphs import Multigraph
-from .systems import from_matrix
+from .systems import DEFAULT_CAP, from_matrix
 
 # The 10-form rank-5 system of Bixby and Seymour, in its classical 0/1
 # presentation (every maximal minor is 0 or +-2) ...
@@ -46,15 +47,23 @@ _BIXBY_SEYMOUR = (
 )
 
 
+def _bounded(name, entries):
+    if entries > DEFAULT_CAP:
+        raise CatalogError(f"{name} would hold {entries} entries, more than "
+                           f"{DEFAULT_CAP}")
+
+
 def _upsilon(m):
     if m < 1:
         raise CatalogError("upsilon needs m >= 1")
+    _bounded("upsilon", m * m)
     return from_matrix([[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
 
 def _sigma(n):
     if n < 1:
         raise CatalogError("sigma needs N >= 1")
+    _bounded("sigma", n)
     return from_matrix([[1]] * n)
 
 
@@ -69,18 +78,21 @@ def _triangle3(_):
 def _theta(n):
     if n < 2:
         raise CatalogError("theta needs N >= 2 parallel edges")
+    _bounded("theta", n)
     return Multigraph.build(2, [(1, 2)] * n)
 
 
 def _cycle(n):
     if n < 3:
         raise CatalogError("cycle needs N >= 3")
+    _bounded("cycle", n)
     return Multigraph.build(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def _complete(n):
     if n < 2:
         raise CatalogError("complete needs N >= 2")
+    _bounded("complete", n * (n - 1) // 2)
     return Multigraph.build(n, [(i, j) for i in range(1, n + 1)
                                 for j in range(i + 1, n + 1)])
 

@@ -239,8 +239,8 @@ def _cmd_polytope(args, system):
     for f in report.facet_pairs:
         lines.append(
             f"pair rep={f.rep_row} rows={','.join(map(str, f.class_rows))}"
-            f" +side {f.plus_point_count}p/{f.plus_vertex_count}v"
-            f" -side {f.minus_point_count}p/{f.minus_vertex_count}v")
+            f" +side {f.point_count}p/{f.vertex_count}v"
+            f" -side {f.point_count}p/{f.vertex_count}v")
     lines += [f"zonotope {'yes' if report.zonotope_verified else 'no'}",
               f"reflexive {'yes' if report.reflexive_verified else 'no'}"]
     return lines, report.to_dict() if args.json else None

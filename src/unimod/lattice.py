@@ -9,21 +9,19 @@ unimodularity makes its vertices lattice points (Hoffman-Kruskal), so the
 census below holds them all.  A point of D is a vertex when its active
 forms have rank n, and that rank is taken over GF(2), valid because the
 system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
-it is odd.  Every point of L is w = A x for one integer x, and the base rows
-of A are unit vectors, so x = w_B, the point's values on the base forms.  A
-point of D therefore has w_B in {-1,0,1}^n, and an exact census is a search
-over these base coordinates: depth first, cut as soon as some form can no
-longer come back to [-1, 1].  D is centrally symmetric, so the search
-returns one of each +-pair of nonzero points, those whose first nonzero
-base coordinate is 1; the sorted point list adds the negations and the
-origin, and the vertices, facet sides and census are read off the half
-after the origin.  The census is also a complete certificate for lattice
-vectors of square <= 3, all of which lie in D.
+it is odd.  An exact census is a search over the base coordinates of the
+points (_box_points).  D is centrally symmetric, and the module uses that
+once: the search returns one of each +-pair of nonzero points, the sorted
+point list adds the negations and the origin, and the vertices, facet
+pairs and square histogram (_square_counts) are read off the half after
+the origin.  The census is also a complete certificate for lattice vectors
+of square <= 3, all of which lie in D.
 
 The report stores each fact once: a point is its vector w, a plain tuple
 of ints (its square is N minus its count of zeros, its coefficients are w
-at base_rows), a vertex is the vector of a point, a facet side is a
-count, and the square histogram is kept once.
+at base_rows), a vertex is the vector of a point, a facet pair holds one
+point count and one vertex count, each the count on either side (w -> -w
+swaps them), and the square histogram is kept once.
 
 The orthogonal shadow of the cube, Z = pi([-1,1]^N), is a zonotope in W that
 always contains D (pi fixes every point of D).  zonotope_check decides
@@ -79,22 +77,27 @@ def discriminant(lat):
 # points
 
 
-def _box_points(cols, n_rows, cap):
-    """One of each +-pair of the nonzero w = sum_j x_j cols[j] with x in
-    {-1,0,1}^n that lie in the box [-1, 1]^n_rows: those whose first
-    nonzero x_j is 1.  CapError once the whole count, 2 per pair found plus
-    the origin, exceeds cap; a cap below 1 raises at once.
+def _box_points(sys, cap):
+    """One of each +-pair of the nonzero lattice points of D, in search
+    order: those whose first nonzero base coordinate is 1.  CapError once
+    the whole count, 2 per pair found plus the origin, exceeds cap; a cap
+    below 1 raises at once.
 
+    Complete by the base-coordinate argument: a point of L is w = A x for
+    one integer x, and the base rows of A are unit vectors, so x = w_B.
+    Every w in D thus has w_B in {-1,0,1}^n and w = A w_B, so searching x
+    in {-1,0,1}^n with A x in the box [-1, 1]^N meets each point of D once.
     The box is centrally symmetric, so -w is in it exactly when w is, and
     x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
-    later coordinates depth first over j.  The columns are those of a TU
-    matrix, so their entries are 0 or +-1.  Choosing x_j moves w only on the
-    support of cols[j]; there a coordinate may stray at most 1 + (its
+    later coordinates depth first over j.  The columns of A are those of a
+    TU matrix, so their entries are 0 or +-1.  Choosing x_j moves w only on
+    the support of column j; there a coordinate may stray at most 1 + (its
     absolute sum over the later columns) and still come back into [-1, 1],
     so a branch is cut as soon as one strays further.  After a coordinate's
     last column that bound is 1, so every leaf lies in the box.
     """
-    n = len(cols)
+    n, n_rows = sys.n, sys.N
+    cols = [sys.a_matrix.col(j) for j in range(n)]
     half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
     if half_cap < 0:
         raise CapError(f"point search exceeds cap {cap} points")
@@ -150,19 +153,6 @@ def _coefficients(sys, z):
     return c
 
 
-def _point_vectors(sys, cap):
-    """One of each +-pair of the nonzero lattice points of D (the vectors),
-    in search order.
-
-    Complete by the base-coordinate argument: every point w of D has w_B in
-    {-1,0,1}^n and w = A w_B, so searching x in {-1,0,1}^n with A x in the
-    box meets each point once, and D = -D; CapError once the whole count
-    exceeds cap (_box_points).
-    """
-    return _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
-                       sys.N, cap)
-
-
 def _squares(sys, vectors):
     """The squares of the vectors, each N minus its count of zeros."""
     return map(sys.N.__sub__, map(tuple.count, vectors, repeat(0)))
@@ -170,15 +160,15 @@ def _squares(sys, vectors):
 
 def polytope_points(sys, cap=DEFAULT_CAP):
     """All lattice points of D as vectors, plain tuples of ints, sorted
-    lexicographically: the half the search returns (_point_vectors, under
-    the same cap), its negations and the origin.
+    lexicographically: the half the search returns (_box_points, under the
+    same cap), its negations and the origin.
 
     Negation reverses the lexicographic order, so the sorted list is
     symmetric: point k from the end is minus point k, the origin sits in
     the middle, and the points after it, pts[len(pts) // 2 + 1:], are one
     of each +-pair.
     """
-    found = _point_vectors(sys, cap)
+    found = _box_points(sys, cap)
     # tuple of a list, not of a map, so that each is allocated at its size
     found.extend([tuple([-x for x in w]) for w in found])
     found.append((0,) * sys.N)
@@ -186,7 +176,7 @@ def polytope_points(sys, cap=DEFAULT_CAP):
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _odd_rows(sys):
     """The form matrix mod 2: bit j of row i is set when A[i, j] is odd."""
     return tuple(sum(1 << j for j, x in enumerate(sys.row(i)) if x & 1)
@@ -239,15 +229,14 @@ def _is_vertex(rows, n, point):
 
 
 class FacetPair(NamedTuple):
-    """The two opposite facets cut out by one multiplicity class of forms;
-    a side is held as counts, its points being those at level +-1."""
+    """The two opposite facets cut out by one multiplicity class of forms,
+    at levels +1 and -1 of the rep form.  w -> -w swaps the sides, so each
+    count is the count on either side."""
 
-    rep_row: int            # smallest row index of the class
-    class_rows: tuple       # all rows whose form equals the rep's up to sign
-    plus_point_count: int   # lattice points at level +1 of the rep form
-    minus_point_count: int
-    plus_vertex_count: int  # vertices at level +1 of the rep form
-    minus_vertex_count: int
+    rep_row: int       # smallest row index of the class
+    class_rows: tuple  # all rows whose form equals the rep's up to sign
+    point_count: int   # lattice points on each side
+    vertex_count: int  # vertices on each side
 
 
 def _vertices_and_facets(sys, half, squares):
@@ -264,9 +253,10 @@ def _vertices_and_facets(sys, half, squares):
     those after it in reverse order; for n = 0 the origin is the vertex.
     A point lies on the + side of a pair when it is 1 on the rep form, so
     -w lies on the - side, and each side holds one of each pair nonzero on
-    the rep form: both sides count the half's points (and vertices) that
-    are.  Each class counts them through the half, one class at a time: a
-    transposed copy of the points would nearly double the memory they hold.
+    the rep form: either side's count is that of the half's points (and
+    vertices) that are.  Each class counts them through the half, one class
+    at a time: a transposed copy of the points would nearly double the
+    memory they hold.
     """
     n = sys.n
     candidates = list(compress(half, map(n.__le__, squares)))
@@ -280,16 +270,13 @@ def _vertices_and_facets(sys, half, squares):
         side = itemgetter(cls[0])
         on_points = sum(map(abs, map(side, half)))
         on_vertices = sum(map(abs, map(side, upper)))
-        out.append(FacetPair(cls[0], cls, on_points, on_points,
-                             on_vertices, on_vertices))
+        out.append(FacetPair(cls[0], cls, on_points, on_vertices))
     return lower + middle + upper, tuple(out)
 
 
 def facets(sys, cap=DEFAULT_CAP):
     """One facet pair per distinct form (up to sign), with their counts."""
-    pts = polytope_points(sys, cap=cap)
-    half = pts[len(pts) // 2 + 1:]
-    return _vertices_and_facets(sys, half, list(_squares(sys, half)))[1]
+    return build_polytope_report(sys, cap).facet_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +369,24 @@ class ShortVectorCensus(NamedTuple):
         return ">= 4"
 
 
-def _by_square(squares):
-    """Counts of nonzero squares, in ascending square order."""
-    out = Counter(squares)
-    out.pop(0, None)
-    return dict(sorted(out.items()))
-
-
 def _census(by_square):
     """The census read off the square histogram of the points of D."""
     return ShortVectorCensus(counts={s: by_square.get(s, 0) for s in (1, 2, 3)},
                              min_nonzero_square=next(iter(by_square), None))
 
 
-def _doubled(by_square):
-    """The square histogram of all nonzero points of D from that of one of
-    each +-pair: w and -w have the same square."""
-    return {s: 2 * c for s, c in by_square.items()}
+def _square_counts(half_squares):
+    """The square histogram of the nonzero points of D, ascending, from the
+    squares of one of each +-pair: w and -w have the same square."""
+    return {s: 2 * c for s, c in sorted(Counter(half_squares).items())}
 
 
 def short_vector_census(sys, cap=DEFAULT_CAP):
     """The exact counts of lattice vectors of square 1, 2 and 3, read off
-    the squares of one of each +-pair of nonzero points of D
-    (_point_vectors, under the same cap) and doubled; the other half is
-    never built, and nothing is sorted."""
-    squares = _squares(sys, _point_vectors(sys, cap))
-    return _census(_doubled(_by_square(squares)))
+    the squares of one of each +-pair of nonzero points of D (_box_points,
+    under the same cap) through _square_counts; the other half is never
+    built, and nothing is sorted."""
+    return _census(_square_counts(_squares(sys, _box_points(sys, cap))))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +446,8 @@ class PolytopeReport(NamedTuple):
         return _census(self.square_counts)
 
     def to_dict(self):
-        # each point is listed once: vertices index into points, and a facet
-        # side is a count, its points being those at level +-1 of rep_row;
+        # each point is listed once: vertices index into points, and both
+        # sides of a facet pair (levels +-1 of rep_row) take its one count;
         # a point's square and coefficients are read off its vector
         vectors = self.points
         base = self.system.base_rows
@@ -494,7 +473,11 @@ class PolytopeReport(NamedTuple):
             "vertex_count": len(self.vertices),
             "vertices": list(compress(count(), map(
                 set(self.vertices).__contains__, vectors))),
-            "facets": [{**f._asdict(), "class_rows": list(f.class_rows)}
+            "facets": [{"rep_row": f.rep_row, "class_rows": list(f.class_rows),
+                        "plus_point_count": f.point_count,
+                        "minus_point_count": f.point_count,
+                        "plus_vertex_count": f.vertex_count,
+                        "minus_vertex_count": f.vertex_count}
                        for f in self.facet_pairs],
             "min_nonzero_square": census.minimum_summary(),
             "short_vectors": {str(k): v for k, v in census.counts.items()},
@@ -510,9 +493,9 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     the same cap, which finds one of each +-pair; the vertices, facet pairs
     and census are derived in one pass over the half of the sorted list
     after the origin (_vertices_and_facets).  The squares of that half are
-    taken once, as a list, which picks the vertex candidates and whose
-    histogram is doubled.  The form matrix mod 2 is taken once, and the
-    vertex verdict (_is_vertex: GF(2) rank, valid because the system is TU)
+    taken once, as a list, which picks the vertex candidates and feeds the
+    histogram (_square_counts).  The form matrix mod 2 is taken once, and
+    the vertex verdict (_is_vertex: GF(2) rank, valid because the system is TU)
     is taken once per support, that is once per nonzero pattern among the
     half's points of square >= n, without vertex_test's check that the
     point lies in D, which the search guarantees.  The list holds every
@@ -521,23 +504,23 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     Programming, ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is
     integral, a lattice point.  The inequalities |f_i| <= 1 are primitive,
     so D is reflexive; reflexive_verified further checks that every facet
-    pair has vertices on both sides.  The zonotope flag is zonotope_check's
-    exact verdict on whether D equals the cube's shadow, a count of the
-    classes of parallel forms: the report never builds the projection
-    matrix.  Points and vertices are vectors, facet sides are counts, and
+    pair has vertices on its sides (one count serves both, as D = -D).  The
+    zonotope flag is zonotope_check's exact verdict on whether D equals the
+    cube's shadow, a count of the classes of parallel forms: the report
+    never builds the projection matrix.  Points and vertices are vectors, a
+    facet pair holds one point count and one vertex count per side, and
     census and to_dict read the one square histogram, square_counts.
     """
     pts = polytope_points(sys, cap=cap)
     half = pts[len(pts) // 2 + 1:]
     squares = list(_squares(sys, half))
     vertices, fp = _vertices_and_facets(sys, half, squares)
-    reflexive = sys.n == 0 or all(
-        f.plus_vertex_count and f.minus_vertex_count for f in fp)
+    reflexive = sys.n == 0 or all(f.vertex_count for f in fp)
     return PolytopeReport(system=sys,
                           discriminant=complexity(sys),
                           points=pts,
                           vertices=vertices,
                           facet_pairs=fp,
-                          square_counts=_doubled(_by_square(squares)),
+                          square_counts=_square_counts(squares),
                           zonotope_verified=zonotope_check(sys),
                           reflexive_verified=reflexive)

@@ -313,13 +313,13 @@ def from_matrix(raw, labels=None):
 # complexity and bases
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def gram_matrix(sys):
     """Gram matrix A^T A of the stored form matrix."""
     return sys.a_matrix.transpose() @ sys.a_matrix
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def complexity(sys):
     """Number of bases of the system (Cauchy-Binet: det of the Gram matrix)."""
     return determinant(gram_matrix(sys))
@@ -382,7 +382,7 @@ def enumerate_bases(sys, cap=DEFAULT_CAP):
     return sorted(tuple(sorted(b)) for b in bases)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def form_pairing_matrix(sys):
     """Pairings of the forms in the metric the system induces on its span.
 

@@ -201,8 +201,7 @@ def test_criterion_05_ten_form_golden_report():
         assert len(rep.vertices) == 12
         assert 2 * len(rep.facet_pairs) == 20
         for f in rep.facet_pairs:
-            assert f.plus_vertex_count == 6
-            assert f.minus_vertex_count == 6
+            assert f.vertex_count == 6
         lat = lattice_of(r)
         shortest = [v for v in polytope_points(r)
                     if sum(x * x for x in v) == 4]

@@ -36,6 +36,22 @@ def test_make_param_bounds():
         make("pair2", 3)        # parameter refused
 
 
+@pytest.mark.parametrize("name, param", [
+    ("upsilon", 1001),          # m^2 = 1002001 matrix entries
+    ("sigma", 10**6 + 1),
+    ("theta", 10**6 + 1),
+    ("cycle", 10**6 + 1),
+    ("complete", 1415),         # 1000405 edges
+    ("sigma", 99999999999999999999),
+])
+def test_parameter_past_the_size_bound_is_refused(name, param):
+    # refused before anything is allocated: a parameter whose object would
+    # hold more than DEFAULT_CAP entries never reaches a builder's list
+    with pytest.raises(CatalogError, match=f"^{name} would hold .* entries, "
+                                           "more than 1000000$"):
+        make(name, param)
+
+
 def test_parse_reference():
     # splits syntax only; make() is responsible for coercing the parameter
     assert parse_reference("catalog:sigma:4") == ("sigma", "4")

@@ -136,6 +136,16 @@ def test_unknown_catalog_entry_exits_2(capsys):
     assert "error:" in out
 
 
+def test_huge_catalog_parameter_exits_2(capsys):
+    # an input error, refused before the entry is built, not an
+    # OverflowError from allocating it
+    rc = run(["polytope", "catalog:sigma:99999999999999999999"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert ("error: sigma would hold 99999999999999999999 entries, more than"
+            " 1000000") in out
+
+
 def test_kind_mismatch_exits_2(capsys):
     # theta is a graph entry, not a system
     rc = run(["complexity", "catalog:theta:3"])

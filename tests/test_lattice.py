@@ -209,8 +209,7 @@ def test_facet_pairs_segment():
     fp = facets(make("sigma", 3))
     assert len(fp) == 1
     assert fp[0].class_rows == (0, 1, 2)
-    assert fp[0].plus_point_count == fp[0].minus_point_count == 1
-    assert fp[0].plus_vertex_count == fp[0].minus_vertex_count == 1
+    assert fp[0].point_count == fp[0].vertex_count == 1
     rep = build_polytope_report(make("sigma", 3))
     assert [v for v in rep.vertices if v[fp[0].rep_row] == 1] == [(1, 1, 1)]
 

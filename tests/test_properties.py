@@ -73,7 +73,6 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
-    FacetPair,
     _box_points,
     _coefficients,
     build_polytope_report,
@@ -1359,8 +1358,7 @@ def test_half_search_returns_one_of_each_pair():
     subjects += random_graph_systems(random.Random(170831), 60)
     subjects.append(EMPTY_SYSTEM)
     for s in subjects:
-        half = _box_points([s.a_matrix.col(j) for j in range(s.n)], s.N,
-                           systems.DEFAULT_CAP)
+        half = _box_points(s, systems.DEFAULT_CAP)
         origin = (0,) * s.N
         negations = [tuple(-x for x in w) for w in half]
         assert origin not in half, s
@@ -1444,20 +1442,22 @@ def test_gf2_vertex_test_matches_hermite_rank():
 
 
 def per_point_vertices_and_facets(sys, pts):
-    """The vertices and facet pairs of D, derived point by point.
+    """The vertices of D and, per facet pair, its rep row, its class and the
+    point and vertex counts of both sides, derived point by point.
 
     vertex_test runs on every point, and each class lists the level of
     every point and vertex on its rep row; the report instead takes the
-    verdict once per support and counts the levels in C loops.
+    verdict once per support, counts the levels in C loops, and counts
+    one side only, since w -> -w swaps them.
     """
     vertices = tuple(v for v in pts if vertex_test(sys, v))
     pairs = []
     for cls in multiplicity_classes(sys):
         levels = [v[cls[0]] for v in pts]
         vertex_levels = [v[cls[0]] for v in vertices]
-        pairs.append(FacetPair(cls[0], cls, levels.count(1), levels.count(-1),
-                               vertex_levels.count(1), vertex_levels.count(-1)))
-    return vertices, tuple(pairs)
+        pairs.append((cls[0], cls, levels.count(1), levels.count(-1),
+                      vertex_levels.count(1), vertex_levels.count(-1)))
+    return vertices, pairs
 
 
 def test_report_vertices_match_vertex_test():
@@ -1474,12 +1474,14 @@ def test_report_vertices_match_vertex_test():
         rep = build_polytope_report(s)
         vertices, pairs = per_point_vertices_and_facets(s, rep.points)
         assert rep.vertices == vertices, s
-        assert rep.facet_pairs == pairs, s
-        assert facets(s) == rep.facet_pairs, s
-        for f in rep.facet_pairs:
+        assert len(rep.facet_pairs) == len(pairs), s
+        for f, (row, rows, plus, minus, plus_v, minus_v) in zip(
+                rep.facet_pairs, pairs):
+            assert (f.rep_row, f.class_rows) == (row, rows), s
             # central symmetry: -w is a point (vertex) whenever w is
-            assert f.plus_point_count == f.minus_point_count, s
-            assert f.plus_vertex_count == f.minus_vertex_count, s
+            assert f.point_count == plus == minus, s
+            assert f.vertex_count == plus_v == minus_v, s
+        assert facets(s) == rep.facet_pairs, s
         squares = [sum(1 for x in v if x) for v in rep.points]
         assert [p["square"] for p in rep.to_dict()["points"]] == squares, s
         counts = Counter(squares)

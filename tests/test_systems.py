@@ -13,7 +13,7 @@ from unimod.errors import (CapError, DimensionError, NotUnimodularError,
                            PreconditionError, RankError)
 from unimod.graphs import cographic_system, graphic_system
 from unimod.intlinalg import IntMatrix, determinant
-from unimod.lattice import build_polytope_report, lattice_of
+from unimod.lattice import _odd_rows, build_polytope_report, lattice_of
 from unimod.systems import (
     EMPTY_SYSTEM,
     are_isomorphic,
@@ -22,6 +22,7 @@ from unimod.systems import (
     direct_sum,
     enumerate_bases,
     from_matrix,
+    form_pairing_matrix,
     gale_dual,
     gram_matrix,
     multiplicity_classes,
@@ -369,6 +370,17 @@ def test_empty_system_conventions():
 def test_automorphism_cap():
     with pytest.raises(CapError):
         automorphism_count(make("bixby_seymour"), cap=5)
+
+
+def test_module_memos_are_bounded():
+    # each memo keeps the systems it has seen alive, so it holds at most
+    # lru_cache's default of 128 entries, however many systems a session sees
+    memos = (gram_matrix, complexity, form_pairing_matrix, _odd_rows)
+    for k in range(1, 201):
+        s = make("sigma", k)
+        for memo in memos:
+            memo(s)
+    assert all(memo.cache_info().currsize <= 128 for memo in memos)
 
 
 def test_labels_do_not_take_part_in_equality():
