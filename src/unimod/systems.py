@@ -11,21 +11,34 @@ exactly when the row is an integer combination of the base rows, as every
 row of a unimodular system is.  Construction then certifies total
 unimodularity (every square minor in {0, 1, -1}), which is equivalent to
 all maximal independent row subsets generating the same group.
-Certification scans only the minors of the tail block T (the non-base
-rows), expanding them line by line from those of each line set's prefix.
-A minor of T is one of T^t, so the walk goes along the shorter side: the
-rows of T, or its columns when T has more rows than columns.  A rejection
-still names the first bad minor in the order of a scan over every square
-minor, found by walking the rows.  The scan runs on raw matrix input
-only.  Total unimodularity survives transposition, submatrices and block
-sums, so Gale duals, unit-free cores and direct sums of certified systems
-skip it, and graph systems check a spanning-tree certificate instead (see
-graphs).  Only raw input and Gale duals go through the elimination.  Direct
-sums, unit-free cores and graph systems are written straight in the
-standard form it would give them, because their first maximal independent
-rows are known: the operands' bases, block after block; the base left once
-the unit rows (coloops) are deleted; the first spanning tree in edge order,
-or the complement of the first one in reverse edge order.
+Certification looks only at the tail block T (the non-base rows).  It
+first walks the minors of T, expanding them line by line from those of
+each line set's prefix, along the shorter side (a minor of T is one of
+T^t): the rows of T, or its columns when T has more rows than columns.
+That walk meets one minor per base, so it stops after 8 * 2^s of them,
+s the number of lines on the short side.  A T it has not settled by then
+is tested by Ghouila-Houri's theorem instead: T is totally unimodular
+exactly when every subset of its lines has a +-1 signing whose sum lies
+in {0, +-1}^m.  Lines with at most one nonzero entry and lines parallel
+to an earlier one are deleted first, which keeps the verdict: a minor
+through a unit line expands to a smaller minor, and a minor through two
+parallel lines is 0.  The rest splits into connected blocks, and a
+depth-first search over signed sums on each block's short side costs
+about 2^s nodes, however many bases there are.  A rejection still names
+the first bad minor in the order of a scan over every square minor,
+found by walking the rows without a budget.  The search runs only once
+the walk has spent its budget, and has as large a one, so no input costs
+more than 3x the unbudgeted walk.  Certification runs on raw matrix
+input only.  Total unimodularity survives transposition, submatrices and
+block sums, so Gale duals, unit-free cores and direct sums of certified
+systems skip it, and graph systems check a spanning-tree certificate
+instead (see graphs).  Only raw input and Gale duals go through the
+elimination.  Direct sums, unit-free cores and graph systems are written
+straight in the standard form it would give them, because their first
+maximal independent rows are known: the operands' bases, block after
+block; the base left once the unit rows (coloops) are deleted; the first
+spanning tree in edge order, or the complement of the first one in
+reverse edge order.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration by the same walk over the nonzero tail minors as the scan, on
@@ -42,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from math import factorial, prod
+from math import factorial, inf, prod
 from typing import NamedTuple
 
 from .errors import (CapError, DimensionError, NotUnimodularError,
@@ -50,6 +63,8 @@ from .errors import (CapError, DimensionError, NotUnimodularError,
 from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
+# budget of each step of _tu_witness per subset of the tail's short side
+_WORK_PER_SUBSET = 8
 
 
 class UnimodularSystem(NamedTuple):
@@ -158,31 +173,40 @@ def _tail_minors(lines, visit):
     walk(0, (), {0: 1})
 
 
-def _tu_witness(m, base):
-    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
+class _OverBudget(Exception):
+    """A budgeted walk or search of _tu_witness has spent its budget."""
 
-    The order is that of a full scan of m: sizes small to large, then row
-    sets, then column sets, each lexicographic.  A minor through base row
-    e_p is 0 when p is not among its columns and otherwise +- the smaller
-    minor without that row and column.  So every bad minor of the smallest
-    bad size uses tail rows only, and only the minors of the tail block T
-    are walked (_tail_minors).  A tall T (more rows than columns) is first
-    walked along its columns, the shorter side, which stops at the first
-    bad minor; if there is none, m is certified.  Otherwise, and for a
-    square or wide T, T is walked along its rows, in the full scan's order
-    of row sets.  There a row set with a bad minor is not extended, and
-    once a bad minor of size k is found, only smaller sizes are searched,
-    so a later find is strictly smaller and replaces it.  Extended row
-    sets thus hold only 0/+-1 minors.
+
+def _walk_witness(tail, t, width, budget):
+    """First bad minor of the tail block T by the minor walk, or None.
+
+    tail holds T's row indices in m and width is its column count.  A tall
+    T (more rows than columns) is first walked along its columns, the
+    shorter side, which stops at the first bad minor; if there is none, T
+    is certified.  Otherwise, and for a square or wide T, T is walked along
+    its rows, in the full scan's order of row sets.  There a row set with a
+    bad minor is not extended, and once a bad minor of size k is found,
+    only smaller sizes are searched, so a later find is strictly smaller
+    and replaces it.  Extended row sets thus hold only 0/+-1 minors.  The
+    walks take in at most budget nonzero minors between them: the line set
+    that would take them past it raises _OverBudget instead.
     """
-    tail, t = _tail_block(m, base)
-    if len(tail) > m.cols:
+    spent = 0
+
+    def spend(minors):
+        nonlocal spent
+        spent += len(minors)
+        if spent > budget:
+            raise _OverBudget
+
+    if len(tail) > width:
         clean = True
 
         def visit_cols(cs, minors):
             nonlocal clean
+            spend(minors)
             clean = set(minors.values()) <= {1, -1}
-            return m.cols if clean else 0
+            return width if clean else 0
 
         _tail_minors(list(zip(*t)), visit_cols)
         if clean:
@@ -191,14 +215,200 @@ def _tu_witness(m, base):
 
     def visit(rs, minors):
         nonlocal best
+        spend(minors)
         if not set(minors.values()) <= {1, -1}:
-            bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
+            bad = [(tuple(c for c in range(width) if cs >> c & 1), v)
                    for cs, v in minors.items() if v not in (1, -1)]
             best = (tuple(tail[q] for q in rs), *min(bad))
-        return m.cols if best is None else len(best[0]) - 1
+        return width if best is None else len(best[0]) - 1
 
     _tail_minors(t, visit)
     return best
+
+
+def _kept_lines(lines):
+    """Indices of the lines with two nonzero entries or more that are not
+    parallel (equal up to sign) to an earlier kept line; lines holds
+    (index, entries) pairs."""
+    seen = set()
+    kept = []
+    for i, line in lines:
+        key = _normalize_row(line)
+        if len(line) - line.count(0) > 1 and key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
+
+
+def _reduced_blocks(t):
+    """The connected blocks of a 0/+-1 block T, reduced: (rows, cols) pairs.
+
+    Lines (rows and columns) with at most one nonzero entry, and lines
+    parallel up to sign to an earlier line, are deleted on both sides until
+    none are left.  Neither deletion changes whether T is totally
+    unimodular: a minor through a unit line expands along it to +- a
+    smaller minor without it (or is 0), and a minor through two parallel
+    lines is 0, while one through the later line alone is +- one through
+    the earlier.  The rest splits into the connected components of its
+    support (one union-find pass over the nonzero entries, row i as node i
+    and column j as node ~j); T is totally unimodular exactly when each
+    block is, since a square minor of a block sum is 0 or a product of
+    block minors.  Each block lists its rows and columns ascending, as
+    positions in T, and the blocks come in the order of their first rows.
+    """
+    rows = list(range(len(t)))
+    cols = list(range(len(t[0]))) if t else []
+    while True:
+        kept_rows = _kept_lines((i, tuple(t[i][j] for j in cols)) for i in rows)
+        kept_cols = _kept_lines((j, tuple(t[i][j] for i in kept_rows))
+                                for j in cols)
+        if (kept_rows, kept_cols) == (rows, cols):
+            break
+        rows, cols = kept_rows, kept_cols
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i in rows:
+        parent[i] = i
+    for j in cols:
+        parent[~j] = ~j
+    for i in rows:
+        for j in cols:
+            if t[i][j]:
+                parent[find(~j)] = find(i)
+    blocks = {}
+    for i in rows:
+        blocks.setdefault(find(i), ([], []))[0].append(i)
+    for j in cols:
+        blocks[find(~j)][1].append(j)
+    return [(tuple(r), tuple(c)) for r, c in blocks.values()]
+
+
+def _signed_sums(lines, visit):
+    """Depth-first walk over the signed sums of subsets of 0/+-1 lines.
+
+    The walk goes over ascending tuples of line positions, each line signed
+    +1 or -1 but the first, which is +1 (negating a whole signing negates
+    its sum).  The running sum w is cut as soon as a coordinate the last
+    line moves strays beyond 1 plus its absolute sum over the later lines,
+    the cut of lattice._box_points: from there no later line can bring it
+    back into [-1, 1].  visit(mask, balanced) is called on every signed
+    subset that is not cut, mask the bitmask of its line positions and
+    balanced whether its sum lies in {0, +-1}^m.
+    """
+    width = len(lines[0])
+    rest = [0] * width
+    steps = [()] * len(lines)  # per line: (coordinate, entry, bound)
+    for t in range(len(lines) - 1, -1, -1):
+        support = [(i, x, 1 + rest[i]) for i, x in enumerate(lines[t]) if x]
+        for i, _, _ in support:
+            rest[i] += 1
+        steps[t] = support
+    w = [0] * width
+    stray = 0  # coordinates of w outside [-1, 1]
+
+    def walk(start, mask):
+        nonlocal stray
+        for t in range(start, len(lines)):
+            grown = mask | 1 << t
+            before = stray
+            for sign in (1, -1) if mask else (1,):
+                inside = True
+                for i, x, b in steps[t]:
+                    old = w[i]
+                    v = w[i] = old + sign * x
+                    stray += (v > 1 or v < -1) - (old > 1 or old < -1)
+                    if v > b or v < -b:
+                        inside = False
+                if inside:
+                    visit(grown, not stray)
+                    walk(t + 1, grown)
+                for i, x, _ in steps[t]:
+                    w[i] -= sign * x
+                stray = before
+
+    walk(0, 0)
+
+
+def _bicolored(t, budget):
+    """Whether the 0/+-1 block T is totally unimodular, by Ghouila-Houri.
+
+    A matrix is totally unimodular exactly when every subset of its rows
+    (or of its columns) has a +-1 signing whose sum lies in {0, +-1}^m
+    (Ghouila-Houri 1962; Schrijver, Theory of Linear and Integer
+    Programming, Thm 19.3).  Each block of _reduced_blocks is tested on its
+    shorter side by _signed_sums, which records every line subset it
+    reaches with a balanced sum; T passes when every nonempty subset of
+    every block is recorded.  About 2^s search nodes for a short side of s
+    lines, however many bases the system has.  _OverBudget once the
+    searches have visited more than budget nodes between them.
+    """
+    spent = 0
+    reached = set()
+
+    def visit(mask, balanced):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise _OverBudget
+        if balanced:
+            reached.add(mask)
+
+    for rows, cols in _reduced_blocks(t):
+        block = [[t[i][j] for j in cols] for i in rows]
+        lines = block if len(rows) <= len(cols) else list(zip(*block))
+        reached.clear()
+        _signed_sums(lines, visit)
+        if len(reached) < (1 << len(lines)) - 1:
+            return False
+    return True
+
+
+def _tu_witness(m, base):
+    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
+
+    The order is that of a full scan of m: sizes small to large, then row
+    sets, then column sets, each lexicographic.  A minor through base row
+    e_p is 0 when p is not among its columns and otherwise +- the smaller
+    minor without that row and column.  So every bad minor of the smallest
+    bad size uses tail rows only, and only the tail block T is examined,
+    in four steps, with a budget of 8 * 2^s units of work for a short side
+    of s = min(rows, columns of T) lines.  (1) An entry outside {0, +-1}:
+    the first one, in row order, is the witness.  This comes first, as the
+    deletions of step 3 keep the verdict only on 0/+-1 entries.  (2) The
+    minor walk (_walk_witness), stopped once it has met the budget's count
+    of nonzero minors; if it finishes, its answer is the answer.  A totally
+    unimodular T meets one nonzero minor per base but the standard one, so
+    every system with at most the budget's count of bases finishes here.
+    (3) Otherwise the Ghouila-Houri search (_bicolored: every subset of
+    lines has a signing summing into {0, +-1}^m, after the deletions of
+    unit and parallel lines in _reduced_blocks, which keep the verdict)
+    with a budget of as many search nodes; a pass certifies T.  Its cost
+    does not grow with the number of bases.  (4) If it refutes T or runs over its budget, the walk runs
+    again without a budget and names the first bad minor.  No input costs
+    more than the unbudgeted walk plus two budgets, and step 3 runs only
+    after the walk has spent one, so at most 3x the walk alone.
+    """
+    tail, t = _tail_block(m, base)
+    for q, row in enumerate(t):
+        for c, x in enumerate(row):
+            if x not in (0, 1, -1):
+                return (tail[q],), (c,), x
+    budget = _WORK_PER_SUBSET << min(len(tail), m.cols)
+    try:
+        return _walk_witness(tail, t, m.cols, budget)
+    except _OverBudget:
+        pass
+    try:
+        if _bicolored(t, budget):
+            return None
+    except _OverBudget:
+        pass
+    return _walk_witness(tail, t, m.cols, inf)
 
 
 def check_labels(labels, count):
@@ -278,15 +488,20 @@ def _standardize(raw, labels=None):
 def from_matrix(raw, labels=None):
     """Construct and fully verify a unimodular system from integer row data.
 
-    The rows are put in standard form (see _standardize), which is then
-    certified totally unimodular.  Only the minors of its tail block are
-    scanned, along its shorter side, each minor expanded from its line
-    set's prefix (see _tu_witness), and the witness is the first offending
+    The rows are put in standard form (see _standardize), whose tail block
+    is then certified totally unimodular (see _tu_witness): by a walk over
+    its nonzero minors along its shorter side, stopped after 8 * 2^s
+    minors for a short side of s lines, and past that by Ghouila-Houri's
+    theorem (every subset of lines has a +-1 signing summing into
+    {0, +-1}^m), searched on the short side of each block left once unit
+    and parallel lines are deleted, about 2^s search nodes.  No input costs
+    more than 3x the unbudgeted walk.  The witness is the first offending
     minor in the order of a scan over every square minor (size, then rows,
-    then columns).  The scan is for raw input: systems the library derives
-    from certified ones (graph systems, Gale duals, cores, direct sums) are
-    totally unimodular by construction and skip it.  Scalar presentations collapse: [[2]] is accepted as the
-    unit system, since the single row is a base of the group it generates.
+    then columns).  The check is for raw input: systems the library
+    derives from certified ones (graph systems, Gale duals, cores, direct
+    sums) are totally unimodular by construction and skip it.  Scalar
+    presentations collapse: [[2]] is accepted as the unit system, since
+    the single row is a base of the group it generates.
     A non-TU input is rejected before its labels are checked.  An IntMatrix
     is held to what IntMatrix.from_rows demands of rows: plain int entries
     (PreconditionError) and rows x cols of them (DimensionError).

@@ -6,12 +6,15 @@ agree: tree counts against Gram determinants, duals against cut-space
 derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
 tail-minor total-unimodularity scan (along rows or columns) against a scan
-over every square minor, the base-coordinate point search against the
-cube scan, the bases read off the nonzero tail minors against a scan over
-all row subsets, the spanning trees read off the cographic bases against
-a scan over all edge subsets, the closed-form zonotope verdict against the
-sign-vector scan, the stabilizer-chain automorphism count against the
-search that visits one leaf per automorphism, the GF(2) vertex test
+over every square minor, the certification by Ghouila-Houri bicolorings
+past the walk's budget against the unbudgeted walk, its deletions of unit
+and parallel lines and its block split against the full scan, the
+base-coordinate point search against the cube scan, the bases read off
+the nonzero tail minors against a scan over all row subsets, the
+spanning trees read off the cographic bases against a scan over all edge
+subsets, the closed-form zonotope verdict against the sign-vector scan,
+the stabilizer-chain automorphism count against the search that visits
+one leaf per automorphism, the GF(2) vertex test
 against the Hermite rank of the active rows, the one-pass standardization
 against the first base by Hermite ranks with the adjugate expansion, and
 the cycle rows, cut rows, bridges and stabilization read off one
@@ -29,6 +32,7 @@ import gc
 import math
 import random
 from collections import Counter, deque
+from functools import cache
 from itertools import combinations, product
 from operator import sub
 
@@ -88,7 +92,10 @@ from unimod.systems import (
     SignedCorrespondence,
     UnimodularSystem,
     _normalize_row,
+    _reduced_blocks,
     _standardize,
+    _tail_block,
+    _tail_minors,
     _tu_witness,
     are_isomorphic,
     automorphism_count,
@@ -232,6 +239,25 @@ def full_scan_tu_witness(m):
     return None
 
 
+def plant_bad_cycle(rng, tail, k, last=False):
+    """Overwrite a k x k submatrix of the rows tail (lists) at random rows
+    and columns (among the last k of each if last) with a signed cycle of
+    determinant +-2, all of whose smaller minors are 0/+-1; the other
+    entries of those rows and columns are kept."""
+    height, width = len(tail), len(tail[0])
+    rs = rng.sample(range(height - k, height) if last else range(height), k)
+    cs = rng.sample(range(width - k, width) if last else range(width), k)
+    signs = [rng.choice((1, -1)) for _ in range(2 * k - 1)]
+    # det = (prod of diagonal signs) + (-1)^(k-1) (prod of cycle signs)
+    signs.append(math.prod(signs) * (-1) ** (k - 1))
+    for j in range(k):
+        row = tail[rs[j]]
+        for c in cs:
+            row[c] = 0
+        row[cs[j]] = signs[2 * j]
+        row[cs[(j + 1) % k]] = signs[2 * j + 1]
+
+
 def random_standard_form(rng, max_tail=4):
     """A matrix whose n unit rows sit at random positions, plus base.
 
@@ -246,17 +272,7 @@ def random_standard_form(rng, max_tail=4):
     pool = rng.choice(((-2, -1, 0, 1, 2), (-1, 0, 1), (-1, 0, 0, 0, 1)))
     tail = [[rng.choice(pool) for _ in range(n)] for _ in range(tail_count)]
     if min(n, tail_count) >= 2 and rng.random() < 0.5:
-        k = rng.randint(2, min(n, tail_count))
-        rs, cs = rng.sample(range(tail_count), k), rng.sample(range(n), k)
-        signs = [rng.choice((1, -1)) for _ in range(2 * k - 1)]
-        # det = (prod of diagonal signs) + (-1)^(k-1) (prod of cycle signs)
-        signs.append(math.prod(signs) * (-1) ** (k - 1))
-        for j in range(k):
-            row = tail[rs[j]]
-            for c in cs:
-                row[c] = 0
-            row[cs[j]] = signs[2 * j]
-            row[cs[(j + 1) % k]] = signs[2 * j + 1]
+        plant_bad_cycle(rng, tail, rng.randint(2, min(n, tail_count)))
     base = sorted(rng.sample(range(n + tail_count), n))
     rest = iter(tail)
     rows = [tuple(int(c == base.index(i)) for c in range(n)) if i in base
@@ -288,6 +304,7 @@ def test_tall_tail_scan_matches_full_scan_witness():
         m, base = random_standard_form(rng, max_tail=7)
         want = full_scan_tu_witness(m)
         assert _tu_witness(m, base) == want, (m.to_lists(), base)
+        assert walk_tu_witness(m, base) == want, (m.to_lists(), base)
         tail_count = m.rows - m.cols
         shape = ("tall" if tail_count > m.cols else
                  "square" if tail_count == m.cols else "wide")
@@ -298,6 +315,382 @@ def test_tall_tail_scan_matches_full_scan_witness():
     # tall tails that pass, and tall ones rejected by minors of every size
     assert sorted(tall_sizes) == [0, 1, 2, 3, 4], tall_sizes
     assert min(tall_sizes.values()) >= 5, tall_sizes
+
+
+# ---------------------------------------------------------------------------
+# certification by Ghouila-Houri bicolorings of the tail's short side: the
+# minor walk that certified every tail before, without a budget, is the
+# oracle (body unchanged)
+
+
+def walk_tu_witness(m, base):
+    """First square minor outside {0,1,-1}: (row_set, col_set, value) or None.
+
+    The order is that of a full scan of m: sizes small to large, then row
+    sets, then column sets, each lexicographic.  A minor through base row
+    e_p is 0 when p is not among its columns and otherwise +- the smaller
+    minor without that row and column.  So every bad minor of the smallest
+    bad size uses tail rows only, and only the minors of the tail block T
+    are walked (_tail_minors).  A tall T (more rows than columns) is first
+    walked along its columns, the shorter side, which stops at the first
+    bad minor; if there is none, m is certified.  Otherwise, and for a
+    square or wide T, T is walked along its rows, in the full scan's order
+    of row sets.  There a row set with a bad minor is not extended, and
+    once a bad minor of size k is found, only smaller sizes are searched,
+    so a later find is strictly smaller and replaces it.  Extended row
+    sets thus hold only 0/+-1 minors.
+    """
+    tail, t = _tail_block(m, base)
+    if len(tail) > m.cols:
+        clean = True
+
+        def visit_cols(cs, minors):
+            nonlocal clean
+            clean = set(minors.values()) <= {1, -1}
+            return m.cols if clean else 0
+
+        _tail_minors(list(zip(*t)), visit_cols)
+        if clean:
+            return None
+    best = None
+
+    def visit(rs, minors):
+        nonlocal best
+        if not set(minors.values()) <= {1, -1}:
+            bad = [(tuple(c for c in range(m.cols) if cs >> c & 1), v)
+                   for cs, v in minors.items() if v not in (1, -1)]
+            best = (tuple(tail[q] for q in rs), *min(bad))
+        return m.cols if best is None else len(best[0]) - 1
+
+    _tail_minors(t, visit)
+    return best
+
+
+def _short_side(m):
+    """Lines on the shorter side of the tail block of a standard form m."""
+    return min(m.rows - m.cols, m.cols)
+
+
+def standard_form(rows):
+    s = _standardize(rows)
+    return s.a_matrix, s.base_rows
+
+
+def _tail_lists(m, base):
+    """The rows of m as lists, and those of its tail block (the same lists)."""
+    rows = m.to_lists()
+    return rows, [rows[i] for i in range(m.rows) if i not in base]
+
+
+def bicoloring_inputs(rng):
+    """Seeded standard forms (m, base) whose tail block has a short side of
+    5 to 9 lines.  Totally unimodular: random graphic and cographic
+    systems, row- and column-shuffled direct sums of sweep systems, and
+    scrambled copies of both.  Each of them again with one tail entry's
+    sign flipped and with a planted bad cycle of size 2 to 5 (never
+    totally unimodular; the flips mostly are not), both at random places
+    and in the last tail row or rows and columns, and with a bad cycle of
+    size 3 or 4 added as a block summand (short side up to 13).  Random
+    dense and sparse 0/+-1 tails."""
+    graph_systems = []
+    while len(graph_systems) < 60:
+        g = random_connected_multigraph(rng, rng.randint(7, 9),
+                                        rng.randint(6, 9))
+        s = rng.choice((graphic_system, cographic_system))(g)
+        if 5 <= _short_side(s.a_matrix) <= 9:
+            graph_systems.append(s)
+    sweep = [s for _, s in catalog_sweep()]
+    sums = []
+    while len(sums) < 25:
+        s = direct_sum(*rng.sample(sweep, 2))
+        if 5 <= _short_side(s.a_matrix) <= 9:
+            cols = rng.sample(range(s.n), s.n)
+            sums.append([[r[j] for j in cols]
+                         for r in rng.sample(s.a_matrix.to_lists(), s.N)])
+    good = [(s.a_matrix, s.base_rows) for s in graph_systems]
+    good += [standard_form(rows) for rows in sums]
+    good += [standard_form(rows)
+             for rows in scrambled_rows(rng, graph_systems, 30)]
+    out = list(good)
+    for m, base in good:
+        # the walks meet late rows and columns late, so a defect there
+        # often outlasts their budget
+        for last in (False, True):
+            rows, tail = _tail_lists(m, base)
+            if last:
+                i = len(tail) - 1
+                j = max(j for j, x in enumerate(tail[i]) if x)
+            else:
+                i, j = rng.choice([(i, j) for i, r in enumerate(tail)
+                                   for j, x in enumerate(r) if x])
+            tail[i][j] = -tail[i][j]
+            out.append((IntMatrix.from_rows(rows), base))
+            rows, tail = _tail_lists(m, base)
+            plant_bad_cycle(rng, tail, rng.randint(2, 5), last)
+            out.append((IntMatrix.from_rows(rows), base))
+        # a bad cycle as a summand, after the rest: no bad minor is smaller
+        _, tail = _tail_lists(m, base)
+        k = rng.randint(3, 4)
+        cycle = [[0] * k for _ in range(k)]
+        plant_bad_cycle(rng, cycle, k)
+        out.append((IntMatrix.from_rows(
+            [_unit(j, m.cols + k) for j in range(m.cols + k)]
+            + [r + [0] * k for r in tail] + [[0] * m.cols + r for r in cycle]),
+            tuple(range(m.cols + k))))
+    for density in (0.2, 0.35, 0.6, 0.9) * 25:
+        n, tail_count = rng.randint(5, 9), rng.randint(5, 14)
+        if rng.random() < 0.5:
+            n, tail_count = tail_count, n
+        tail = [tuple(rng.choice((1, -1)) if rng.random() < density else 0
+                      for _ in range(n)) for _ in range(tail_count)]
+        units = [_unit(j, n) for j in range(n)]
+        out.append((IntMatrix.from_rows(units + tail), tuple(range(n))))
+    return out
+
+
+@cache
+def bicoloring_cases():
+    """(m, base, the oracle's witness) on the seeded bicoloring_inputs."""
+    return [(m, base, walk_tu_witness(m, base))
+            for m, base in bicoloring_inputs(random.Random(170826))]
+
+
+def count_branches(monkeypatch):
+    """Counter of the ways _tu_witness settles its inputs, filled in as it
+    runs: the budgeted walk finishes or runs over its budget, then the
+    bicoloring certifies, refutes or runs over its budget."""
+    seen = Counter()
+    walk, bicolored = systems._walk_witness, systems._bicolored
+
+    def counted_walk(tail, t, width, budget):
+        try:
+            found = walk(tail, t, width, budget)
+        except systems._OverBudget:
+            seen["walk over budget"] += 1
+            raise
+        if budget != math.inf:
+            seen["walk finishes"] += 1
+        return found
+
+    def counted_bicolored(t, budget):
+        try:
+            passed = bicolored(t, budget)
+        except systems._OverBudget:
+            seen["bicoloring over budget"] += 1
+            raise
+        seen["bicoloring certifies" if passed else "bicoloring refutes"] += 1
+        return passed
+
+    monkeypatch.setattr(systems, "_walk_witness", counted_walk)
+    monkeypatch.setattr(systems, "_bicolored", counted_bicolored)
+    return seen
+
+
+@pytest.mark.parametrize("work,branches", [
+    (8, ("walk finishes", "walk over budget", "bicoloring certifies",
+         "bicoloring refutes")),
+    # the search takes at most about 4 * 2^s nodes on these inputs, so its
+    # own overrun shows only under a smaller budget
+    (1, ("bicoloring over budget",)),
+], ids=["budget-8", "budget-1"])
+def test_bicoloring_names_the_minor_walks_witness(monkeypatch, work, branches):
+    """Each of the four steps of _tu_witness settles inputs, and every
+    verdict and witness is the unbudgeted minor walk's."""
+    assert systems._WORK_PER_SUBSET == 8
+    monkeypatch.setattr(systems, "_WORK_PER_SUBSET", work)
+    seen = count_branches(monkeypatch)
+    verdicts = Counter()
+    for m, base, want in bicoloring_cases():
+        assert _tu_witness(m, base) == want, (m.to_lists(), base)
+        verdicts[want is None] += 1
+    assert min(verdicts.values()) >= 200, verdicts
+    assert min(seen[b] for b in branches) >= 20, seen
+
+
+def _block_matrices(t):
+    return [[[t[i][j] for j in cols] for i in rows]
+            for rows, cols in _reduced_blocks(t)]
+
+
+def _is_tu(rows):
+    return full_scan_tu_witness(IntMatrix.from_rows(rows)) is None
+
+
+def _reduced(lines):
+    """Each line has two nonzero entries or more, and none is parallel to
+    another, up to sign."""
+    keys = [_normalize_row(tuple(x)) for x in lines]
+    return (all(len(x) - x.count(0) > 1 for x in keys)
+            and len(set(keys)) == len(keys))
+
+
+def test_reduced_blocks_keep_the_verdict():
+    """Deleting unit and parallel lines and splitting the rest into the
+    connected blocks of its support keeps total unimodularity."""
+    rng = random.Random(170827)
+    graph_tails = []
+    while len(graph_tails) < 60:
+        g = random_connected_multigraph(rng, rng.randint(4, 6),
+                                        rng.randint(2, 5))
+        s = rng.choice((graphic_system, cographic_system))(g)
+        t = _tail_lists(s.a_matrix, s.base_rows)[1]
+        # series-parallel graphs reduce to nothing
+        if max(s.n, s.N - s.n) <= 5 and _reduced_blocks(t):
+            graph_tails.append(t)
+    verdicts = Counter()
+    for _ in range(2000):
+        if rng.random() < 0.3:
+            t = [list(r) for r in rng.choice(graph_tails)]
+        else:
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            pool = rng.choice(((-1, 0, 1), (-1, 0, 0, 0, 1), (-1, 0, 1, 1)))
+            t = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+        r, c = len(t), len(t[0])
+        if min(r, c) >= 2 and rng.random() < 0.5:
+            plant_bad_cycle(rng, t, rng.randint(2, min(r, c)))
+        blocks = _reduced_blocks(t)
+        want = _is_tu(t)
+        assert all(map(_is_tu, _block_matrices(t))) == want, t
+        verdicts[want, bool(blocks)] += 1
+        rows = [i for r, _ in blocks for i in r]
+        cols = [j for _, c in blocks for j in c]
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        for block_rows, block_cols in blocks:
+            block = [[t[i][j] for j in block_cols] for i in block_rows]
+            assert _reduced(block) and _reduced(list(zip(*block))), t
+            # connected, and no nonzero entry leaves it
+            reach, todo = {block_rows[0]}, [block_rows[0]]
+            while todo:
+                i = todo.pop()
+                for j in cols:
+                    assert not t[i][j] or j in block_cols, t
+                    if t[i][j]:
+                        for k in rows:
+                            if t[k][j] and k not in reach:
+                                reach.add(k)
+                                todo.append(k)
+            assert reach == set(block_rows), t
+    # totally unimodular tails with and without a block left, and others
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def riffle(rng, sizes):
+    """A seeded interleaving of parts of the given sizes that keeps the
+    order within each part: position -> (part, index in the part)."""
+    parts = [p for p, k in enumerate(sizes) for _ in range(k)]
+    rng.shuffle(parts)
+    seen = Counter()
+    out = []
+    for p in parts:
+        out.append((p, seen[p]))
+        seen[p] += 1
+    return out
+
+
+def test_riffled_direct_sum_splits_into_its_summands():
+    """The rows and columns of a block sum of tails, interleaved with the
+    order kept within each summand, reduce to the summands' own reduced
+    blocks, line for line."""
+    rng = random.Random(170828)
+    tails = [_tail_block(s.a_matrix, s.base_rows)[1]
+             for _, s in catalog_sweep() if s.N > s.n]
+    split = Counter()
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.5:
+                parts.append(rng.choice(tails))
+            else:
+                r, c = rng.randint(1, 5), rng.randint(1, 5)
+                parts.append([[rng.choice((-1, 0, 1)) for _ in range(c)]
+                              for _ in range(r)])
+        row_of = riffle(rng, [len(t) for t in parts])
+        col_of = riffle(rng, [len(t[0]) for t in parts])
+        t = [[parts[p][i][j] if p == q else 0 for q, j in col_of]
+             for p, i in row_of]
+        got = {(tuple(row_of[i] for i in rows), tuple(col_of[j] for j in cols))
+               for rows, cols in _reduced_blocks(t)}
+        want = {(tuple((p, i) for i in rows), tuple((p, j) for j in cols))
+                for p, part in enumerate(parts)
+                for rows, cols in _reduced_blocks(part)}
+        assert got == want, (parts, row_of, col_of)
+        split[len(want)] += 1
+    assert split.keys() >= {0, 1, 2, 3}, split
+
+
+def _frontier_rows():
+    """Raw rows past the reach of the minor walk: the systems of complete
+    graphs, and three copies of graphic complete:6 summed, rows shuffled."""
+    out = [pytest.param(
+        cographic_system(make("complete", k)).a_matrix.to_lists(),
+        id=f"cographic(complete:{k})") for k in range(8, 13)]
+    out += [pytest.param(
+        graphic_system(make("complete", k)).a_matrix.to_lists(),
+        id=f"graphic(complete:{k})") for k in (8, 9, 10)]
+    k6 = graphic_system(make("complete", 6))
+    rows = direct_sum(direct_sum(k6, k6), k6).a_matrix.to_lists()
+    out.append(pytest.param(random.Random(170829).sample(rows, len(rows)),
+                            id="graphic(complete:6)^3 shuffled"))
+    return out
+
+
+def count_work(monkeypatch):
+    """Counter of the nonzero tail minors the walks take in and of the
+    nodes the signed-sum searches visit, filled in as they run.  The line
+    set whose minors would take a walk past its budget stops it uncounted."""
+    work = Counter()
+    tail_minors, signed_sums = systems._tail_minors, systems._signed_sums
+
+    def counted_minors(lines, visit):
+        def counted(line_set, minors):
+            limit = visit(line_set, minors)
+            work["minors"] += len(minors)
+            return limit
+        tail_minors(lines, counted)
+
+    def counted_sums(lines, visit):
+        def counted(mask, balanced):
+            work["nodes"] += 1
+            visit(mask, balanced)
+        signed_sums(lines, counted)
+
+    monkeypatch.setattr(systems, "_tail_minors", counted_minors)
+    monkeypatch.setattr(systems, "_signed_sums", counted_sums)
+    return work
+
+
+@pytest.mark.parametrize("rows", _frontier_rows())
+def test_certification_work_grows_with_the_short_side(monkeypatch, rows):
+    """Certifying these systems walks at most 8 * 2^s tail minors (s the
+    tail's short side), where the unbudgeted walk meets one per base, and
+    the bicoloring visits at most 4 * 2^s_b nodes per reduced block."""
+    work = count_work(monkeypatch)
+    s = from_matrix(rows)
+    blocks = _reduced_blocks(_tail_block(s.a_matrix, s.base_rows)[1])
+    assert complexity(s) > 8 << _short_side(s.a_matrix)
+    assert work["minors"] <= 8 << _short_side(s.a_matrix), work
+    assert 0 < work["nodes"] <= 4 * sum(1 << min(len(r), len(c))
+                                        for r, c in blocks), work
+
+
+def test_flipped_complete_graph_names_the_walks_witness(monkeypatch):
+    """One sign flipped in the last tail row of graphic complete:8: the walk
+    runs over its budget, the bicoloring refutes, and the unbudgeted walk
+    names the first bad minor."""
+    s = graphic_system(make("complete", 8))
+    rows, tail = _tail_lists(s.a_matrix, s.base_rows)
+    j = next(j for j, x in enumerate(tail[-1]) if x)
+    tail[-1][j] = -tail[-1][j]
+    m = IntMatrix.from_rows(rows)
+    seen = count_branches(monkeypatch)
+    want = walk_tu_witness(m, s.base_rows)
+    assert want is not None
+    assert _tu_witness(m, s.base_rows) == want
+    assert seen == Counter({"walk over budget": 1,
+                            "bicoloring refutes": 1}), seen
+    with pytest.raises(NotUnimodularError) as err:
+        from_matrix(rows)
+    assert (err.value.rows, err.value.cols, err.value.value) == want
 
 
 # ---------------------------------------------------------------------------
