@@ -32,8 +32,8 @@ from typing import NamedTuple
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
                      PreconditionError)
 from .intlinalg import IntMatrix
-from .systems import (DEFAULT_CAP, UnimodularSystem, enumerate_bases,
-                      from_matrix)
+from .systems import (DEFAULT_CAP, UnimodularSystem, _forest,
+                      enumerate_bases, from_matrix)
 
 
 class Multigraph(NamedTuple):
@@ -83,36 +83,6 @@ def incidence_matrix(g):
             row[h - 1] += 1
         rows.append(row)
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, g.vertex_count)
-
-
-def _forest(vertex_count, edges, order):
-    """(forest, find): Kruskal over the edge indices in order.
-
-    An edge joins the forest when it joins two of its components, and the
-    pass stops at vertex_count - 1 edges, a spanning tree.  find maps a
-    vertex to the representative of its component.
-    """
-    parent = list(range(vertex_count + 1))
-    size = vertex_count - 1
-    forest = []
-    for k in order:
-        if len(forest) == size:
-            break
-        t, h = edges[k]
-        while parent[t] != t:
-            parent[t] = t = parent[parent[t]]
-        while parent[h] != h:
-            parent[h] = h = parent[parent[h]]
-        if t != h:
-            parent[h] = t
-            forest.append(k)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    return forest, find
 
 
 def is_connected(g):

@@ -10,7 +10,10 @@ census below holds them all.  A point of D is a vertex when its active
 forms have rank n, and that rank is taken over GF(2), valid because the
 system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
 it is odd.  An exact census is a search over the base coordinates of the
-points (_box_points).  D is centrally symmetric, and the module uses that
+points: the point search systems._box_points over the columns of A,
+which also certifies raw input totally unimodular (Ghouila-Houri's
+criterion, see systems); the argument that it meets every point of D is
+polytope_points'.  D is centrally symmetric, and the module uses that
 once: the search returns one of each +-pair of nonzero points, the sorted
 point list adds the negations and the origin, and the vertices, facet
 pairs and square histogram (_square_counts) are read off the half after
@@ -41,9 +44,9 @@ from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import CapError, MembershipError, PreconditionError
+from .errors import MembershipError, PreconditionError
 from .intlinalg import IntMatrix, hermite_form, kernel_basis, matvec
-from .systems import (DEFAULT_CAP, UnimodularSystem, complexity,
+from .systems import (DEFAULT_CAP, UnimodularSystem, _box_points, complexity,
                       form_pairing_matrix, gram_matrix, multiplicity_classes)
 
 
@@ -77,70 +80,6 @@ def discriminant(lat):
 # points
 
 
-def _box_points(sys, cap):
-    """One of each +-pair of the nonzero lattice points of D, in search
-    order: those whose first nonzero base coordinate is 1.  CapError once
-    the whole count, 2 per pair found plus the origin, exceeds cap; a cap
-    below 1 raises at once.
-
-    Complete by the base-coordinate argument: a point of L is w = A x for
-    one integer x, and the base rows of A are unit vectors, so x = w_B.
-    Every w in D thus has w_B in {-1,0,1}^n and w = A w_B, so searching x
-    in {-1,0,1}^n with A x in the box [-1, 1]^N meets each point of D once.
-    The box is centrally symmetric, so -w is in it exactly when w is, and
-    x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
-    later coordinates depth first over j.  The columns of A are those of a
-    TU matrix, so their entries are 0 or +-1.  Choosing x_j moves w only on
-    the support of column j; there a coordinate may stray at most 1 + (its
-    absolute sum over the later columns) and still come back into [-1, 1],
-    so a branch is cut as soon as one strays further.  After a coordinate's
-    last column that bound is 1, so every leaf lies in the box.
-    """
-    n, n_rows = sys.n, sys.N
-    cols = [sys.a_matrix.col(j) for j in range(n)]
-    half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
-    if half_cap < 0:
-        raise CapError(f"point search exceeds cap {cap} points")
-    rest = [0] * n_rows
-    steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
-    for j in range(n - 1, -1, -1):
-        support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
-        for i, c, _ in support:
-            rest[i] += abs(c)
-        steps[j] = tuple(tuple((i, v * c, b) for i, c, b in support)
-                         for v in (-1, 0, 1))
-    w = [0] * n_rows
-    out = []
-
-    def visit(j):
-        if j == n:
-            out.append(tuple(w))
-            if len(out) > half_cap:
-                raise CapError(f"point search exceeds cap {cap} points")
-            return
-        for move in steps[j]:
-            inside = True
-            for i, d, b in move:
-                t = w[i] + d
-                w[i] = t
-                if t > b or t < -b:
-                    inside = False
-            if inside:
-                visit(j + 1)
-            for i, d, _ in move:
-                w[i] -= d
-
-    # x_j is the first nonzero coordinate and is 1: w = cols[j] is in the box
-    for j in range(n):
-        lead = steps[j][2]
-        for i, d, _ in lead:
-            w[i] = d
-        visit(j + 1)
-        for i, _, _ in lead:
-            w[i] = 0
-    return out
-
-
 def _coefficients(sys, z):
     """Exact coordinates of a lattice point in the column basis.
 
@@ -160,15 +99,25 @@ def _squares(sys, vectors):
 
 def polytope_points(sys, cap=DEFAULT_CAP):
     """All lattice points of D as vectors, plain tuples of ints, sorted
-    lexicographically: the half the search returns (_box_points, under the
-    same cap), its negations and the origin.
+    lexicographically: the half the point search over the columns of A
+    returns (systems._box_points, under the same cap), its negations and
+    the origin.
+
+    The search is complete by the base-coordinate argument: a point of L
+    is w = A x for one integer x, and the base rows of A are unit vectors,
+    so x = w_B.  Every w in D thus has w_B in {-1,0,1}^n and w = A x, so
+    searching x in {-1,0,1}^n with A x in the box [-1, 1]^N meets each
+    point of D once; the columns of A are those of a TU matrix, so their
+    entries are 0 or +-1, as the search needs.  It returns one of each
+    +-pair of nonzero points, those whose first nonzero base coordinate
+    is 1.
 
     Negation reverses the lexicographic order, so the sorted list is
     symmetric: point k from the end is minus point k, the origin sits in
     the middle, and the points after it, pts[len(pts) // 2 + 1:], are one
     of each +-pair.
     """
-    found = _box_points(sys, cap)
+    found = _box_points([sys.a_matrix.col(j) for j in range(sys.n)], cap)
     # tuple of a list, not of a map, so that each is allocated at its size
     found.extend([tuple([-x for x in w]) for w in found])
     found.append((0,) * sys.N)
@@ -383,10 +332,11 @@ def _square_counts(half_squares):
 
 def short_vector_census(sys, cap=DEFAULT_CAP):
     """The exact counts of lattice vectors of square 1, 2 and 3, read off
-    the squares of one of each +-pair of nonzero points of D (_box_points,
-    under the same cap) through _square_counts; the other half is never
-    built, and nothing is sorted."""
-    return _census(_square_counts(_squares(sys, _box_points(sys, cap))))
+    the squares of one of each +-pair of nonzero points of D (the search of
+    polytope_points, under the same cap) through _square_counts; the other
+    half is never built, and nothing is sorted."""
+    half = _box_points([sys.a_matrix.col(j) for j in range(sys.n)], cap)
+    return _census(_square_counts(_squares(sys, half)))
 
 
 # ---------------------------------------------------------------------------

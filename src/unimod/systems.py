@@ -22,23 +22,28 @@ exactly when every subset of its lines has a +-1 signing whose sum lies
 in {0, +-1}^m.  Lines with at most one nonzero entry and lines parallel
 to an earlier one are deleted first, which keeps the verdict: a minor
 through a unit line expands to a smaller minor, and a minor through two
-parallel lines is 0.  The rest splits into connected blocks, and a
-depth-first search over signed sums on each block's short side costs
-about 2^s nodes, however many bases there are.  A rejection still names
-the first bad minor in the order of a scan over every square minor,
-found by walking the rows without a budget.  The search runs only once
-the walk has spent its budget, and has as large a one, so no input costs
-more than 3x the unbudgeted walk.  Certification runs on raw matrix
-input only.  Total unimodularity survives transposition, submatrices and
-block sums, so Gale duals, unit-free cores and direct sums of certified
-systems skip it, and graph systems check a spanning-tree certificate
-instead (see graphs).  Only raw input and Gale duals go through the
-elimination.  Direct sums, unit-free cores and graph systems are written
-straight in the standard form it would give them, because their first
-maximal independent rows are known: the operands' bases, block after
-block; the base left once the unit rows (coloops) are deleted; the first
-spanning tree in edge order, or the complement of the first one in
-reverse edge order.
+parallel lines is 0.  The rest splits into connected blocks, and on each
+block B, with lines l_1..l_s on its short side, the signings are the
+points (x, sum x_j l_j) in the box [-1, 1]^(s+m) over the columns of
+[I_s; B]: the same point search (_box_points) that finds the lattice
+points of the polytope D (see lattice).  It finds about 2^s points,
+however many bases there are, and is stopped after 8 * 2^s of them.
+That budget counts points found, not nodes visited, so nothing bounds
+the nodes on branches that find none: on the bicoloring inputs of the
+tests the search visited at most 3.7 * 2^s nodes, and at most 7.2 * 2^s
+on random reduced blocks that are not totally unimodular.  A rejection
+still names the first bad minor in the order of a scan over every square
+minor, found by walking the rows without a budget.  Certification runs
+on raw matrix input only.  Total unimodularity survives transposition,
+submatrices and block sums, so Gale duals, unit-free cores and direct
+sums of certified systems skip it, and graph systems check a
+spanning-tree certificate instead (see graphs).  Only raw input and Gale
+duals go through the elimination.  Direct sums, unit-free cores and
+graph systems are written straight in the standard form it would give
+them, because their first maximal independent rows are known: the
+operands' bases, block after block; the base left once the unit rows
+(coloops) are deleted; the first spanning tree in edge order, or the
+complement of the first one in reverse edge order.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
 enumeration by the same walk over the nonzero tail minors as the scan, on
@@ -173,10 +178,6 @@ def _tail_minors(lines, visit):
     walk(0, (), {0: 1})
 
 
-class _OverBudget(Exception):
-    """A budgeted walk or search of _tu_witness has spent its budget."""
-
-
 def _walk_witness(tail, t, width, budget):
     """First bad minor of the tail block T by the minor walk, or None.
 
@@ -189,7 +190,7 @@ def _walk_witness(tail, t, width, budget):
     only smaller sizes are searched, so a later find is strictly smaller
     and replaces it.  Extended row sets thus hold only 0/+-1 minors.  The
     walks take in at most budget nonzero minors between them: the line set
-    that would take them past it raises _OverBudget instead.
+    that would take them past it raises CapError instead.
     """
     spent = 0
 
@@ -197,7 +198,7 @@ def _walk_witness(tail, t, width, budget):
         nonlocal spent
         spent += len(minors)
         if spent > budget:
-            raise _OverBudget
+            raise CapError(f"minor walk exceeds budget {budget} minors")
 
     if len(tail) > width:
         clean = True
@@ -240,6 +241,38 @@ def _kept_lines(lines):
     return kept
 
 
+def _forest(vertex_count, edges, order):
+    """(forest, find): Kruskal over the edge indices in order.
+
+    An edge joins the forest when it joins two of its components, and the
+    pass stops at vertex_count - 1 edges, a spanning tree.  Vertices are
+    1..vertex_count; find maps one to the representative of its component.
+    The graph systems pick their tree with it (see graphs), and
+    _reduced_blocks splits a block into its connected parts.
+    """
+    parent = list(range(vertex_count + 1))
+    size = vertex_count - 1
+    forest = []
+    for k in order:
+        if len(forest) == size:
+            break
+        t, h = edges[k]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        if t != h:
+            parent[h] = t
+            forest.append(k)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    return forest, find
+
+
 def _reduced_blocks(t):
     """The connected blocks of a 0/+-1 block T, reduced: (rows, cols) pairs.
 
@@ -250,14 +283,15 @@ def _reduced_blocks(t):
     smaller minor without it (or is 0), and a minor through two parallel
     lines is 0, while one through the later line alone is +- one through
     the earlier.  The rest splits into the connected components of its
-    support (one union-find pass over the nonzero entries, row i as node i
-    and column j as node ~j); T is totally unimodular exactly when each
+    support (_forest over the nonzero entries, with rows as nodes 1..R and
+    columns as nodes R+1..R+C); T is totally unimodular exactly when each
     block is, since a square minor of a block sum is 0 or a product of
     block minors.  Each block lists its rows and columns ascending, as
     positions in T, and the blocks come in the order of their first rows.
     """
-    rows = list(range(len(t)))
-    cols = list(range(len(t[0]))) if t else []
+    r = len(t)
+    width = len(t[0]) if t else 0
+    rows, cols = list(range(r)), list(range(width))
     while True:
         kept_rows = _kept_lines((i, tuple(t[i][j] for j in cols)) for i in rows)
         kept_cols = _kept_lines((j, tuple(t[i][j] for i in kept_rows))
@@ -265,73 +299,73 @@ def _reduced_blocks(t):
         if (kept_rows, kept_cols) == (rows, cols):
             break
         rows, cols = kept_rows, kept_cols
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for i in rows:
-        parent[i] = i
-    for j in cols:
-        parent[~j] = ~j
-    for i in rows:
-        for j in cols:
-            if t[i][j]:
-                parent[find(~j)] = find(i)
+    edges = [(i + 1, r + 1 + j) for i in rows for j in cols if t[i][j]]
+    _, find = _forest(r + width, edges, range(len(edges)))
     blocks = {}
     for i in rows:
-        blocks.setdefault(find(i), ([], []))[0].append(i)
+        blocks.setdefault(find(i + 1), ([], []))[0].append(i)
     for j in cols:
-        blocks[find(~j)][1].append(j)
+        blocks[find(r + 1 + j)][1].append(j)
     return [(tuple(r), tuple(c)) for r, c in blocks.values()]
 
 
-def _signed_sums(lines, visit):
-    """Depth-first walk over the signed sums of subsets of 0/+-1 lines.
+def _box_points(cols, cap):
+    """One of each +-pair of the nonzero points w = sum x_j cols[j], x in
+    {-1,0,1}^n, that lie in the box [-1, 1]^m, for columns of length m
+    whose entries are 0 or +-1: those whose first nonzero x_j is 1, in
+    search order.  CapError once the whole count, 2 per pair found plus
+    the origin, exceeds cap; a cap below 1 raises at once.
 
-    The walk goes over ascending tuples of line positions, each line signed
-    +1 or -1 but the first, which is +1 (negating a whole signing negates
-    its sum).  The running sum w is cut as soon as a coordinate the last
-    line moves strays beyond 1 plus its absolute sum over the later lines,
-    the cut of lattice._box_points: from there no later line can bring it
-    back into [-1, 1].  visit(mask, balanced) is called on every signed
-    subset that is not cut, mask the bitmask of its line positions and
-    balanced whether its sum lies in {0, +-1}^m.
+    The box is centrally symmetric, so -w is in it exactly when w is, and
+    x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
+    later coordinates depth first over j.  Choosing x_j moves w only on the
+    support of column j; there a coordinate may stray at most 1 + (its
+    absolute sum over the later columns) and still come back into [-1, 1],
+    so a branch is cut as soon as one strays further.  After a coordinate's
+    last column that bound is 1, so every leaf lies in the box.
     """
-    width = len(lines[0])
-    rest = [0] * width
-    steps = [()] * len(lines)  # per line: (coordinate, entry, bound)
-    for t in range(len(lines) - 1, -1, -1):
-        support = [(i, x, 1 + rest[i]) for i, x in enumerate(lines[t]) if x]
-        for i, _, _ in support:
-            rest[i] += 1
-        steps[t] = support
-    w = [0] * width
-    stray = 0  # coordinates of w outside [-1, 1]
+    n, n_rows = len(cols), len(cols[0]) if cols else 0
+    half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
+    if half_cap < 0:
+        raise CapError(f"point search exceeds cap {cap} points")
+    rest = [0] * n_rows
+    steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
+    for j in range(n - 1, -1, -1):
+        support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
+        for i, c, _ in support:
+            rest[i] += abs(c)
+        steps[j] = tuple(tuple((i, v * c, b) for i, c, b in support)
+                         for v in (-1, 0, 1))
+    w = [0] * n_rows
+    out = []
 
-    def walk(start, mask):
-        nonlocal stray
-        for t in range(start, len(lines)):
-            grown = mask | 1 << t
-            before = stray
-            for sign in (1, -1) if mask else (1,):
-                inside = True
-                for i, x, b in steps[t]:
-                    old = w[i]
-                    v = w[i] = old + sign * x
-                    stray += (v > 1 or v < -1) - (old > 1 or old < -1)
-                    if v > b or v < -b:
-                        inside = False
-                if inside:
-                    visit(grown, not stray)
-                    walk(t + 1, grown)
-                for i, x, _ in steps[t]:
-                    w[i] -= sign * x
-                stray = before
+    def visit(j):
+        if j == n:
+            out.append(tuple(w))
+            if len(out) > half_cap:
+                raise CapError(f"point search exceeds cap {cap} points")
+            return
+        for move in steps[j]:
+            inside = True
+            for i, d, b in move:
+                t = w[i] + d
+                w[i] = t
+                if t > b or t < -b:
+                    inside = False
+            if inside:
+                visit(j + 1)
+            for i, d, _ in move:
+                w[i] -= d
 
-    walk(0, 0)
+    # x_j is the first nonzero coordinate and is 1: w = cols[j] is in the box
+    for j in range(n):
+        lead = steps[j][2]
+        for i, d, _ in lead:
+            w[i] = d
+        visit(j + 1)
+        for i, _, _ in lead:
+            w[i] = 0
+    return out
 
 
 def _bicolored(t, budget):
@@ -340,30 +374,26 @@ def _bicolored(t, budget):
     A matrix is totally unimodular exactly when every subset of its rows
     (or of its columns) has a +-1 signing whose sum lies in {0, +-1}^m
     (Ghouila-Houri 1962; Schrijver, Theory of Linear and Integer
-    Programming, Thm 19.3).  Each block of _reduced_blocks is tested on its
-    shorter side by _signed_sums, which records every line subset it
-    reaches with a balanced sum; T passes when every nonempty subset of
-    every block is recorded.  About 2^s search nodes for a short side of s
-    lines, however many bases the system has.  _OverBudget once the
-    searches have visited more than budget nodes between them.
+    Programming, Thm 19.3).  Each block B of _reduced_blocks is tested on
+    its shorter side, lines l_1..l_s, by the point search _box_points over
+    the columns (e_j, l_j) of [I_s; B]: a point found is (x, sum x_j l_j)
+    with x in {-1,0,1}^s and the sum in the box, so the support of x is a
+    line subset with a balanced signing, and every such subset is the
+    support of a point found (+-x share it).  B passes when the supports
+    found are all 2^s - 1 nonempty subsets.  About 2^s points for a short
+    side of s lines, however many bases the system has.  The searches
+    share the budget, counted as _box_points counts its cap (2 per pair
+    found plus the origin, per search): CapError once they would run past
+    it.
     """
-    spent = 0
-    reached = set()
-
-    def visit(mask, balanced):
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise _OverBudget
-        if balanced:
-            reached.add(mask)
-
     for rows, cols in _reduced_blocks(t):
         block = [[t[i][j] for j in cols] for i in rows]
         lines = block if len(rows) <= len(cols) else list(zip(*block))
-        reached.clear()
-        _signed_sums(lines, visit)
-        if len(reached) < (1 << len(lines)) - 1:
+        s = len(lines)
+        found = _box_points([(0,) * j + (1,) + (0,) * (s - j - 1) + tuple(l)
+                             for j, l in enumerate(lines)], budget)
+        budget -= 2 * len(found) + 1
+        if len({bytes(map(abs, w[:s])) for w in found}) < (1 << s) - 1:
             return False
     return True
 
@@ -384,14 +414,16 @@ def _tu_witness(m, base):
     of nonzero minors; if it finishes, its answer is the answer.  A totally
     unimodular T meets one nonzero minor per base but the standard one, so
     every system with at most the budget's count of bases finishes here.
-    (3) Otherwise the Ghouila-Houri search (_bicolored: every subset of
-    lines has a signing summing into {0, +-1}^m, after the deletions of
-    unit and parallel lines in _reduced_blocks, which keep the verdict)
-    with a budget of as many search nodes; a pass certifies T.  Its cost
-    does not grow with the number of bases.  (4) If it refutes T or runs over its budget, the walk runs
-    again without a budget and names the first bad minor.  No input costs
-    more than the unbudgeted walk plus two budgets, and step 3 runs only
-    after the walk has spent one, so at most 3x the walk alone.
+    (3) Otherwise the Ghouila-Houri test (_bicolored: every subset of lines
+    has a signing summing into {0, +-1}^m, after the deletions of unit and
+    parallel lines in _reduced_blocks, which keep the verdict), a point
+    search over [I; B] stopped once it has found the budget's count of
+    points; a pass certifies T.  Its cost does not grow with the number of
+    bases.  (4) If it refutes T or runs over its budget, the walk runs
+    again without a budget and names the first bad minor.  Both budgets
+    raise CapError, caught here.  So steps 2 and 3 walk at most 8 * 2^s
+    minors and find at most 8 * 2^s points; the search's nodes are not
+    counted (see the module docstring for those measured).
     """
     tail, t = _tail_block(m, base)
     for q, row in enumerate(t):
@@ -401,12 +433,12 @@ def _tu_witness(m, base):
     budget = _WORK_PER_SUBSET << min(len(tail), m.cols)
     try:
         return _walk_witness(tail, t, m.cols, budget)
-    except _OverBudget:
+    except CapError:
         pass
     try:
         if _bicolored(t, budget):
             return None
-    except _OverBudget:
+    except CapError:
         pass
     return _walk_witness(tail, t, m.cols, inf)
 
@@ -493,9 +525,9 @@ def from_matrix(raw, labels=None):
     its nonzero minors along its shorter side, stopped after 8 * 2^s
     minors for a short side of s lines, and past that by Ghouila-Houri's
     theorem (every subset of lines has a +-1 signing summing into
-    {0, +-1}^m), searched on the short side of each block left once unit
-    and parallel lines are deleted, about 2^s search nodes.  No input costs
-    more than 3x the unbudgeted walk.  The witness is the first offending
+    {0, +-1}^m), searched as points of a box over the short side of each
+    block left once unit and parallel lines are deleted, about 2^s points
+    and at most 8 * 2^s of them.  The witness is the first offending
     minor in the order of a scan over every square minor (size, then rows,
     then columns).  The check is for raw input: systems the library
     derives from certified ones (graph systems, Gale duals, cores, direct

@@ -7,7 +7,8 @@ derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
 tail-minor total-unimodularity scan (along rows or columns) against a scan
 over every square minor, the certification by Ghouila-Houri bicolorings
-past the walk's budget against the unbudgeted walk, its deletions of unit
+past the walk's budget against the unbudgeted walk, its point search over
+[I; B] against the signed-sum search it replaced, its deletions of unit
 and parallel lines and its block split against the full scan, the
 base-coordinate point search against the cube scan, the bases read off
 the nonzero tail minors against a scan over all row subsets, the
@@ -35,6 +36,7 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
 from operator import sub
+from sys import getprofile, setprofile
 
 import pytest
 
@@ -77,7 +79,6 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
-    _box_points,
     _coefficients,
     build_polytope_report,
     facets,
@@ -91,6 +92,8 @@ from unimod.systems import (
     EMPTY_SYSTEM,
     SignedCorrespondence,
     UnimodularSystem,
+    _bicolored,
+    _box_points,
     _normalize_row,
     _reduced_blocks,
     _standardize,
@@ -465,7 +468,7 @@ def count_branches(monkeypatch):
     def counted_walk(tail, t, width, budget):
         try:
             found = walk(tail, t, width, budget)
-        except systems._OverBudget:
+        except CapError:
             seen["walk over budget"] += 1
             raise
         if budget != math.inf:
@@ -475,7 +478,7 @@ def count_branches(monkeypatch):
     def counted_bicolored(t, budget):
         try:
             passed = bicolored(t, budget)
-        except systems._OverBudget:
+        except CapError:
             seen["bicoloring over budget"] += 1
             raise
         seen["bicoloring certifies" if passed else "bicoloring refutes"] += 1
@@ -489,7 +492,7 @@ def count_branches(monkeypatch):
 @pytest.mark.parametrize("work,branches", [
     (8, ("walk finishes", "walk over budget", "bicoloring certifies",
          "bicoloring refutes")),
-    # the search takes at most about 4 * 2^s nodes on these inputs, so its
+    # the search finds at most about 3 * 2^s points on these inputs, so its
     # own overrun shows only under a smaller budget
     (1, ("bicoloring over budget",)),
 ], ids=["budget-8", "budget-1"])
@@ -618,6 +621,130 @@ def test_riffled_direct_sum_splits_into_its_summands():
     assert split.keys() >= {0, 1, 2, 3}, split
 
 
+def signed_sum_supports(lines):
+    """The bitmasks of the subsets of the 0/+-1 lines that have a +-1
+    signing whose sum lies in {0, +-1}^m: the search the Ghouila-Houri test
+    ran before it ran the point search over [I; B], kept as its oracle.
+
+    The walk goes over ascending tuples of line positions, each line signed
+    +1 or -1 but the first, which is +1 (negating a whole signing negates
+    its sum).  The running sum w is cut as soon as a coordinate the last
+    line moves strays beyond 1 plus its absolute sum over the later lines:
+    from there no later line can bring it back into [-1, 1].  visit(mask,
+    balanced) is called on every signed subset that is not cut, mask the
+    bitmask of its line positions and balanced whether its sum lies in
+    {0, +-1}^m.
+    """
+    reached = set()
+
+    def visit(mask, balanced):
+        if balanced:
+            reached.add(mask)
+
+    width = len(lines[0])
+    rest = [0] * width
+    steps = [()] * len(lines)  # per line: (coordinate, entry, bound)
+    for t in range(len(lines) - 1, -1, -1):
+        support = [(i, x, 1 + rest[i]) for i, x in enumerate(lines[t]) if x]
+        for i, _, _ in support:
+            rest[i] += 1
+        steps[t] = support
+    w = [0] * width
+    stray = 0  # coordinates of w outside [-1, 1]
+
+    def walk(start, mask):
+        nonlocal stray
+        for t in range(start, len(lines)):
+            grown = mask | 1 << t
+            before = stray
+            for sign in (1, -1) if mask else (1,):
+                inside = True
+                for i, x, b in steps[t]:
+                    old = w[i]
+                    v = w[i] = old + sign * x
+                    stray += (v > 1 or v < -1) - (old > 1 or old < -1)
+                    if v > b or v < -b:
+                        inside = False
+                if inside:
+                    visit(grown, not stray)
+                    walk(t + 1, grown)
+                for i, x, _ in steps[t]:
+                    w[i] -= sign * x
+                stray = before
+
+    walk(0, 0)
+    return reached
+
+
+def random_reduced_blocks(rng, quota):
+    """Seeded reduced 0/+-1 blocks, quota[s] of them with a short side of s
+    lines: the blocks of random tails of density 0.15 to 0.95 (rarely
+    totally unimodular), and those of the tails of random graphic and
+    cographic systems with their lines negated at random (totally
+    unimodular)."""
+    quota = Counter(quota)
+    out = []
+    while +quota:
+        if rng.random() < 0.3:
+            g = random_connected_multigraph(rng, rng.randint(7, 12),
+                                            rng.randint(6, 14))
+            s = rng.choice((graphic_system, cographic_system))(g)
+            row_signs = [rng.choice((1, -1)) for _ in range(s.N)]
+            col_signs = [rng.choice((1, -1)) for _ in range(s.n)]
+            t = [[x * row_signs[i] * col_signs[j] for j, x in enumerate(r)]
+                 for i, r in enumerate(_tail_lists(s.a_matrix,
+                                                   s.base_rows)[1])]
+        else:
+            density = rng.uniform(0.15, 0.95)
+            r = rng.randint(6, max(+quota))
+            c = rng.randint(r, r + 6)
+            t = [[rng.choice((1, -1)) if rng.random() < density else 0
+                  for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.5:
+                t = [list(line) for line in zip(*t)]
+        for block in _block_matrices(t):
+            s = min(len(block), len(block[0]))
+            if quota[s] > 0:
+                quota[s] -= 1
+                out.append(block)
+    return out
+
+
+def test_point_search_over_i_b_reaches_the_signed_sums(monkeypatch):
+    """The supports of the points the box search finds over [I; B] are the
+    line subsets of B that the signed-sum search finds balanced, and
+    _bicolored gives that search's verdict, on every reduced block of the
+    bicoloring inputs and on 2000 seeded random reduced blocks with a short
+    side of 6 to 12 lines (fewer of the larger ones, which cost more)."""
+    box_points = systems._box_points
+    searched = []
+
+    def recorded(cols, cap):
+        found = box_points(cols, cap)
+        searched.append((cols, found))
+        return found
+
+    monkeypatch.setattr(systems, "_box_points", recorded)
+    blocks = [block for m, base, _ in bicoloring_cases()
+              for block in _block_matrices(_tail_block(m, base)[1])]
+    blocks += random_reduced_blocks(random.Random(170832), {
+        6: 1100, 7: 540, 8: 240, 9: 80, 10: 24, 11: 10, 12: 6})
+    verdicts = Counter()
+    for block in blocks:
+        lines = block if len(block) <= len(block[0]) else list(zip(*block))
+        s = len(lines)
+        want = signed_sum_supports(lines)
+        searched.clear()
+        passed = _bicolored(block, math.inf)
+        assert passed == (len(want) == (1 << s) - 1), block
+        [(cols, found)] = searched
+        assert cols == [_unit(j, s) + tuple(line)
+                        for j, line in enumerate(lines)], block
+        assert {sum(1 << j for j in range(s) if w[j]) for w in found} == want
+        verdicts[passed] += 1
+    assert min(verdicts.values()) >= 400, verdicts
+
+
 def _frontier_rows():
     """Raw rows past the reach of the minor walk: the systems of complete
     graphs, and three copies of graphic complete:6 summed, rows shuffled."""
@@ -636,10 +763,14 @@ def _frontier_rows():
 
 def count_work(monkeypatch):
     """Counter of the nonzero tail minors the walks take in and of the
-    nodes the signed-sum searches visit, filled in as they run.  The line
-    set whose minors would take a walk past its budget stops it uncounted."""
+    nodes the point searches of the bicoloring visit (calls of the inner
+    visit of _box_points, seen by a profile hook while _bicolored runs),
+    filled in as they run.  The line set whose minors would take a walk
+    past its budget stops it uncounted."""
     work = Counter()
-    tail_minors, signed_sums = systems._tail_minors, systems._signed_sums
+    tail_minors, bicolored = systems._tail_minors, systems._bicolored
+    visit = next(c for c in systems._box_points.__code__.co_consts
+                 if getattr(c, "co_name", None) == "visit")
 
     def counted_minors(lines, visit):
         def counted(line_set, minors):
@@ -648,14 +779,20 @@ def count_work(monkeypatch):
             return limit
         tail_minors(lines, counted)
 
-    def counted_sums(lines, visit):
-        def counted(mask, balanced):
+    def count_node(frame, event, arg):
+        if event == "call" and frame.f_code is visit:
             work["nodes"] += 1
-            visit(mask, balanced)
-        signed_sums(lines, counted)
+
+    def counted_bicolored(t, budget):
+        before = getprofile()
+        setprofile(count_node)
+        try:
+            return bicolored(t, budget)
+        finally:
+            setprofile(before)
 
     monkeypatch.setattr(systems, "_tail_minors", counted_minors)
-    monkeypatch.setattr(systems, "_signed_sums", counted_sums)
+    monkeypatch.setattr(systems, "_bicolored", counted_bicolored)
     return work
 
 
@@ -1751,7 +1888,8 @@ def test_half_search_returns_one_of_each_pair():
     subjects += random_graph_systems(random.Random(170831), 60)
     subjects.append(EMPTY_SYSTEM)
     for s in subjects:
-        half = _box_points(s, systems.DEFAULT_CAP)
+        half = _box_points([s.a_matrix.col(j) for j in range(s.n)],
+                           systems.DEFAULT_CAP)
         origin = (0,) * s.N
         negations = [tuple(-x for x in w) for w in half]
         assert origin not in half, s
