@@ -104,7 +104,8 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
         else:
             doc["result"] = result
         doc["elapsed_ms"] = elapsed_ms
-        print(render_json(doc))
+        render_json(doc, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         print(f"# unimod {args.command}")
         for s, h in inputs:

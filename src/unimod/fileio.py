@@ -11,9 +11,13 @@ and it may carry no other key and no key twice.
 Edge-list files: first line "m N" (vertices, edges), then N lines
 "tail head" with 1-indexed vertex ids.  Reports are written as JSON by
 render_json, which gives the bytes of json.dumps(doc, indent=2) faster:
-a list of plain ints is written in one join, and a list of records (plain
-dicts sharing one key order, such as a report's points or facets) is
-written column by column, so its per-value work is done by C loops.
+a list of plain ints is written in one join, and a list of records is
+written column by column, so its per-value work is done by C loops.  A
+list of records is a Records (rows read through one getter per key, such
+as a report's points, which builds no dict per point) or a list of plain
+dicts sharing one key order (such as a report's facets).  Given a write
+function, render_json streams the text a chunk of records at a time, so
+a report of any size is written without its whole text in memory.
 """
 
 from __future__ import annotations
@@ -44,6 +48,36 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 # Below this many records a list is rendered row by row: the column set-up
 # costs more than it saves (about 20 us against 7 us for one point).
 _MIN_RECORDS = 8
+
+# Records are rendered this many rows at a time: few enough that one
+# chunk's text (about 2.4 MB for points of N = 21) is all that is held,
+# many enough that the column set-up is paid rarely.
+_CHUNK = 4096
+
+
+class Records:
+    """A lazy list of records: record k is {key: get(rows[k]) for key, get
+    in fields}, fields being (key, get) pairs in key order and rows a
+    sequence.
+
+    It has a length, and iterating it builds the records one by one;
+    nothing else builds them.  render_json reads it column by column
+    instead, one getter over a chunk of rows at a time, and writes the
+    bytes of json.dumps of the list of its records.
+    """
+
+    __slots__ = ("rows", "fields")
+
+    def __init__(self, rows, fields):
+        self.rows = rows
+        self.fields = tuple(fields)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        fields = self.fields
+        return ({key: get(row) for key, get in fields} for row in self.rows)
 
 
 def sha256_hex(text):
@@ -164,53 +198,98 @@ def render_matrix_text(rows, labels=None, comments=()):
     return "\n".join(lines) + "\n"
 
 
-def render_json(doc):
+def render_json(doc, write=None):
     """Exactly json.dumps(doc, indent=2), with the leaves encoded in C.
+
+    Without write the text is returned.  With write it is passed through
+    write in pieces, a chunk of records at a time, and None is returned:
+    the text is never held whole.  A document may hold Records where a
+    list may stand; the text is then that of the document with each
+    Records materialized as the list of its records.
 
     With indent set, json.dumps runs its pure-Python encoder.  Here the
     nesting is walked in Python, but a list of plain ints (no bools) is
-    written in one join and strings go through the C string encoder.  A
-    list of at least _MIN_RECORDS records, plain dicts that all share one
-    key order, is written column by column (_records): each column's types
-    are checked once, ints are converted once per distinct value, and the
-    rows are interleaved by one join, so a report's many points cost no
-    Python call each.  Every dict key must be a str (TypeError otherwise);
-    json.dumps would convert some other keys.
+    written in one join and strs go through the C string encoder.  A
+    Records of at least _MIN_RECORDS records, or a list of that many plain
+    dicts that all share one key order, is written column by column
+    (_records), so a report's many points cost no Python call each.  Every
+    dict key must be a str (TypeError otherwise); json.dumps would convert
+    some other keys.
     """
-    return _render(doc, "\n")
+    if write is None:
+        return _text(doc, "\n")
+    parts = []
+    _render(doc, "\n", parts, write)
+    write("".join(parts))
+    return None
 
 
-def _render(x, nl):
+def _text(x, nl):
     """x as indented JSON text; nl is the newline plus the current indent."""
+    parts = []
+    _render(x, nl, parts, None)
+    return "".join(parts)
+
+
+def _render(x, nl, parts, write):
+    """Append the text of x to parts; nl is the newline plus the current
+    indent.  With write, _records hands parts and its chunks to write."""
     t = type(x)
     if t is str:
-        return encode_basestring_ascii(x)
+        parts.append(encode_basestring_ascii(x))
+        return
     if t is int:
-        return str(x)
+        parts.append(str(x))
+        return
     inner = nl + "  "
     if isinstance(x, dict):
         if not x:
-            return "{}"
-        parts = []
+            parts.append("{}")
+            return
+        sep = "{" + inner
         for k, v in x.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON key {k!r} is not a str")
-            parts.append(encode_basestring_ascii(k) + ": " + _render(v, inner))
-        return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
+            parts.append(sep + encode_basestring_ascii(k) + ": ")
+            _render(v, inner, parts, write)
+            sep = "," + inner
+        parts.append(nl + "}")
+        return
+    if t is Records:
+        if len(x) >= _MIN_RECORDS and _column_keys([k for k, _ in x.fields]):
+            _records(x, nl, parts, write)
+            return
+    elif isinstance(x, (list, tuple)):
         types = set(map(type, x))
-        if types == {dict} and len(x) >= _MIN_RECORDS:
-            text = _records(x, nl)
-            if text is not None:
-                return text
         if types == {int}:
-            items = map(str, x)
-        else:
-            items = [_render(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    return json.dumps(x)
+            parts.append("[" + inner + ("," + inner).join(map(str, x)) + nl + "]")
+            return
+        if types == {dict} and len(x) >= _MIN_RECORDS:
+            keys = tuple(x[0])
+            if _column_keys(keys) and len(set(map(tuple, x))) == 1:
+                _records(Records(x, [(k, itemgetter(k)) for k in keys]),
+                         nl, parts, write)
+                return
+    else:
+        parts.append(json.dumps(x))
+        return
+    # a short or irregular list, or a Records that is not read by columns
+    if not x:
+        parts.append("[]")
+        return
+    sep = "[" + inner
+    for v in x:
+        parts.append(sep)
+        _render(v, inner, parts, write)
+        sep = "," + inner
+    parts.append(nl + "]")
+
+
+def _column_keys(keys):
+    """Whether records with these keys, in this order, are written column
+    by column: at least one key, every key a plain str, none twice."""
+    return (bool(keys) and set(map(type, keys)) == {str}
+            and len(set(keys)) == len(keys))
 
 
 def _int_texts(xs):
@@ -219,60 +298,70 @@ def _int_texts(xs):
     return list(map(text.__getitem__, xs))
 
 
-def _records(rows, nl):
-    """A nonempty list of plain dicts as indented JSON text, column by
-    column, or None unless every row has the same str keys in one order.
+def _records(recs, nl, parts, write):
+    """Append the text of a Records to parts, column by column, _CHUNK
+    rows at a time; with write, parts and then each chunk's text go to
+    write, so no more than one chunk's text is held.
 
-    The text is literals and values in turn: the literals are the keys and
-    the layout, the same in every row, and a column's values are rendered
-    together.  A column of strs goes through the C string encoder and a
-    column of plain ints through _int_texts; a column of int lists (or
-    tuples) of one nonzero length w is flattened, rendered in one pass and
-    cut into w value columns.  Any other column (bools, floats, None,
-    nested objects, lists of mixed lengths, subclasses) is rendered value by
-    value by _render.  One join over the interleaved literals and values
-    gives the text.
+    Its fields must pass _column_keys.  The text of a chunk is literals
+    and values in turn: the literals are the keys and the layout, the same
+    in every row, and a column's values are rendered together.  A column of
+    strs goes through the C string encoder and a column of plain ints
+    through _int_texts; a column of int lists (or tuples) of one nonzero
+    length w is flattened, rendered in one pass and cut into w value
+    columns.  Any other column (bools, floats, None, nested objects, lists
+    of mixed lengths, subclasses) is rendered value by value by _text.
+    One join over the interleaved literals and values gives the text.
     """
-    keys = tuple(rows[0])
-    if (not keys or set(map(type, keys)) != {str}
-            or len(set(map(tuple, rows))) != 1):
-        return None
+    rows = recs.rows
     row_nl = nl + "  "
     field_nl = row_nl + "  "
     item_nl = field_nl + "  "
-    lits = []      # lits[i] is the literal text before value column i
-    columns = []
-    lit = "{"
-    for j, k in enumerate(keys):
-        lit += ("," if j else "") + field_nl + encode_basestring_ascii(k) + ": "
-        col = list(map(itemgetter(k), rows))
-        types = set(map(type, col))
-        width = len(col[0]) if types <= {list, tuple} else 0
-        flat = list(chain.from_iterable(col)) if width else ()
-        if (width and set(map(len, col)) == {width}
-                and set(map(type, flat)) == {int}):
-            texts = _int_texts(flat)
-            for i in range(width):
-                lits.append(lit + ("," if i else "[") + item_nl)
-                columns.append(texts[i::width])
-                lit = ""
-            lit = field_nl + "]"
-            continue
-        lits.append(lit)
-        lit = ""
-        if types == {str}:
-            columns.append(map(encode_basestring_ascii, col))
-        elif types == {int}:
-            columns.append(_int_texts(col))
-        else:
-            columns.append([_render(v, field_nl) for v in col])
     sep = "," + row_nl
-    pieces = []
-    for lit_i, values in zip(lits, columns):
-        pieces += [repeat(lit_i), values]
-    pieces.append(repeat(lit + row_nl + "}" + sep))  # every row ends in sep
-    text = "".join(chain.from_iterable(zip(*pieces)))
-    return "[" + row_nl + text[:-len(sep)] + nl + "]"
+    parts.append("[" + row_nl)
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        lits = []      # lits[i] is the literal text before value column i
+        columns = []
+        lit = "{"
+        for j, (k, get) in enumerate(recs.fields):
+            lit += ("," if j else "") + field_nl + encode_basestring_ascii(k) + ": "
+            col = list(map(get, chunk))
+            types = set(map(type, col))
+            width = len(col[0]) if types <= {list, tuple} else 0
+            flat = list(chain.from_iterable(col)) if width else ()
+            if (width and set(map(len, col)) == {width}
+                    and set(map(type, flat)) == {int}):
+                texts = _int_texts(flat)
+                for i in range(width):
+                    lits.append(lit + ("," if i else "[") + item_nl)
+                    columns.append(texts[i::width])
+                    lit = ""
+                lit = field_nl + "]"
+                continue
+            lits.append(lit)
+            lit = ""
+            if types == {str}:
+                columns.append(map(encode_basestring_ascii, col))
+            elif types == {int}:
+                columns.append(_int_texts(col))
+            else:
+                columns.append([_text(v, field_nl) for v in col])
+        pieces = []
+        for lit_i, values in zip(lits, columns):
+            pieces += [repeat(lit_i), values]
+        pieces.append(repeat(lit + row_nl + "}" + sep))  # every row ends in sep
+        text = "".join(chain.from_iterable(zip(*pieces)))
+        if start + _CHUNK >= len(rows):
+            text = text[:-len(sep)]
+        if write is None:
+            parts.append(text)
+        else:
+            write("".join(parts))
+            parts.clear()
+            write(text)
+        del text, pieces, columns  # hold one chunk's strings, not two
+    parts.append(nl + "]")
 
 
 def parse_edges_text(text):

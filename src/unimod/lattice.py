@@ -45,6 +45,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import MembershipError, PreconditionError
+from .fileio import Records
 from .intlinalg import IntMatrix, hermite_form, kernel_basis, matvec
 from .systems import (DEFAULT_CAP, UnimodularSystem, _box_points, complexity,
                       form_pairing_matrix, gram_matrix, multiplicity_classes)
@@ -396,30 +397,34 @@ class PolytopeReport(NamedTuple):
         return _census(self.square_counts)
 
     def to_dict(self):
-        # each point is listed once: vertices index into points, and both
-        # sides of a facet pair (levels +-1 of rep_row) take its one count;
-        # a point's square and coefficients are read off its vector
+        """The report as a JSON document (schema polytope result v2).
+
+        Each point is listed once: vertices index into points, and both
+        sides of a facet pair (levels +-1 of rep_row) take its one count.
+        points is a fileio.Records over the vectors, so no dict or list is
+        built per point: a record's vector is the tuple itself, its square
+        N minus its count of zeros, and its coefficients the tuple of its
+        entries at base_rows.
+        """
         vectors = self.points
+        N = self.system.N
         base = self.system.base_rows
-        if len(base) > 1:
-            coefficients = map(list, map(itemgetter(*base), vectors))
-        elif base:
-            coefficients = ([v[base[0]]] for v in vectors)
-        else:
-            coefficients = ([] for v in vectors)
+        # itemgetter of one index returns the entry, not a 1-tuple
+        coefficients = (itemgetter(*base) if len(base) > 1 else
+                        lambda v: tuple(map(v.__getitem__, base)))
         census = self.census
         return {
-            "N": self.system.N,
+            "N": N,
             "n": self.system.n,
             "base_rows": list(base),
             "discriminant": self.discriminant,
             "origin_included": True,
             "census_by_square": {str(k): v for k, v in self.square_counts.items()},
             "point_count": len(vectors),
-            "points": [{"vector": list(v), "square": s, "coefficients": c}
-                       for v, s, c in zip(vectors,
-                                          _squares(self.system, vectors),
-                                          coefficients)],
+            "points": Records(vectors, (
+                ("vector", tuple),
+                ("square", lambda v: N - v.count(0)),
+                ("coefficients", coefficients))),
             "vertex_count": len(self.vertices),
             "vertices": list(compress(count(), map(
                 set(self.vertices).__contains__, vectors))),

@@ -20,6 +20,7 @@ from unimod import cli
 from unimod.catalog import make
 from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
+from unimod.graphs import graphic_system
 from unimod.lattice import PolytopeReport
 
 from test_acceptance import catalog_sweep
@@ -528,6 +529,24 @@ def test_closed_stdout_exits_141_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_stdout_closed_mid_stream_exits_141_quietly(tmp_path):
+    # the report (about 3.5 MB) outgrows the pipe buffer, so the child is
+    # still writing points when the reader goes
+    path = tmp_path / "k6.txt"
+    s = graphic_system(make("complete", 6))
+    path.write_text(render_matrix_text(s.a_matrix.to_lists(), s.labels))
+    env = dict(os.environ, PYTHONPATH=str(Path(unimod.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "unimod.cli", "polytope", "--json",
+             str(path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(1024)) == 1024
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, stderr) == (141, b"")
 
 
 def test_console_script_entry_point_without_install():

@@ -4,6 +4,8 @@ JSON writer against json.dumps."""
 import hashlib
 import json
 import random
+import tracemalloc
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ from unimod.catalog import make
 from unimod.cli import run
 from unimod.errors import PreconditionError
 from unimod.fileio import (
+    _CHUNK,
     _MIN_RECORDS,
+    Records,
     parse_edges_text,
     parse_matrix_text,
     render_edges_text,
@@ -172,6 +176,16 @@ def test_render_json_matches_golden_report():
     assert render_json(doc) == json.dumps(doc, indent=2)
 
 
+def _materialized(x):
+    """x with every Records (and tuple) made a list, recursively: the
+    document whose json.dumps render_json must equal."""
+    if isinstance(x, dict):
+        return {k: _materialized(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, Records)):
+        return [_materialized(v) for v in x]
+    return x
+
+
 def _sweep_argvs(tmp_path):
     """Every subcommand with --json over the sweep, failures included."""
     from test_acceptance import catalog_sweep
@@ -204,11 +218,11 @@ def test_render_json_matches_json_dumps_on_every_report(tmp_path, capsys,
                                                        monkeypatch):
     docs = []
 
-    def checked(doc):
-        text = render_json(doc)
-        assert text == json.dumps(doc, indent=2)
-        docs.append(doc)
-        return text
+    def checked(doc, write):
+        plain = _materialized(doc)
+        assert render_json(doc) == json.dumps(plain, indent=2)
+        docs.append(plain)
+        return render_json(doc, write)
 
     monkeypatch.setattr(unimod.cli, "render_json", checked)
     codes = set()
@@ -391,6 +405,89 @@ def test_render_json_record_list_edge_cases(rows):
         assert render_json(doc) == json.dumps(doc, indent=2)
 
 
+def _rendered_both_ways(doc):
+    """render_json(doc) returned, and the pieces it passes to a write."""
+    pieces = []
+    assert render_json(doc, pieces.append) is None
+    return render_json(doc), "".join(pieces)
+
+
+@pytest.mark.parametrize("count", sorted({
+    0, 1, _MIN_RECORDS - 1, _MIN_RECORDS, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+    2 * _CHUNK + 1}))
+def test_records_at_chunk_boundaries(count):
+    vectors = [((i % 3) - 1, i, -i) for i in range(count)]
+    records = Records(vectors, (("vector", tuple), ("first", itemgetter(0)),
+                                ("name", lambda v: f"p{v[1]}")))
+    plain = [{"vector": list(v), "first": v[0], "name": f"p{v[1]}"}
+             for v in vectors]
+    assert list(records) == [dict(r, vector=tuple(r["vector"])) for r in plain]
+    for doc, expected in ((records, plain), ({"a": [records], "b": 0},
+                                             {"a": [plain], "b": 0})):
+        text = json.dumps(expected, indent=2)
+        assert _rendered_both_ways(doc) == (text, text)
+
+
+def _getter_column(rng, length):
+    """Values for one Records field: bools, None, floats, strs, ints, int
+    tuples and lists of mixed widths, subclasses, or a mixture of them."""
+    kinds = [
+        lambda: rng.choice([True, False]),
+        lambda: None,
+        lambda: rng.choice([0.5, -0.0, 1e300, float("inf")]),
+        lambda: rng.choice(["", "x", "caf\u00e9", "\ud800", '"q"']),
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: tuple(rng.randint(-1, 1) for _ in range(3)),
+        lambda: [rng.randint(-1, 1) for _ in range(rng.randrange(4))],
+        lambda: rng.choice([_List([1, 0]), _Dict(a=1), (True, 0), [None]]),
+    ]
+    kind = rng.choice(kinds + [None])
+    return [(kind or rng.choice(kinds))() for _ in range(length)]
+
+
+def test_render_json_matches_json_dumps_on_fuzzed_records(monkeypatch):
+    # chunks of 1 to 8 rows, so that a few dozen rows cross many chunk
+    # boundaries
+    rng = random.Random(20261022)
+    for _ in range(400):
+        monkeypatch.setattr(unimod.fileio, "_CHUNK", rng.randint(1, 8))
+        length = rng.choice([0, 1, _MIN_RECORDS - 1, _MIN_RECORDS, 9, 17, 40])
+        keys = rng.sample(_RECORD_KEYS, rng.randrange(1, 5))
+        if rng.random() < 0.1:  # a key given twice: read row by row
+            keys.append(keys[0])
+        columns = [_getter_column(rng, length) for _ in keys]
+        rows = rng.choice([list(range(length)), range(length)])
+        records = Records(rows, [(k, c.__getitem__)
+                                 for k, c in zip(keys, columns)])
+        plain = [dict(zip(keys, values)) for values in zip(*columns)]
+        assert list(records) == plain
+        doc, expected = rng.choice([
+            (records, plain), ({"records": records}, {"records": plain}),
+            ([{"n": [records]}], [{"n": [plain]}])])
+        text = json.dumps(expected, indent=2)
+        assert _rendered_both_ways(doc) == (text, text), doc
+
+
+def test_streamed_report_holds_one_chunk(monkeypatch):
+    # the graphic complete:6 report: 7839 points, about 2.95 MB of text
+    monkeypatch.setattr(unimod.fileio, "_CHUNK", 256)
+    report = build_polytope_report(graphic_system(make("complete", 6)))
+    size = 0
+
+    def write(text):
+        nonlocal size
+        size += len(text)
+
+    tracemalloc.start()
+    try:
+        render_json(report.to_dict(), write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == len(render_json(report.to_dict())) > 2_900_000
+    assert peak < size / 4, (peak, size)
+
+
 def test_render_json_matches_json_dumps_on_large_reports():
     from test_properties import scrambled_copies
 
@@ -399,13 +496,15 @@ def test_render_json_matches_json_dumps_on_large_reports():
     systems += scrambled_copies(random.Random(20261020), [graphic_system(k5)], 1)
     for s in systems:
         doc = build_polytope_report(s).to_dict()
-        assert render_json(doc) == json.dumps(doc, indent=2), s
+        plain = dict(doc, points=list(doc["points"]))
+        assert render_json(doc) == json.dumps(plain, indent=2), s
 
 
 @pytest.mark.parametrize("doc", [
     {1: 2}, {"a": [{None: 0}]}, {("t",): 1},
     [{1: i} for i in range(_MIN_RECORDS)],
-    [{"a": i} for i in range(_MIN_RECORDS)] + [{"a": 0, 2: 3}]])
+    [{"a": i} for i in range(_MIN_RECORDS)] + [{"a": 0, 2: 3}],
+    Records(range(_MIN_RECORDS), [("a", int), (2, int)])])
 def test_render_json_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         render_json(doc)
