@@ -10,14 +10,12 @@ census below holds them all.  A point of D is a vertex when its active
 forms have rank n, and that rank is taken over GF(2), valid because the
 system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
 it is odd.  An exact census is a search over the base coordinates of the
-points: the point search systems._box_points over the columns of A,
-which also certifies raw input totally unimodular (Ghouila-Houri's
-criterion, see systems); the argument that it meets every point of D is
-polytope_points'.  D is centrally symmetric, and the module uses that
-once: the search returns one of each +-pair of nonzero points, the sorted
-point list adds the negations and the origin, and the vertices, facet
-pairs and square histogram (_square_counts) are read off the half after
-the origin.  The census is also a complete certificate for lattice vectors
+points: the point search _box_points over the columns of A; the argument
+that it meets every point of D is polytope_points'.  D is centrally
+symmetric, and the module uses that once: the search returns one of each
++-pair of nonzero points, the sorted point list adds the negations and the
+origin, and the vertices, facet pairs and square histogram
+(_square_counts) are read off the half after the origin.  The census is also a complete certificate for lattice vectors
 of square <= 3, all of which lie in D.
 
 The report stores each fact once: a point is its vector w, a plain tuple
@@ -44,10 +42,10 @@ from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import MembershipError, PreconditionError
+from .errors import CapError, MembershipError, PreconditionError
 from .fileio import Records
 from .intlinalg import IntMatrix, hermite_form, kernel_basis, matvec
-from .systems import (DEFAULT_CAP, UnimodularSystem, _box_points, complexity,
+from .systems import (DEFAULT_CAP, UnimodularSystem, complexity,
                       form_pairing_matrix, gram_matrix, multiplicity_classes)
 
 
@@ -98,10 +96,69 @@ def _squares(sys, vectors):
     return map(sys.N.__sub__, map(tuple.count, vectors, repeat(0)))
 
 
+def _box_points(cols, cap):
+    """One of each +-pair of the nonzero points w = sum x_j cols[j], x in
+    {-1,0,1}^n, that lie in the box [-1, 1]^m, for columns of length m
+    whose entries are 0 or +-1: those whose first nonzero x_j is 1, in
+    search order.  CapError once the whole count, 2 per pair found plus
+    the origin, exceeds cap; a cap below 1 raises at once.
+
+    The box is centrally symmetric, so -w is in it exactly when w is, and
+    x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
+    later coordinates depth first over j.  Choosing x_j moves w only on the
+    support of column j; there a coordinate may stray at most 1 + (its
+    absolute sum over the later columns) and still come back into [-1, 1],
+    so a branch is cut as soon as one strays further.  After a coordinate's
+    last column that bound is 1, so every leaf lies in the box.
+    """
+    n, n_rows = len(cols), len(cols[0]) if cols else 0
+    half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
+    if half_cap < 0:
+        raise CapError(f"point search exceeds cap {cap} points")
+    rest = [0] * n_rows
+    steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
+    for j in range(n - 1, -1, -1):
+        support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
+        for i, c, _ in support:
+            rest[i] += abs(c)
+        steps[j] = tuple(tuple((i, v * c, b) for i, c, b in support)
+                         for v in (-1, 0, 1))
+    w = [0] * n_rows
+    out = []
+
+    def visit(j):
+        if j == n:
+            out.append(tuple(w))
+            if len(out) > half_cap:
+                raise CapError(f"point search exceeds cap {cap} points")
+            return
+        for move in steps[j]:
+            inside = True
+            for i, d, b in move:
+                t = w[i] + d
+                w[i] = t
+                if t > b or t < -b:
+                    inside = False
+            if inside:
+                visit(j + 1)
+            for i, d, _ in move:
+                w[i] -= d
+
+    # x_j is the first nonzero coordinate and is 1: w = cols[j] is in the box
+    for j in range(n):
+        lead = steps[j][2]
+        for i, d, _ in lead:
+            w[i] = d
+        visit(j + 1)
+        for i, _, _ in lead:
+            w[i] = 0
+    return out
+
+
 def polytope_points(sys, cap=DEFAULT_CAP):
     """All lattice points of D as vectors, plain tuples of ints, sorted
     lexicographically: the half the point search over the columns of A
-    returns (systems._box_points, under the same cap), its negations and
+    returns (_box_points, under the same cap), its negations and
     the origin.
 
     The search is complete by the base-coordinate argument: a point of L

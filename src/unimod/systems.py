@@ -11,43 +11,34 @@ exactly when the row is an integer combination of the base rows, as every
 row of a unimodular system is.  Construction then certifies total
 unimodularity (every square minor in {0, 1, -1}), which is equivalent to
 all maximal independent row subsets generating the same group.
-Certification looks only at the tail block T (the non-base rows).  It
-first walks the minors of T, expanding them line by line from those of
-each line set's prefix, along the shorter side (a minor of T is one of
-T^t): the rows of T, or its columns when T has more rows than columns.
-That walk meets one minor per base, so it stops after 8 * 2^s of them,
-s the number of lines on the short side.  A T it has not settled by then
-is tested by Ghouila-Houri's theorem instead: T is totally unimodular
-exactly when every subset of its lines has a +-1 signing whose sum lies
-in {0, +-1}^m.  Lines with at most one nonzero entry and lines parallel
-to an earlier one are deleted first, which keeps the verdict: a minor
-through a unit line expands to a smaller minor, and a minor through two
-parallel lines is 0.  The rest splits into connected blocks, and on each
-block B, with lines l_1..l_s on its short side, the signings are the
-points (x, sum x_j l_j) in the box [-1, 1]^(s+m) over the columns of
-[I_s; B]: the same point search (_box_points) that finds the lattice
-points of the polytope D (see lattice).  It finds about 2^s points,
-however many bases there are, and is stopped after 8 * 2^s of them.
-That budget counts points found, not nodes visited, so nothing bounds
-the nodes on branches that find none: on the bicoloring inputs of the
-tests the search visited at most 3.7 * 2^s nodes, and at most 7.2 * 2^s
-on random reduced blocks that are not totally unimodular.  A rejection
-still names the first bad minor in the order of a scan over every square
-minor, found by walking the rows without a budget.  Certification runs
-on raw matrix input only.  Total unimodularity survives transposition,
-submatrices and block sums, so Gale duals, unit-free cores and direct
-sums of certified systems skip it, and graph systems check a
-spanning-tree certificate instead (see graphs).  Only raw input and Gale
-duals go through the elimination.  Direct sums, unit-free cores and
-graph systems are written straight in the standard form it would give
-them, because their first maximal independent rows are known: the
-operands' bases, block after block; the base left once the unit rows
-(coloops) are deleted; the first spanning tree in edge order, or the
-complement of the first one in reverse edge order.
+Certification looks only at the tail block T (the non-base rows), by
+Ghouila-Houri's theorem: T is totally unimodular exactly when every subset
+of its lines has a +-1 signing whose sum lies in {0, +-1}^m.  One pass over
+the 2^s subsets of the s lines on T's shorter side settles them all, each
+from a smaller one by two bitmask ANDs, so it costs about 2^s steps however
+many bases there are.  On a T with more subsets than entries, lines with at
+most one nonzero entry and lines parallel to an earlier one are deleted
+first, which keeps the verdict (a minor through a unit line expands to a
+smaller minor, and a minor through two parallel lines is 0), and the pass
+runs on each connected block of the rest.  A subset with no balanced
+signing shows that T holds a bad minor of at most its size; the minors of
+T, expanded line by line from those of each line set's prefix, are then
+walked up to that size, and the first bad minor in the order of a scan
+over every square minor is the witness.  Certification runs on raw matrix
+input only.  Total unimodularity survives transposition, submatrices and
+block sums, so Gale duals, unit-free cores and direct sums of certified
+systems skip it, and graph systems check a spanning-tree certificate
+instead (see graphs).  Only raw input and Gale duals go through the
+elimination.  Direct sums, unit-free cores and graph systems are written
+straight in the standard form it would give them, because their first
+maximal independent rows are known: the operands' bases, block after
+block; the base left once the unit rows (coloops) are deleted; the first
+spanning tree in edge order, or the complement of the first one in
+reverse edge order.
 
 Operations: complexity (= number of bases = det of the Gram matrix), base
-enumeration by the same walk over the nonzero tail minors as the scan, on
-the same side (they are in bijection with the bases), direct sums,
+enumeration by the same walk over the nonzero tail minors as the witness,
+on the shorter side (they are in bijection with the bases), direct sums,
 splitting off unit summands, Gale duality, and signed isomorphism search
 with exact invariant pruning.  Automorphisms are counted down a stabilizer
 chain: the orbit of each base row under the symmetries that fix the earlier
@@ -60,7 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from math import factorial, inf, prod
+from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import (CapError, DimensionError, NotUnimodularError,
@@ -68,7 +59,8 @@ from .errors import (CapError, DimensionError, NotUnimodularError,
 from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
-# budget of each step of _tu_witness per subset of the tail's short side
+# budget of the Ghouila-Houri pass of _tu_witness per subset of the tail's
+# short side: subsets settled plus the nodes of its exact searches
 _WORK_PER_SUBSET = 8
 
 
@@ -135,7 +127,7 @@ def _tail_block(m, base):
     return tail, [rows[i] for i in tail]
 
 
-def _tail_minors(lines, visit):
+def _tail_minors(lines, visit, limit=None):
     """Walk the nonzero square minors of a block given by its lines.
 
     The lines are the rows of the tail block T, or its columns (the rows of
@@ -148,9 +140,11 @@ def _tail_minors(lines, visit):
     minors are all 0 has only zero extensions and is skipped.
     visit(line_set, minors) is called on every other line set and returns
     the largest line-set size the walk still enters, so it decides whether
-    that line set grows and whether larger ones are met.
+    that line set grows and whether larger ones are met.  limit is that
+    size before the first visit (default: the length of a line).
     """
-    limit = len(lines[0]) if lines else 0
+    if limit is None:
+        limit = len(lines[0]) if lines else 0
 
     def walk(start, ls, minors):
         nonlocal limit
@@ -178,7 +172,7 @@ def _tail_minors(lines, visit):
     walk(0, (), {0: 1})
 
 
-def _walk_witness(tail, t, width, budget):
+def _walk_witness(tail, t, width, limit=None):
     """First bad minor of the tail block T by the minor walk, or None.
 
     tail holds T's row indices in m and width is its column count.  A tall
@@ -188,42 +182,34 @@ def _walk_witness(tail, t, width, budget):
     its rows, in the full scan's order of row sets.  There a row set with a
     bad minor is not extended, and once a bad minor of size k is found,
     only smaller sizes are searched, so a later find is strictly smaller
-    and replaces it.  Extended row sets thus hold only 0/+-1 minors.  The
-    walks take in at most budget nonzero minors between them: the line set
-    that would take them past it raises CapError instead.
+    and replaces it.  Extended row sets thus hold only 0/+-1 minors.  A
+    limit, when given, is a size that some bad minor of T does not exceed:
+    the column walk is skipped, and the row walk meets no larger row set.
     """
-    spent = 0
+    if limit is None:
+        limit = width
+        if len(tail) > width:
+            clean = True
 
-    def spend(minors):
-        nonlocal spent
-        spent += len(minors)
-        if spent > budget:
-            raise CapError(f"minor walk exceeds budget {budget} minors")
+            def visit_cols(cs, minors):
+                nonlocal clean
+                clean = set(minors.values()) <= {1, -1}
+                return width if clean else 0
 
-    if len(tail) > width:
-        clean = True
-
-        def visit_cols(cs, minors):
-            nonlocal clean
-            spend(minors)
-            clean = set(minors.values()) <= {1, -1}
-            return width if clean else 0
-
-        _tail_minors(list(zip(*t)), visit_cols)
-        if clean:
-            return None
+            _tail_minors(list(zip(*t)), visit_cols)
+            if clean:
+                return None
     best = None
 
     def visit(rs, minors):
         nonlocal best
-        spend(minors)
         if not set(minors.values()) <= {1, -1}:
             bad = [(tuple(c for c in range(width) if cs >> c & 1), v)
                    for cs, v in minors.items() if v not in (1, -1)]
             best = (tuple(tail[q] for q in rs), *min(bad))
-        return width if best is None else len(best[0]) - 1
+        return limit if best is None else len(best[0]) - 1
 
-    _tail_minors(t, visit)
+    _tail_minors(t, visit, limit)
     return best
 
 
@@ -309,93 +295,150 @@ def _reduced_blocks(t):
     return [(tuple(r), tuple(c)) for r, c in blocks.values()]
 
 
-def _box_points(cols, cap):
-    """One of each +-pair of the nonzero points w = sum x_j cols[j], x in
-    {-1,0,1}^n, that lie in the box [-1, 1]^m, for columns of length m
-    whose entries are 0 or +-1: those whose first nonzero x_j is 1, in
-    search order.  CapError once the whole count, 2 per pair found plus
-    the origin, exceeds cap; a cap below 1 raises at once.
+def _balanced_signing(lines, spend):
+    """A +-1 signing of the 0/+-1 lines, the first line +1, whose sum lies
+    in {0, +-1}^m, as the sum's bitmasks (plus, minus), or None if there is
+    none; spend() is called on every node, one line signed.
 
-    The box is centrally symmetric, so -w is in it exactly when w is, and
-    x = 0 gives the origin.  The leading x_j = 1 is chosen first, then the
-    later coordinates depth first over j.  Choosing x_j moves w only on the
-    support of column j; there a coordinate may stray at most 1 + (its
-    absolute sum over the later columns) and still come back into [-1, 1],
-    so a branch is cut as soon as one strays further.  After a coordinate's
-    last column that bound is 1, so every leaf lies in the box.
+    The search goes depth first over the lines in order, +1 before -1.  A
+    coordinate may stray at most 1 + (its absolute sum over the later
+    lines) and still come back into [-1, 1], so a branch is cut as soon as
+    one strays further; after the last line that bound is 1, so a leaf is
+    a balanced signing.  Negating a whole signing negates its sum, so the
+    first line's sign is fixed.
     """
-    n, n_rows = len(cols), len(cols[0]) if cols else 0
-    half_cap = (cap - 1) // 2  # 2 h + 1 > cap exactly when h > half_cap
-    if half_cap < 0:
-        raise CapError(f"point search exceeds cap {cap} points")
-    rest = [0] * n_rows
-    steps = [()] * n  # per column: the moves of x_j = -1, 0, 1
-    for j in range(n - 1, -1, -1):
-        support = [(i, c, 1 + rest[i]) for i, c in enumerate(cols[j]) if c]
-        for i, c, _ in support:
-            rest[i] += abs(c)
-        steps[j] = tuple(tuple((i, v * c, b) for i, c, b in support)
-                         for v in (-1, 0, 1))
-    w = [0] * n_rows
-    out = []
+    rest = [0] * len(lines[0])
+    steps = [()] * len(lines)  # per line: (coordinate, entry, bound)
+    for k in range(len(lines) - 1, -1, -1):
+        support = [(i, x, 1 + rest[i]) for i, x in enumerate(lines[k]) if x]
+        for i, _, _ in support:
+            rest[i] += 1
+        steps[k] = support
+    w = [0] * len(rest)
 
-    def visit(j):
-        if j == n:
-            out.append(tuple(w))
-            if len(out) > half_cap:
-                raise CapError(f"point search exceeds cap {cap} points")
-            return
-        for move in steps[j]:
+    def search(k):
+        if k == len(lines):
+            return True
+        for sign in (1, -1) if k else (1,):
+            spend()
             inside = True
-            for i, d, b in move:
-                t = w[i] + d
-                w[i] = t
-                if t > b or t < -b:
+            for i, x, b in steps[k]:
+                v = w[i] = w[i] + sign * x
+                if v > b or v < -b:
                     inside = False
-            if inside:
-                visit(j + 1)
-            for i, d, _ in move:
-                w[i] -= d
+            if inside and search(k + 1):
+                return True
+            for i, x, _ in steps[k]:
+                w[i] -= sign * x
+        return False
 
-    # x_j is the first nonzero coordinate and is 1: w = cols[j] is in the box
-    for j in range(n):
-        lead = steps[j][2]
-        for i, d, _ in lead:
-            w[i] = d
-        visit(j + 1)
-        for i, _, _ in lead:
-            w[i] = 0
-    return out
+    if not search(0):
+        return None
+    return (sum(1 << i for i, v in enumerate(w) if v > 0),
+            sum(1 << i for i, v in enumerate(w) if v < 0))
+
+
+def _extend(kept, line):
+    """kept + line or kept - line, + first, if one lies in {0, +-1}^m, else
+    None; both are pairs of bitmasks over the m coordinates, of the +1 and
+    of the -1 entries.  A sum leaves the box exactly where a +1 meets a +1
+    or a -1 meets a -1, two ANDs; elsewhere the masks give the new sum."""
+    p, m = kept
+    lp, lm = line
+    if not (p & lp or m & lm):
+        return p & ~lm | lp & ~m, m & ~lp | lm & ~p
+    if not (p & lm or m & lp):
+        return p & ~lp | lm & ~m, m & ~lm | lp & ~p
+    return None
+
+
+def _subset_pass(lines, spend):
+    """None if every subset of the 0/+-1 lines has a balanced signing (a
+    +-1 signing whose sum lies in {0, +-1}^m), otherwise the size of a
+    subset that has none.
+
+    Each subset S keeps the sum of one balanced signing, as a pair of
+    bitmasks (_extend), read off the sums kept for smaller subsets: for k
+    in S, lowest first, the kept sum of S - {k} plus or minus line k.  The
+    subsets are settled by their lowest line k, from the last line to the
+    first, and within that in increasing bitmask order, so every S - {k'}
+    a try reads is settled before S.  A subset where no k and no sign fits
+    goes to the exact search _balanced_signing over its own lines, whose
+    sum is kept if it finds one.  So every kept sum is that of a balanced
+    signing.  spend is passed on to the exact search.
+    """
+    s = len(lines)
+    signed = [(sum(1 << i for i, x in enumerate(l) if x > 0),
+               sum(1 << i for i, x in enumerate(l) if x < 0)) for l in lines]
+    kept = [(0, 0)] * (1 << s)
+    for low in range(s - 1, -1, -1):
+        bit = 1 << low
+        lp, lm = signed[low]
+        for prev in range(0, 1 << s, bit << 1):
+            subset = prev | bit
+            p, m = kept[prev]
+            # _extend(kept[prev], signed[low]), inlined: nearly every subset
+            # is settled here
+            if not (p & lp or m & lm):
+                kept[subset] = p & ~lm | lp & ~m, m & ~lp | lm & ~p
+                continue
+            if not (p & lm or m & lp):
+                kept[subset] = p & ~lp | lm & ~m, m & ~lm | lp & ~p
+                continue
+            for k in range(low + 1, s):
+                if subset >> k & 1:
+                    found = _extend(kept[subset ^ 1 << k], signed[k])
+                    if found is not None:
+                        break
+            else:
+                found = _balanced_signing(
+                    [lines[k] for k in range(s) if subset >> k & 1], spend)
+                if found is None:
+                    return subset.bit_count()
+            kept[subset] = found
+    return None
 
 
 def _bicolored(t, budget):
-    """Whether the 0/+-1 block T is totally unimodular, by Ghouila-Houri.
+    """None if the 0/+-1 block T is totally unimodular, by Ghouila-Houri;
+    otherwise the size of a line subset of T that has no balanced signing.
 
     A matrix is totally unimodular exactly when every subset of its rows
     (or of its columns) has a +-1 signing whose sum lies in {0, +-1}^m
     (Ghouila-Houri 1962; Schrijver, Theory of Linear and Integer
-    Programming, Thm 19.3).  Each block B of _reduced_blocks is tested on
-    its shorter side, lines l_1..l_s, by the point search _box_points over
-    the columns (e_j, l_j) of [I_s; B]: a point found is (x, sum x_j l_j)
-    with x in {-1,0,1}^s and the sum in the box, so the support of x is a
-    line subset with a balanced signing, and every such subset is the
-    support of a point found (+-x share it).  B passes when the supports
-    found are all 2^s - 1 nonempty subsets.  About 2^s points for a short
-    side of s lines, however many bases the system has.  The searches
-    share the budget, counted as _box_points counts its cap (2 per pair
-    found plus the origin, per search): CapError once they would run past
-    it.
+    Programming, Thm 19.3).  _subset_pass settles every subset of the lines
+    on the short side of T itself when 2^s - 1 <= rows * cols of T, and
+    otherwise of each block of _reduced_blocks, whose deletions and split
+    cost more than the pass over a small T.  A pass over every block is a
+    certificate.  A subset with no balanced signing refutes T: the
+    submatrix on its lines is not totally unimodular, so T holds a bad
+    minor of at most its size.  A block of s lines costs 2^s units, and
+    each node of an exact search one more, against the budget: CapError
+    once they would run past it.
     """
-    for rows, cols in _reduced_blocks(t):
-        block = [[t[i][j] for j in cols] for i in rows]
-        lines = block if len(rows) <= len(cols) else list(zip(*block))
-        s = len(lines)
-        found = _box_points([(0,) * j + (1,) + (0,) * (s - j - 1) + tuple(l)
-                             for j, l in enumerate(lines)], budget)
-        budget -= 2 * len(found) + 1
-        if len({bytes(map(abs, w[:s])) for w in found}) < (1 << s) - 1:
-            return False
-    return True
+    if not t:
+        return None
+    spent = 0
+
+    def spend(units=1):
+        nonlocal spent
+        spent += units
+        if spent > budget:
+            raise CapError(f"Ghouila-Houri pass exceeds budget {budget}")
+
+    r, c = len(t), len(t[0])
+    if (1 << min(r, c)) - 1 <= r * c:
+        blocks = [t]
+    else:
+        blocks = [[[t[i][j] for j in cols] for i in rows]
+                  for rows, cols in _reduced_blocks(t)]
+    for block in blocks:
+        lines = block if len(block) <= len(block[0]) else list(zip(*block))
+        spend(1 << len(lines))
+        size = _subset_pass(lines, spend)
+        if size is not None:
+            return size
+    return None
 
 
 def _tu_witness(m, base):
@@ -406,41 +449,29 @@ def _tu_witness(m, base):
     e_p is 0 when p is not among its columns and otherwise +- the smaller
     minor without that row and column.  So every bad minor of the smallest
     bad size uses tail rows only, and only the tail block T is examined,
-    in four steps, with a budget of 8 * 2^s units of work for a short side
-    of s = min(rows, columns of T) lines.  (1) An entry outside {0, +-1}:
-    the first one, in row order, is the witness.  This comes first, as the
-    deletions of step 3 keep the verdict only on 0/+-1 entries.  (2) The
-    minor walk (_walk_witness), stopped once it has met the budget's count
-    of nonzero minors; if it finishes, its answer is the answer.  A totally
-    unimodular T meets one nonzero minor per base but the standard one, so
-    every system with at most the budget's count of bases finishes here.
-    (3) Otherwise the Ghouila-Houri test (_bicolored: every subset of lines
-    has a signing summing into {0, +-1}^m, after the deletions of unit and
-    parallel lines in _reduced_blocks, which keep the verdict), a point
-    search over [I; B] stopped once it has found the budget's count of
-    points; a pass certifies T.  Its cost does not grow with the number of
-    bases.  (4) If it refutes T or runs over its budget, the walk runs
-    again without a budget and names the first bad minor.  Both budgets
-    raise CapError, caught here.  So steps 2 and 3 walk at most 8 * 2^s
-    minors and find at most 8 * 2^s points; the search's nodes are not
-    counted (see the module docstring for those measured).
+    in three steps.  (1) An entry outside {0, +-1}: the first one, in row
+    order, is the witness.  This comes first, as the Ghouila-Houri test
+    holds for 0/+-1 entries only.  (2) The Ghouila-Houri pass (_bicolored)
+    over the subsets of the short side of T, or of its reduced blocks,
+    under a budget of 8 * 2^s units (s = min(rows, columns of T)): 2^s_b
+    per block of s_b lines plus the nodes of its exact searches.  Its cost
+    does not grow with the number of bases.  A pass certifies T.  (3) A
+    refutation names a line subset of some size k with no balanced
+    signing, so T holds a bad minor of size at most k: the rows of T are
+    walked (_walk_witness) over row sets of at most k rows, which names
+    the first bad minor.  Only a pass that runs over its budget (CapError)
+    leaves the whole walk to decide.
     """
     tail, t = _tail_block(m, base)
     for q, row in enumerate(t):
         for c, x in enumerate(row):
             if x not in (0, 1, -1):
                 return (tail[q],), (c,), x
-    budget = _WORK_PER_SUBSET << min(len(tail), m.cols)
     try:
-        return _walk_witness(tail, t, m.cols, budget)
+        size = _bicolored(t, _WORK_PER_SUBSET << min(len(tail), m.cols))
     except CapError:
-        pass
-    try:
-        if _bicolored(t, budget):
-            return None
-    except CapError:
-        pass
-    return _walk_witness(tail, t, m.cols, inf)
+        return _walk_witness(tail, t, m.cols)
+    return None if size is None else _walk_witness(tail, t, m.cols, size)
 
 
 def check_labels(labels, count):
@@ -521,15 +552,14 @@ def from_matrix(raw, labels=None):
     """Construct and fully verify a unimodular system from integer row data.
 
     The rows are put in standard form (see _standardize), whose tail block
-    is then certified totally unimodular (see _tu_witness): by a walk over
-    its nonzero minors along its shorter side, stopped after 8 * 2^s
-    minors for a short side of s lines, and past that by Ghouila-Houri's
-    theorem (every subset of lines has a +-1 signing summing into
-    {0, +-1}^m), searched as points of a box over the short side of each
-    block left once unit and parallel lines are deleted, about 2^s points
-    and at most 8 * 2^s of them.  The witness is the first offending
-    minor in the order of a scan over every square minor (size, then rows,
-    then columns).  The check is for raw input: systems the library
+    is then certified totally unimodular (see _tu_witness) by
+    Ghouila-Houri's theorem (every subset of lines has a +-1 signing
+    summing into {0, +-1}^m): one pass over the 2^s subsets of the s lines
+    on its shorter side, or on that of each block left once unit and
+    parallel lines are deleted.  A rejection walks the tail's minors up to
+    the size of a subset the pass refutes.  The witness is the first
+    offending minor in the order of a scan over every square minor (size,
+    then rows, then columns).  The check is for raw input: systems the library
     derives from certified ones (graph systems, Gale duals, cores, direct
     sums) are totally unimodular by construction and skip it.  Scalar
     presentations collapse: [[2]] is accepted as the unit system, since

@@ -6,9 +6,9 @@ agree: tree counts against Gram determinants, duals against cut-space
 derivations, scans against their defining inequalities, and each fast path
 against the slow routine it replaced, kept here as a test-only oracle: the
 tail-minor total-unimodularity scan (along rows or columns) against a scan
-over every square minor, the certification by Ghouila-Houri bicolorings
-past the walk's budget against the unbudgeted walk, its point search over
-[I; B] against the signed-sum search it replaced, its deletions of unit
+over every square minor, the certification by one Ghouila-Houri pass
+over line subsets against the unbudgeted walk, its verdicts against the
+signed-sum search and the full scan, its deletions of unit
 and parallel lines and its block split against the full scan, the
 base-coordinate point search against the cube scan, the bases read off
 the nonzero tail minors against a scan over all row subsets, the
@@ -36,7 +36,6 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
 from operator import sub
-from sys import getprofile, setprofile
 
 import pytest
 
@@ -79,6 +78,7 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
+    _box_points,
     _coefficients,
     build_polytope_report,
     facets,
@@ -93,7 +93,6 @@ from unimod.systems import (
     SignedCorrespondence,
     UnimodularSystem,
     _bicolored,
-    _box_points,
     _normalize_row,
     _reduced_blocks,
     _standardize,
@@ -460,45 +459,34 @@ def bicoloring_cases():
 
 def count_branches(monkeypatch):
     """Counter of the ways _tu_witness settles its inputs, filled in as it
-    runs: the budgeted walk finishes or runs over its budget, then the
-    bicoloring certifies, refutes or runs over its budget."""
+    runs: the Ghouila-Houri pass certifies, refutes or runs over its
+    budget."""
     seen = Counter()
-    walk, bicolored = systems._walk_witness, systems._bicolored
-
-    def counted_walk(tail, t, width, budget):
-        try:
-            found = walk(tail, t, width, budget)
-        except CapError:
-            seen["walk over budget"] += 1
-            raise
-        if budget != math.inf:
-            seen["walk finishes"] += 1
-        return found
+    bicolored = systems._bicolored
 
     def counted_bicolored(t, budget):
         try:
-            passed = bicolored(t, budget)
+            size = bicolored(t, budget)
         except CapError:
-            seen["bicoloring over budget"] += 1
+            seen["pass over budget"] += 1
             raise
-        seen["bicoloring certifies" if passed else "bicoloring refutes"] += 1
-        return passed
+        seen["pass certifies" if size is None else "pass refutes"] += 1
+        return size
 
-    monkeypatch.setattr(systems, "_walk_witness", counted_walk)
     monkeypatch.setattr(systems, "_bicolored", counted_bicolored)
     return seen
 
 
 @pytest.mark.parametrize("work,branches", [
-    (8, ("walk finishes", "walk over budget", "bicoloring certifies",
-         "bicoloring refutes")),
-    # the search finds at most about 3 * 2^s points on these inputs, so its
-    # own overrun shows only under a smaller budget
-    (1, ("bicoloring over budget",)),
+    (8, ("pass certifies", "pass refutes")),
+    # a budget of 2^s units leaves a pass over the whole short side no
+    # room for the nodes of an exact search, and each refutation runs one
+    (1, ("pass certifies", "pass refutes", "pass over budget")),
 ], ids=["budget-8", "budget-1"])
 def test_bicoloring_names_the_minor_walks_witness(monkeypatch, work, branches):
-    """Each of the four steps of _tu_witness settles inputs, and every
-    verdict and witness is the unbudgeted minor walk's."""
+    """The Ghouila-Houri pass of _tu_witness certifies and refutes, runs
+    over its budget only when the budget is cut, and every verdict and
+    witness is the unbudgeted minor walk's."""
     assert systems._WORK_PER_SUBSET == 8
     monkeypatch.setattr(systems, "_WORK_PER_SUBSET", work)
     seen = count_branches(monkeypatch)
@@ -507,7 +495,7 @@ def test_bicoloring_names_the_minor_walks_witness(monkeypatch, work, branches):
         assert _tu_witness(m, base) == want, (m.to_lists(), base)
         verdicts[want is None] += 1
     assert min(verdicts.values()) >= 200, verdicts
-    assert min(seen[b] for b in branches) >= 20, seen
+    assert set(seen) == set(branches) and min(seen.values()) >= 20, seen
 
 
 def _block_matrices(t):
@@ -624,7 +612,8 @@ def test_riffled_direct_sum_splits_into_its_summands():
 def signed_sum_supports(lines):
     """The bitmasks of the subsets of the 0/+-1 lines that have a +-1
     signing whose sum lies in {0, +-1}^m: the search the Ghouila-Houri test
-    ran before it ran the point search over [I; B], kept as its oracle.
+    ran before it ran the point search over [I; B], kept as the oracle of
+    the subset pass that replaced both.
 
     The walk goes over ascending tuples of line positions, each line signed
     +1 or -1 but the first, which is +1 (negating a whole signing negates
@@ -710,39 +699,68 @@ def random_reduced_blocks(rng, quota):
     return out
 
 
-def test_point_search_over_i_b_reaches_the_signed_sums(monkeypatch):
-    """The supports of the points the box search finds over [I; B] are the
-    line subsets of B that the signed-sum search finds balanced, and
-    _bicolored gives that search's verdict, on every reduced block of the
-    bicoloring inputs and on 2000 seeded random reduced blocks with a short
-    side of 6 to 12 lines (fewer of the larger ones, which cost more)."""
-    box_points = systems._box_points
-    searched = []
+def random_raw_tails(rng, count):
+    """Seeded 0/+-1 tails of 1 to 6 rows and columns, half of them with a
+    planted bad cycle."""
+    out = []
+    for _ in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        pool = rng.choice(((-1, 0, 1), (-1, 0, 0, 0, 1), (-1, 0, 1, 1)))
+        t = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+        if min(r, c) >= 2 and rng.random() < 0.5:
+            plant_bad_cycle(rng, t, rng.randint(2, min(r, c)))
+        out.append(t)
+    return out
 
-    def recorded(cols, cap):
-        found = box_points(cols, cap)
-        searched.append((cols, found))
+
+def test_subset_pass_reaches_the_signed_sums(monkeypatch):
+    """The Ghouila-Houri pass of _bicolored gives the verdict of the
+    signed-sum search on every reduced block of the bicoloring inputs and
+    on 2000 seeded random reduced blocks with a short side of 6 to 12 lines
+    (fewer of the larger ones, which cost more), and that of the full scan
+    on 3000 seeded raw tails, which cover the pass over a whole tail.  A
+    refutation's size bounds the smallest bad minor.  The exact search the
+    pass falls back on finds a signing on some totally unimodular blocks."""
+    signing = systems._balanced_signing
+    searches = Counter()
+
+    def counted(lines, spend):
+        found = signing(lines, spend)
+        searches[found is not None] += 1
         return found
 
-    monkeypatch.setattr(systems, "_box_points", recorded)
+    monkeypatch.setattr(systems, "_balanced_signing", counted)
     blocks = [block for m, base, _ in bicoloring_cases()
               for block in _block_matrices(_tail_block(m, base)[1])]
     blocks += random_reduced_blocks(random.Random(170832), {
         6: 1100, 7: 540, 8: 240, 9: 80, 10: 24, 11: 10, 12: 6})
     verdicts = Counter()
+    signed_on_tu = 0
     for block in blocks:
         lines = block if len(block) <= len(block[0]) else list(zip(*block))
-        s = len(lines)
-        want = signed_sum_supports(lines)
-        searched.clear()
-        passed = _bicolored(block, math.inf)
-        assert passed == (len(want) == (1 << s) - 1), block
-        [(cols, found)] = searched
-        assert cols == [_unit(j, s) + tuple(line)
-                        for j, line in enumerate(lines)], block
-        assert {sum(1 << j for j in range(s) if w[j]) for w in found} == want
-        verdicts[passed] += 1
+        want = len(signed_sum_supports(lines)) == (1 << len(lines)) - 1
+        searches.clear()
+        size = _bicolored(block, math.inf)
+        assert (size is None) == want, block
+        assert size is None or 2 <= size <= len(lines), block
+        verdicts[want] += 1
+        signed_on_tu += want and searches[True]
     assert min(verdicts.values()) >= 400, verdicts
+    # 7 on these blocks, all of them random ones; many more would mean that
+    # the extensions of kept sums fail where they should fit
+    assert 5 <= signed_on_tu <= 10, signed_on_tu
+    by_route = Counter()
+    for t in random_raw_tails(random.Random(170833), 3000):
+        want = full_scan_tu_witness(IntMatrix.from_rows(t))
+        size = _bicolored(t, math.inf)
+        assert (size is None) == (want is None), t
+        assert size is None or len(want[0]) <= size, t
+        whole = (1 << min(len(t), len(t[0]))) - 1 <= len(t) * len(t[0])
+        by_route[whole, want is None] += 1
+    # whole tails of both verdicts, and fewer reduced ones (5 lines or more
+    # on the short side), most of them not totally unimodular
+    assert min(by_route[True, v] for v in (False, True)) >= 1000, by_route
+    assert min(by_route[False, v] for v in (False, True)) >= 10, by_route
 
 
 def _frontier_rows():
@@ -762,72 +780,92 @@ def _frontier_rows():
 
 
 def count_work(monkeypatch):
-    """Counter of the nonzero tail minors the walks take in and of the
-    nodes the point searches of the bicoloring visit (calls of the inner
-    visit of _box_points, seen by a profile hook while _bicolored runs),
-    filled in as they run.  The line set whose minors would take a walk
-    past its budget stops it uncounted."""
+    """Counter of the work of certification, filled in as it runs: the
+    nonzero tail minors the walks take in, the line counts of the blocks
+    the Ghouila-Houri pass runs on (a tuple), the subsets it settles (2^s
+    - 1 on a block of s lines that passes) and the nodes of its exact
+    searches."""
     work = Counter()
-    tail_minors, bicolored = systems._tail_minors, systems._bicolored
-    visit = next(c for c in systems._box_points.__code__.co_consts
-                 if getattr(c, "co_name", None) == "visit")
+    tail_minors, subset_pass = systems._tail_minors, systems._subset_pass
+    signing = systems._balanced_signing
 
-    def counted_minors(lines, visit):
+    def counted_minors(lines, visit, limit=None):
         def counted(line_set, minors):
-            limit = visit(line_set, minors)
             work["minors"] += len(minors)
-            return limit
-        tail_minors(lines, counted)
+            return visit(line_set, minors)
+        tail_minors(lines, counted, limit)
 
-    def count_node(frame, event, arg):
-        if event == "call" and frame.f_code is visit:
+    def counted_pass(lines, spend):
+        size = subset_pass(lines, spend)
+        work["blocks"] += (len(lines),)
+        if size is None:
+            work["subsets"] += (1 << len(lines)) - 1
+        return size
+
+    def counted_signing(lines, spend):
+        def counted():
             work["nodes"] += 1
+            spend()
+        return signing(lines, counted)
 
-    def counted_bicolored(t, budget):
-        before = getprofile()
-        setprofile(count_node)
-        try:
-            return bicolored(t, budget)
-        finally:
-            setprofile(before)
-
+    work["blocks"] = ()
     monkeypatch.setattr(systems, "_tail_minors", counted_minors)
-    monkeypatch.setattr(systems, "_bicolored", counted_bicolored)
+    monkeypatch.setattr(systems, "_subset_pass", counted_pass)
+    monkeypatch.setattr(systems, "_balanced_signing", counted_signing)
     return work
 
 
 @pytest.mark.parametrize("rows", _frontier_rows())
 def test_certification_work_grows_with_the_short_side(monkeypatch, rows):
-    """Certifying these systems walks at most 8 * 2^s tail minors (s the
-    tail's short side), where the unbudgeted walk meets one per base, and
-    the bicoloring visits at most 4 * 2^s_b nodes per reduced block."""
+    """Certifying these systems settles one subset of lines per nonempty
+    subset of each block the pass runs on, the whole tail when it is small
+    and its reduced blocks otherwise: at most 2^s - 1, s the tail's short
+    side, where the minor walk meets one minor per base.  Its exact
+    searches visit at most 2^s nodes, and no minor is walked."""
     work = count_work(monkeypatch)
     s = from_matrix(rows)
-    blocks = _reduced_blocks(_tail_block(s.a_matrix, s.base_rows)[1])
-    assert complexity(s) > 8 << _short_side(s.a_matrix)
-    assert work["minors"] <= 8 << _short_side(s.a_matrix), work
-    assert 0 < work["nodes"] <= 4 * sum(1 << min(len(r), len(c))
-                                        for r, c in blocks), work
+    t = _tail_block(s.a_matrix, s.base_rows)[1]
+    short = _short_side(s.a_matrix)
+    if (1 << short) - 1 <= len(t) * len(t[0]):
+        blocks = (short,)
+    else:
+        blocks = tuple(min(len(r), len(c)) for r, c in _reduced_blocks(t))
+    assert complexity(s) > 8 << short
+    assert work["blocks"] == blocks, work
+    assert work["subsets"] == sum((1 << b) - 1 for b in blocks) < 1 << short
+    assert work["nodes"] <= 1 << short, work
+    assert work["minors"] == 0, work
+
+
+def flipped_rows(kind, k):
+    """The rows of the graph system of complete:k, as its file lists them,
+    with the last nonzero entry of the last row negated."""
+    rows = kind(make("complete", k)).a_matrix.to_lists()
+    j = max(j for j, x in enumerate(rows[-1]) if x)
+    rows[-1][j] = -rows[-1][j]
+    return rows
 
 
 def test_flipped_complete_graph_names_the_walks_witness(monkeypatch):
-    """One sign flipped in the last tail row of graphic complete:8: the walk
-    runs over its budget, the bicoloring refutes, and the unbudgeted walk
-    names the first bad minor."""
-    s = graphic_system(make("complete", 8))
-    rows, tail = _tail_lists(s.a_matrix, s.base_rows)
-    j = next(j for j, x in enumerate(tail[-1]) if x)
-    tail[-1][j] = -tail[-1][j]
-    m = IntMatrix.from_rows(rows)
-    seen = count_branches(monkeypatch)
-    want = walk_tu_witness(m, s.base_rows)
-    assert want is not None
-    assert _tu_witness(m, s.base_rows) == want
-    assert seen == Counter({"walk over budget": 1,
-                            "bicoloring refutes": 1}), seen
-    with pytest.raises(NotUnimodularError) as err:
-        from_matrix(rows)
-    assert (err.value.rows, err.value.cols, err.value.value) == want
+    """One sign flipped in the last row of graphic complete:8 and of
+    cographic complete:9: the pass refutes at some size, and the walk over
+    the rows up to that size names the unbudgeted walk's witness, the first
+    bad minor, after a pinned count of minors."""
+    for kind, k, minors in ((graphic_system, 8, 3718),
+                            (cographic_system, 9, 9941)):
+        rows = flipped_rows(kind, k)
+        m, base = standard_form(rows)
+        want = walk_tu_witness(m, base)
+        assert want is not None
+        seen = count_branches(monkeypatch)
+        work = count_work(monkeypatch)
+        assert _tu_witness(m, base) == want
+        assert seen == Counter({"pass refutes": 1}), seen
+        assert work["minors"] == minors, work
+        with pytest.raises(NotUnimodularError) as err:
+            from_matrix(rows)
+        assert (err.value.rows, err.value.cols, err.value.value) == want
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
