@@ -196,9 +196,13 @@ def _cmd_decompose(args, system):
 
 
 def _cmd_isomorphic(args, sys_a, sys_b):
-    corr = are_isomorphic(sys_a, sys_b, cap=_cap(args))
+    corr, witness = are_isomorphic(sys_a, sys_b, cap=_cap(args), explain=True)
     if corr is None:
-        return ["isomorphic no"], {"isomorphic": False}
+        # the first invariant that differs, or the nodes of the exhausted
+        # search; a value is an int or a list, written without spaces
+        return (["isomorphic no", "# witness " + " ".join(
+                    f"{k}={v}".replace(" ", "") for k, v in witness.items())],
+                {"isomorphic": False, "witness": witness})
     lines = ["isomorphic yes",
              "row_map " + " ".join(map(str, corr.row_map)),
              "signs " + " ".join("+" if s > 0 else "-" for s in corr.signs)]

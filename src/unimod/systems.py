@@ -42,15 +42,15 @@ on the shorter side (they are in bijection with the bases), direct sums,
 splitting off unit summands, Gale duality, and signed isomorphism search
 with exact invariant pruning.  Automorphisms are counted down a stabilizer
 chain: the orbit of each base row under the symmetries that fix the earlier
-base rows, one witness search per candidate image, times the permutations
-of tail rows equal up to sign that remain once every base row is fixed.
+base rows, closed under the symmetries already found, with one witness
+search per image that none of them reaches, times the permutations of tail
+rows equal up to sign that remain once every base row is fixed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -839,20 +839,47 @@ class SignedCorrespondence(NamedTuple):
 
 
 def _iso_prefilter(a, b):
-    """Cheap isomorphism invariants; False means definitely not isomorphic."""
-    if (a.N, a.n) != (b.N, b.n):
-        return False
-    if complexity(a) != complexity(b):
-        return False
-    prof_a = sorted(len(c) for c in multiplicity_classes(a))
-    prof_b = sorted(len(c) for c in multiplicity_classes(b))
-    if prof_a != prof_b:
-        return False
-    pa, _ = form_pairing_matrix(a)
-    pb, _ = form_pairing_matrix(b)
-    if sorted(pa[i, i] for i in range(a.N)) != sorted(pb[i, i] for i in range(b.N)):
-        return False
-    return True
+    """The first cheap invariant on which a and b differ, as (name, value
+    for a, value for b), or None when they all agree.  In order: "shape"
+    [N, n], "complexity", "profile" (the sorted sizes of the multiplicity
+    classes) and "pairing_diagonal" (the sorted diagonal of P, see
+    form_pairing_matrix; its d is the complexity, by then equal)."""
+    invariants = (
+        ("shape", lambda s: [s.N, s.n]),
+        ("complexity", complexity),
+        ("profile", lambda s: sorted(map(len, multiplicity_classes(s)))),
+        ("pairing_diagonal",
+         lambda s: sorted(p[i] for i, p in enumerate(_pairing_rows(s)))))
+    for name, of in invariants:
+        va, vb = of(a), of(b)
+        if va != vb:
+            return name, va, vb
+    return None
+
+
+@lru_cache
+def _pairing_rows(sys):
+    """The rows of P (form_pairing_matrix) as tuples, built once per system
+    for the isomorphism search and the automorphism count."""
+    return tuple(form_pairing_matrix(sys)[0].row_list())
+
+
+def _pairing_test(a, b):
+    """fits(images, t, eps): whether the signed b-row (t, eps) may image
+    base row j = len(images) of a, after images = ((t_0, eps_0), ...) of
+    the base rows before it.  The image must keep the exact pairing of
+    the base row with itself and with each earlier base row (P/d, with the
+    same d on both sides)."""
+    pa, pb = _pairing_rows(a), _pairing_rows(b)
+    ba = a.base_rows
+
+    def fits(images, t, eps):
+        aj = ba[len(images)]
+        qa, qb = pa[aj], pb[t]
+        return qb[t] == qa[aj] and all(
+            qa[ba[i]] == s * eps * qb[u] for i, (u, s) in enumerate(images))
+
+    return fits
 
 
 def _correspondence_search(a, b, cap):
@@ -861,29 +888,30 @@ def _correspondence_search(a, b, cap):
     first backtracks over signed images (t, eps) of a's base rows in b, row
     t ascending and eps = 1 before -1, and returns None if no assignment
     completes.  Assignments must preserve the exact form pairings (P/d
-    matrices), which prunes hard; a complete assignment forces the base
-    change g.  Then each tail row of a, in order, takes the smallest free
-    b-row equal to its image up to sign, and the first miss fails: the
-    N - n tail rows meet N - n free rows (the targets are distinct), so
-    all find one exactly when the two multisets agree.  g is unimodular
-    without a test: a's base rows are unit vectors, so the pairing tests
-    force adj(A^T A) = g adj(B^T B) g^T, and taking determinants with
-    det A^T A = det B^T B > 0 (the prefilter compares the complexities;
-    automorphisms compare a system with itself) gives det(g)^2 = 1.
-    prefix forces the images of the first len(prefix) base rows; each
-    forced choice still has to pass the same tests.  The tables (pairings,
-    b's rows normalized) are built once per pair, so repeated searches
-    share them, and the budget: CapError once more than cap signed images
-    (search nodes) have been assigned.
+    matrices, _pairing_test), which prunes hard; a complete assignment
+    forces the base change g.  Then each tail row of a, in order, takes the
+    smallest free b-row equal to its image up to sign, and the first miss
+    fails: the N - n tail rows meet N - n free rows (the targets are
+    distinct), so all find one exactly when the two multisets agree.  g is
+    unimodular without a test: a's base rows are unit vectors, so the
+    pairing tests force adj(A^T A) = g adj(B^T B) g^T, and taking
+    determinants with det A^T A = det B^T B > 0 (the prefilter compares the
+    complexities; automorphisms compare a system with itself) gives
+    det(g)^2 = 1.  prefix forces the images of the first len(prefix) base
+    rows; each forced choice still has to pass the same tests.  Repeated
+    searches share the tables (b's rows normalized, built once per pair;
+    the pairings, once per system) and the budget: CapError once more than
+    cap signed images (search nodes) have been assigned; first.nodes() is
+    the number assigned so far.
     """
     n, N = a.n, a.N
-    pa = form_pairing_matrix(a)[0].row_list()
-    pb = form_pairing_matrix(b)[0].row_list()
+    fits = _pairing_test(a, b)
     ba = a.base_rows
     rest_a = a.tail_rows()
     a_rows = a.a_matrix.row_list()
     b_rows = b.a_matrix.row_list()
     b_keys = [_normalize_row(r) for r in b_rows]
+    every = [(t, eps) for t in range(N) for eps in (1, -1)]
     targets = [0] * n
     signs = [0] * n
     nodes = 0
@@ -916,14 +944,9 @@ def _correspondence_search(a, b, cap):
         nonlocal nodes
         if j == n:
             return complete()
-        aj = ba[j]
-        choices = (prefix[j:j + 1] if j < len(prefix)
-                   else [(t, eps) for t in range(N) for eps in (1, -1)])
-        for t, eps in choices:
-            if t in targets[:j] or pb[t][t] != pa[aj][aj]:
-                continue
-            if any(pa[ba[i]][aj] != signs[i] * eps * pb[targets[i]][t]
-                   for i in range(j)):
+        images = tuple(zip(targets[:j], signs[:j]))
+        for t, eps in prefix[j:j + 1] if j < len(prefix) else every:
+            if t in targets[:j] or not fits(images, t, eps):
                 continue
             nodes += 1
             if nodes > cap:
@@ -935,44 +958,124 @@ def _correspondence_search(a, b, cap):
                 return found
         return None
 
+    first.nodes = lambda: nodes
     return first
 
 
-def are_isomorphic(a, b, cap=DEFAULT_CAP):
-    """First signed correspondence a -> b in deterministic search order, or None."""
+def are_isomorphic(a, b, cap=DEFAULT_CAP, explain=False):
+    """First signed correspondence a -> b in deterministic search order, or None.
+
+    With explain=True the result is a pair (correspondence, witness).  The
+    witness of a "yes" is None; that of a "no" is {"invariant": name,
+    "a": value, "b": value} for the first invariant of _iso_prefilter that
+    differs, or {"search_nodes": k} when they all agree and the search
+    assigned k nodes without completing.
+    """
+    corr, witness = None, None
     if a.N == b.N == 0:  # otherwise the prefilter compares the sizes first
-        return SignedCorrespondence((), (), IntMatrix(0, 0, ()))
-    if not _iso_prefilter(a, b):
-        return None
-    if a.a_matrix == b.a_matrix:
-        return SignedCorrespondence(tuple(range(a.N)), (1,) * a.N,
+        corr = SignedCorrespondence((), (), IntMatrix(0, 0, ()))
+    elif (differ := _iso_prefilter(a, b)) is not None:
+        witness = dict(zip(("invariant", "a", "b"), differ))
+    elif a.a_matrix == b.a_matrix:
+        corr = SignedCorrespondence(tuple(range(a.N)), (1,) * a.N,
                                     IntMatrix.identity(a.n))
-    return _correspondence_search(a, b, cap)()
+    else:
+        first = _correspondence_search(a, b, cap)
+        corr = first()
+        if corr is None:
+            witness = {"search_nodes": first.nodes()}
+    return (corr, witness) if explain else corr
+
+
+def _swap(u, v, s):
+    """The symmetry exchanging rows u and v, where row v = s * row u, as a
+    map of the signed rows it moves."""
+    return {(u, 1): (v, s), (u, -1): (v, -s), (v, 1): (u, s), (v, -1): (u, -s)}
+
+
+def _close(points, gens, into):
+    """Add to the set into the orbit of points under the group gens generate.
+
+    A point already in into is not followed further: the orbit of a finite
+    group is the closure under its generators alone (an inverse is a power).
+    """
+    stack = [p for p in points if p not in into]
+    into.update(stack)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = g.get(p, p)
+            if q not in into:
+                into.add(q)
+                stack.append(q)
 
 
 def automorphism_count(sys, cap=DEFAULT_CAP):
     """Number of signed self-correspondences (global flip included).
 
-    The correspondences form a group of signed row permutations, counted
-    down its stabilizer chain (Sims): |Aut| = |G_n| * prod_{j<n} |O_j|.
-    G_j fixes the base rows ba[0..j-1], each with sign 1, and O_j is the
-    orbit of (ba[j], 1) under G_j: the signed rows (t, eps) for which the
-    search with the prefix (ba[0], 1), ..., (ba[j-1], 1), (t, eps) finds a
-    witness.  An element of G_n fixes every base row, so its base change is
-    the identity and it only permutes tail rows that are equal up to sign:
-    |G_n| is the product of cnt! over those classes.  The global flip lies
-    in G_0, so O_0 holds (t, -1) exactly when it holds (t, 1).  The work is
-    one witness search per candidate orbit element, not one search leaf per
-    automorphism.
+    The correspondences form a group acting on the signed rows: h maps
+    (t, eps), the form eps * row t, to (pi(t), eps * sigma_t) when
+    row t @ g = sigma_t * row pi(t).  It is counted down its stabilizer
+    chain (Sims): |Aut| = |G_n| * prod_{j<n} |O_j|, where G_j fixes the base
+    rows ba[0..j-1], each with sign 1, and O_j is the orbit of (ba[j], 1)
+    under G_j.  An element of G_n fixes every base row, so its base change
+    is the identity and it only permutes tail rows that are equal up to
+    sign: |G_n| is the product of cnt! over those classes.
+
+    Each O_j is built by closure under the symmetries already known, which
+    all lie in G_j:
+    - the swaps of adjacent members of each such class of tail rows, which
+      lie in G_n, contained in every G_j;
+    - the global flip (g = -I), at level 0 only: it lies in G_0 but moves
+      (ba[0], 1), so in no later G_j;
+    - every witness found so far.  The levels run from j = n - 1 down to 0,
+      and a witness found at level j' fixes (ba[i], 1) for i < j', so it
+      lies in G_j' and hence in G_j for every j <= j'.
+    O_j starts as the closure of (ba[j], 1).  The candidates (t, eps) then
+    come with t ascending and eps = 1 before -1.  One already in O_j or
+    settled outside it is skipped, as is t in ba[:j] (G_j fixes those rows)
+    and one that fails the search's own pairing test for the last forced
+    image (_pairing_test), which every element of O_j passes.  Any other
+    candidate costs one witness search with the prefix (ba[0], 1), ...,
+    (ba[j-1], 1), (t, eps).  A witness becomes a generator, and O_j grows by
+    its image and the closure of the new points.  A failure settles the
+    closure of (t, eps) as outside O_j: were h(t, eps) in O_j for some h in
+    G_j, (t, eps) would be too.  So only candidates that no known symmetry
+    reaches are searched (Sims' orbit pruning, also nauty's), not one
+    search per orbit element, and cap bounds the nodes of all of them.
     """
     if sys.N == 0:
         return 1
-    classes = Counter(_normalize_row(sys.row(i)) for i in sys.tail_rows())
-    count = prod(factorial(cnt) for cnt in classes.values())
+    N, ba, row = sys.N, sys.base_rows, sys.row
+    classes = {}
+    for i in sys.tail_rows():
+        classes.setdefault(_normalize_row(row(i)), []).append(i)
+    count = prod(factorial(len(c)) for c in classes.values())
+    gens = [_swap(u, v, 1 if row(u) == row(v) else -1)
+            for c in classes.values() for u, v in zip(c, c[1:])]
     first = _correspondence_search(sys, sys, cap)
-    fixed = tuple((r, 1) for r in sys.base_rows)
-    count *= 2 * sum(1 for t in range(sys.N) if first(((t, 1),)) is not None)
-    for j in range(1, sys.n):
-        count *= sum(1 for t in range(sys.N) for eps in (1, -1)
-                     if first(fixed[:j] + ((t, eps),)) is not None)
+    fits = _pairing_test(sys, sys)
+    fixed = tuple((r, 1) for r in ba)
+    for j in reversed(range(sys.n)):
+        if j == 0:
+            gens.append({(t, e): (t, -e) for t in range(N) for e in (1, -1)})
+        prefix, pinned = fixed[:j], ba[:j]
+        orbit, outside = set(), set()
+        _close([(ba[j], 1)], gens, orbit)
+        for t, eps in product(range(N), (1, -1)):
+            c = (t, eps)
+            if (c in orbit or c in outside or t in pinned
+                    or not fits(prefix, t, eps)):
+                continue
+            w = first(prefix + (c,))
+            if w is None:
+                _close([c], gens, outside)
+                continue
+            g = {}
+            for i, image in enumerate(zip(w.row_map, w.signs)):
+                if image != (i, 1):
+                    g[i, 1], g[i, -1] = image, (image[0], -image[1])
+            gens.append(g)
+            _close([g.get(p, p) for p in orbit], gens, orbit)
+        count *= len(orbit)
     return count

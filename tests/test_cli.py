@@ -11,7 +11,10 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,11 +23,14 @@ from unimod import cli
 from unimod.catalog import make
 from unimod.cli import run
 from unimod.fileio import render_edges_text, render_matrix_text, sha256_hex
-from unimod.graphs import graphic_system
+from unimod.graphs import Multigraph, cographic_system, graphic_system
+from unimod.intlinalg import IntMatrix
 from unimod.lattice import PolytopeReport
+from unimod.systems import from_matrix
 
-from test_acceptance import catalog_sweep
+from test_acceptance import _projection_rows, catalog_sweep
 from test_lattice import v1_of
+from test_properties import enumerate_correspondences
 
 BAD_MINOR_MATRIX = "4 2\n1 0\n0 1\n1 1\n1 -1\n"
 ZERO_ROW_MATRIX = "4 2\n1 0\n0 0\n0 1\n1 1\n"
@@ -120,13 +126,14 @@ def test_cap_failure_names_the_digest_of_the_catalog_input(capsys):
     assert run(["aut", "catalog:sigma:5"]) == 0
     ok = capsys.readouterr().out.splitlines()[1]
     assert len(ok.split("sha256=")[1]) == 64
-    assert run(["aut", "catalog:sigma:5", "--cap", "1"]) == 3
+    # one search node counts the symmetries of sigma:5, so cap 0 stops it
+    assert run(["aut", "catalog:sigma:5", "--cap", "0"]) == 3
     assert capsys.readouterr().out.splitlines()[1] == ok
     assert run(["aut", "catalog:sigma:5", "--json"]) == 0
     inputs = json.loads(capsys.readouterr().out)["inputs"]
     assert inputs == [{"source": "catalog:sigma:5",
                        "sha256": ok.split("sha256=")[1]}]
-    assert run(["aut", "catalog:sigma:5", "--cap", "1", "--json"]) == 3
+    assert run(["aut", "catalog:sigma:5", "--cap", "0", "--json"]) == 3
     assert json.loads(capsys.readouterr().out)["inputs"] == inputs
 
 
@@ -369,11 +376,145 @@ def test_isomorphic_no(capsys):
     assert payload(out) == ["isomorphic no"]
 
 
+# ---------------------------------------------------------------------------
+# the witness of "isomorphic no", re-verified from the matrix rows by exact
+# rational arithmetic, sharing no code with the verdict
+
+
+def _exact_rank(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _invariants(rows):
+    """[N, n], the number of bases, the sorted sizes of the classes of rows
+    equal up to sign, and the sorted diagonal of the projection onto the
+    span times the number of bases (the pairing matrix P = d A (A^T A)^-1
+    A^T, d = det A^T A = the number of bases, by Cauchy-Binet)."""
+    n = _exact_rank(rows)
+    bases = sum(1 for rs in combinations(rows, n) if _exact_rank(rs) == n)
+    classes = {}
+    for r in rows:
+        lead = next(x for x in r if x)
+        key = tuple(x if lead > 0 else -x for x in r)
+        classes[key] = classes.get(key, 0) + 1
+    proj = _projection_rows(SimpleNamespace(
+        a_matrix=IntMatrix.from_rows(rows), n=n, N=len(rows)))
+    return {"shape": [len(rows), n], "complexity": bases,
+            "profile": sorted(classes.values()),
+            "pairing_diagonal": sorted(int(bases * proj[i][i])
+                                       for i in range(len(rows)))}
+
+
+def _graph_rows(build, vertices, edges):
+    return build(Multigraph.build(vertices, edges)).a_matrix.to_lists()
+
+
+# cut space of a 7-vertex graph and cycle space of a 6-vertex one, both
+# N = 11 and n = 6: every invariant agrees, and the search exhausts
+_SEARCHED_PAIR = (
+    _graph_rows(cographic_system, 7, [(1, 2), (5, 6), (4, 5), (1, 5), (2, 6),
+                                      (3, 7), (2, 4), (5, 7), (3, 6), (1, 3),
+                                      (2, 7)]),
+    _graph_rows(graphic_system, 6, [(2, 3), (1, 6), (4, 6), (1, 4), (4, 5),
+                                    (2, 4), (3, 6), (1, 3), (5, 6), (3, 5),
+                                    (2, 6)]))
+
+_WITNESS_PAIRS = [
+    ("shape", make("sigma", 3).a_matrix.to_lists(),
+     make("upsilon", 3).a_matrix.to_lists()),
+    ("complexity", [[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1], [1, 0]]),
+    # e3 is in every base of b, and the other rows pair off 4 + 2 + 2 ways
+    ("profile", [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1],
+                 [0, 0, 1]],
+     [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+    # the cut spaces of two 6-vertex, 7-edge graphs with 24 spanning trees
+    ("pairing_diagonal",
+     _graph_rows(cographic_system, 6, [(1, 2), (1, 3), (1, 4), (1, 5),
+                                       (2, 3), (4, 6), (5, 6)]),
+     _graph_rows(cographic_system, 6, [(1, 2), (1, 3), (1, 5), (2, 4),
+                                       (2, 6), (3, 6), (5, 6)])),
+    ("search_nodes", *_SEARCHED_PAIR),
+]
+
+
+def _isomorphic_no(tmp_path, rows_a, rows_b, capsys, *extra):
+    """The witness of isomorphic on the two row lists, as text and JSON."""
+    srcs = []
+    for name, rows in (("a.txt", rows_a), ("b.txt", rows_b)):
+        (tmp_path / name).write_text(render_matrix_text(rows),
+                                      encoding="utf-8")
+        srcs.append(str(tmp_path / name))
+    assert run(["isomorphic", *srcs, *extra]) == 0
+    lines = payload(capsys.readouterr().out)
+    assert run(["isomorphic", *srcs, "--json", *extra]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert lines == ["isomorphic no"] and result["isomorphic"] is False
+    return result["witness"]
+
+
+@pytest.mark.parametrize("name,rows_a,rows_b", _WITNESS_PAIRS,
+                         ids=[p[0] for p in _WITNESS_PAIRS])
+def test_isomorphic_no_names_its_witness(name, rows_a, rows_b, tmp_path,
+                                         capsys):
+    witness = _isomorphic_no(tmp_path, rows_a, rows_b, capsys)
+    text = "# witness " + " ".join(
+        f"{k}={v}" if isinstance(v, str)
+        else f"{k}={json.dumps(v, separators=(',', ':'))}"
+        for k, v in witness.items())
+    assert run(["isomorphic", str(tmp_path / "a.txt"),
+                str(tmp_path / "b.txt")]) == 0
+    assert text in capsys.readouterr().out.splitlines()
+    got_a, got_b = _invariants(rows_a), _invariants(rows_b)
+    order = list(got_a)
+    if name == "search_nodes":
+        assert got_a == got_b
+        assert list(witness) == ["search_nodes"] and witness[name] > 0
+        return
+    assert witness == {"invariant": name, "a": got_a[name], "b": got_b[name]}
+    assert got_a[name] != got_b[name]
+    for before in order[:order.index(name)]:
+        assert got_a[before] == got_b[before]
+
+
+def test_isomorphic_no_after_the_search_counts_its_nodes(tmp_path, capsys):
+    # the witness is deterministic: the search needs exactly that budget
+    a, b = (from_matrix(rows) for rows in _SEARCHED_PAIR)
+    assert enumerate_correspondences(a, b, count_all=False) is None
+    witness = _isomorphic_no(tmp_path, *_SEARCHED_PAIR, capsys)
+    assert witness == {"search_nodes": 12}
+    assert _isomorphic_no(tmp_path, *_SEARCHED_PAIR, capsys,
+                          "--cap", "12") == witness
+    assert run(["isomorphic", str(tmp_path / "a.txt"),
+                str(tmp_path / "b.txt"), "--cap", "11"]) == 3
+    assert "exceeds cap 11 nodes" in capsys.readouterr().out
+
+
 def test_aut_count(capsys):
     rc = run(["aut", "catalog:sigma:3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert payload(out) == ["12"]
+
+
+def test_aut_cap_at_its_node_count(capsys):
+    # aut assigns 20 search nodes on bixby_seymour (pinned with its
+    # searches in test_properties)
+    assert run(["aut", "catalog:bixby_seymour", "--cap", "20"]) == 0
+    assert payload(capsys.readouterr().out) == ["1440"]
+    assert run(["aut", "catalog:bixby_seymour", "--cap", "19"]) == 3
+    assert "exceeds cap 19 nodes" in capsys.readouterr().out
 
 
 def test_decompose_upsilon(capsys):
@@ -647,10 +788,11 @@ def test_missing_positional_exits_2(argv, message, capsys):
 
 @pytest.mark.parametrize("form", ["--cap={}", "--cap {}"])
 def test_cap_value_after_equals_or_space(form, capsys):
-    assert run(["aut", "catalog:sigma:3", *form.format(3).split()]) == 0
+    # aut assigns one search node on sigma:3
+    assert run(["aut", "catalog:sigma:3", *form.format(1).split()]) == 0
     assert payload(capsys.readouterr().out) == ["12"]
-    assert run(["aut", "catalog:sigma:3", *form.format(2).split()]) == 3
-    assert "exceeds cap 2" in capsys.readouterr().out
+    assert run(["aut", "catalog:sigma:3", *form.format(0).split()]) == 3
+    assert "exceeds cap 0" in capsys.readouterr().out
 
 
 def test_graph_flags_are_exclusive(capsys):

@@ -1,7 +1,7 @@
 """Closed forms for the paper's named families, beyond the sweep's N <= 12.
 
 The pins reach complete:12 (N = 66 edges, rank 55 graphic and 11
-cographic, 12^10 bases) for the Cayley counts, complete:8 (N = 28) for
+cographic, 12^10 bases) for the Cayley counts, complete:10 (N = 45) for
 symmetries, complete:7 for the polytope and theta:12 for points and
 vertices.  Each family has exact counts valid at every size, so no slow
 oracle is needed: spanning-tree counts (Cayley), lattice points and
@@ -66,6 +66,23 @@ def test_cographic_complete_symmetries(k):
 def test_graphic_complete_symmetries(k):
     s = graphic_system(make("complete", k))
     assert automorphism_count(s) == 2 * factorial(k)
+
+
+@pytest.mark.parametrize("k", (9, 10))
+def test_complete_symmetries_beyond_a_search_per_orbit_element(k):
+    # the k! vertex permutations and the global sign; counting each orbit
+    # element by its own witness search took 0.4 s on graphic complete:9
+    g = make("complete", k)
+    for s in (graphic_system(g), cographic_system(g)):
+        assert automorphism_count(s) == 2 * factorial(k)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_theta_and_cycle_symmetries(k):
+    # every permutation of the k edges, and the global sign
+    for g in (make("theta", k), make("cycle", k)):
+        for s in (graphic_system(g), cographic_system(g)):
+            assert automorphism_count(s) == 2 * factorial(k)
 
 
 @pytest.mark.parametrize("k", range(3, 13))

@@ -35,6 +35,7 @@ import random
 from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
+from math import factorial, prod
 from operator import sub
 
 import pytest
@@ -2374,3 +2375,105 @@ def test_completion_misses_as_two_pass_does(monkeypatch):
             for t in range(a.N):
                 assert one(((t, 1),)) is two(((t, 1),)) is None, (a, t)
             assert failed, a
+
+
+# ---------------------------------------------------------------------------
+# automorphisms counted by orbit closure: the count that ran one witness
+# search per candidate signed row at every stabilizer level is the oracle
+# (body unchanged but for the search read through the systems module)
+
+
+def per_candidate_automorphism_count(sys, cap=systems.DEFAULT_CAP):
+    """Signed self-correspondences, one witness search per candidate orbit
+    element (test-only oracle)."""
+    if sys.N == 0:
+        return 1
+    classes = Counter(_normalize_row(sys.row(i)) for i in sys.tail_rows())
+    count = prod(factorial(cnt) for cnt in classes.values())
+    first = systems._correspondence_search(sys, sys, cap)
+    fixed = tuple((r, 1) for r in sys.base_rows)
+    count *= 2 * sum(1 for t in range(sys.N) if first(((t, 1),)) is not None)
+    for j in range(1, sys.n):
+        count *= sum(1 for t in range(sys.N) for eps in (1, -1)
+                     if first(fixed[:j] + ((t, eps),)) is not None)
+    return count
+
+
+def counted_work(count, sys, cap=systems.DEFAULT_CAP):
+    """(count(sys, cap), witness searches, search nodes) of one count."""
+    search = systems._correspondence_search
+    made = []
+
+    def counting(a, b, cap):
+        first = search(a, b, cap)
+        made.append([first, 0])
+
+        def counted(prefix=()):
+            made[-1][1] += 1
+            return first(prefix)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(systems, "_correspondence_search", counting)
+        got = count(sys, cap)
+    if not made:  # the empty system
+        return got, 0, 0
+    (first, searches), = made
+    return got, searches, first.nodes()
+
+
+def _repeated_sums():
+    """Direct sums with repeated summands: their symmetries also swap the
+    equal blocks, which no single summand shows."""
+    t3, s2 = make("triangle3"), make("sigma", 2)
+    k4 = graphic_system(make("complete", 4))
+    theta3 = graphic_system(make("theta", 3))
+    cycle4 = cographic_system(make("cycle", 4))
+    sums = [direct_sum(direct_sum(t3, t3), s2), direct_sum(k4, k4),
+            direct_sum(s2, direct_sum(s2, s2)), direct_sum(t3, s2),
+            direct_sum(direct_sum(theta3, cycle4), theta3),
+            direct_sum(make("pair2"), make("pair2")),
+            direct_sum(make("upsilon", 2), direct_sum(s2, t3))]
+    return sums + [direct_sum(x, x) for _, x in catalog_sweep() if x.N <= 5]
+
+
+def test_orbit_closure_count_matches_the_oracles():
+    # the sweep with scrambled copies, 240 seeded graphic and cographic
+    # multigraph systems (parallel edges make classes of equal tail rows,
+    # whose swaps are the first generators) and repeated direct sums.  The
+    # enumeration visits one search leaf per automorphism, so it checks the
+    # counts up to 5000 (upsilon:3 + upsilon:3 has 46080 and took 1.3 s)
+    rng = random.Random(170830)
+    cases = (_systems_under_test(170829) + random_graph_systems(rng, 240)
+             + _repeated_sums())
+    fewer = enumerated = 0
+    for s in cases:
+        got, searches, _ = counted_work(automorphism_count, s)
+        want, per_candidate, _ = counted_work(
+            per_candidate_automorphism_count, s)
+        assert got == want, s
+        if want <= 5000:
+            assert got == enumerate_automorphism_count(s), s
+            enumerated += 1
+        assert searches <= per_candidate, s
+        fewer += searches < per_candidate
+    assert enumerated >= 280 and fewer >= 200
+
+
+@pytest.mark.parametrize("build,searches,nodes", [
+    (lambda: make("bixby_seymour"), 4, 20),
+    (lambda: graphic_system(make("complete", 7)), 6, 90),
+    (lambda: graphic_system(make("complete", 9)), 8, 224),
+])
+def test_automorphism_work_is_pinned(build, searches, nodes):
+    # deterministic counters: a change in them is a change of the count's
+    # work, not machine noise.  The per-candidate oracle ran N + (n-1) 2N
+    # searches: 90, 609 and 1980 of them
+    s = build()
+    got, k, spent = counted_work(automorphism_count, s)
+    assert (k, spent) == (searches, nodes)
+    assert k <= s.N + (s.n - 1) * 2 * s.N
+    assert automorphism_count(s, cap=nodes) == got
+    with pytest.raises(CapError, match=f"exceeds cap {nodes - 1} nodes"):
+        automorphism_count(s, cap=nodes - 1)
