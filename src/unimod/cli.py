@@ -18,9 +18,10 @@ computing, still names it; an input that cannot be read has none.
 
 Exit codes: 0 success, 1 verification failure (a witness is printed),
 2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
-default ``systems.DEFAULT_CAP``, points or bases found, or search nodes),
-141 (128 + SIGPIPE) standard output closed by its reader, as in
-``unimod dual FILE | head -3``.
+default ``systems.DEFAULT_CAP``, points or bases found, or search nodes;
+or, for a matrix file under any command, more than ``DEFAULT_CAP`` units
+of certification, which ``--cap`` does not change), 141 (128 + SIGPIPE)
+standard output closed by its reader, as in ``unimod dual FILE | head -3``.
 """
 
 import os

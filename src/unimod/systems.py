@@ -24,11 +24,14 @@ runs on each connected block of the rest.  A subset with no balanced
 signing shows that T holds a bad minor of at most its size; the minors of
 T, expanded line by line from those of each line set's prefix, are then
 walked up to that size, and the first bad minor in the order of a scan
-over every square minor is the witness.  Certification runs on raw matrix
-input only.  Total unimodularity survives transposition, submatrices and
-block sums, so Gale duals, unit-free cores and direct sums of certified
-systems skip it, and graph systems check a spanning-tree certificate
-instead (see graphs).  Only raw input and Gale duals go through the
+over every square minor is the witness.  The pass and the walk share one
+work budget of DEFAULT_CAP units (2^s per block of s lines, one per node
+of an exact search, one per minor walked), and CapError refuses an input
+that would run past it before a block's table of 2^s sums is allocated.
+Certification runs on raw matrix input only.  Total unimodularity
+survives transposition, submatrices and block sums, so Gale duals,
+unit-free cores and direct sums of certified systems skip it, and graph
+systems check a spanning-tree certificate instead (see graphs).  Only raw input and Gale duals go through the
 elimination.  Direct sums, unit-free cores and graph systems are written
 straight in the standard form it would give them, because their first
 maximal independent rows are known: the operands' bases, block after
@@ -59,9 +62,6 @@ from .errors import (CapError, DimensionError, NotUnimodularError,
 from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
-# budget of the Ghouila-Houri pass of _tu_witness per subset of the tail's
-# short side: subsets settled plus the nodes of its exact searches
-_WORK_PER_SUBSET = 8
 
 
 class UnimodularSystem(NamedTuple):
@@ -127,7 +127,7 @@ def _tail_block(m, base):
     return tail, [rows[i] for i in tail]
 
 
-def _tail_minors(lines, visit, limit=None):
+def _tail_minors(lines, visit, limit):
     """Walk the nonzero square minors of a block given by its lines.
 
     The lines are the rows of the tail block T, or its columns (the rows of
@@ -141,11 +141,8 @@ def _tail_minors(lines, visit, limit=None):
     visit(line_set, minors) is called on every other line set and returns
     the largest line-set size the walk still enters, so it decides whether
     that line set grows and whether larger ones are met.  limit is that
-    size before the first visit (default: the length of a line).
+    size before the first visit.
     """
-    if limit is None:
-        limit = len(lines[0]) if lines else 0
-
     def walk(start, ls, minors):
         nonlocal limit
         k = len(ls)
@@ -172,37 +169,23 @@ def _tail_minors(lines, visit, limit=None):
     walk(0, (), {0: 1})
 
 
-def _walk_witness(tail, t, width, limit=None):
-    """First bad minor of the tail block T by the minor walk, or None.
+def _walk_witness(tail, t, width, limit, spend):
+    """First bad minor of the tail block T, by the minor walk.
 
-    tail holds T's row indices in m and width is its column count.  A tall
-    T (more rows than columns) is first walked along its columns, the
-    shorter side, which stops at the first bad minor; if there is none, T
-    is certified.  Otherwise, and for a square or wide T, T is walked along
-    its rows, in the full scan's order of row sets.  There a row set with a
-    bad minor is not extended, and once a bad minor of size k is found,
-    only smaller sizes are searched, so a later find is strictly smaller
-    and replaces it.  Extended row sets thus hold only 0/+-1 minors.  A
-    limit, when given, is a size that some bad minor of T does not exceed:
-    the column walk is skipped, and the row walk meets no larger row set.
+    tail holds T's row indices in m, width is its column count and limit
+    is a size that some bad minor of T does not exceed.  T is walked along
+    its rows, in the full scan's order of row sets, up to limit rows.  A
+    row set with a bad minor is not extended, and once a bad minor of size
+    k is found, only smaller sizes are searched, so a later find is
+    strictly smaller and replaces it.  Extended row sets thus hold only
+    0/+-1 minors.  Each row set met is charged its number of nonzero
+    minors: spend(units).
     """
-    if limit is None:
-        limit = width
-        if len(tail) > width:
-            clean = True
-
-            def visit_cols(cs, minors):
-                nonlocal clean
-                clean = set(minors.values()) <= {1, -1}
-                return width if clean else 0
-
-            _tail_minors(list(zip(*t)), visit_cols)
-            if clean:
-                return None
     best = None
 
     def visit(rs, minors):
         nonlocal best
+        spend(len(minors))
         if not set(minors.values()) <= {1, -1}:
             bad = [(tuple(c for c in range(width) if cs >> c & 1), v)
                    for cs, v in minors.items() if v not in (1, -1)]
@@ -399,7 +382,7 @@ def _subset_pass(lines, spend):
     return None
 
 
-def _bicolored(t, budget):
+def _bicolored(t, spend):
     """None if the 0/+-1 block T is totally unimodular, by Ghouila-Houri;
     otherwise the size of a line subset of T that has no balanced signing.
 
@@ -412,20 +395,12 @@ def _bicolored(t, budget):
     cost more than the pass over a small T.  A pass over every block is a
     certificate.  A subset with no balanced signing refutes T: the
     submatrix on its lines is not totally unimodular, so T holds a bad
-    minor of at most its size.  A block of s lines costs 2^s units, and
-    each node of an exact search one more, against the budget: CapError
-    once they would run past it.
+    minor of at most its size.  A block of s lines is charged 2^s units
+    before its pass allocates its table of 2^s sums, and each node of an
+    exact search one more: spend(units).
     """
     if not t:
         return None
-    spent = 0
-
-    def spend(units=1):
-        nonlocal spent
-        spent += units
-        if spent > budget:
-            raise CapError(f"Ghouila-Houri pass exceeds budget {budget}")
-
     r, c = len(t), len(t[0])
     if (1 << min(r, c)) - 1 <= r * c:
         blocks = [t]
@@ -452,26 +427,34 @@ def _tu_witness(m, base):
     in three steps.  (1) An entry outside {0, +-1}: the first one, in row
     order, is the witness.  This comes first, as the Ghouila-Houri test
     holds for 0/+-1 entries only.  (2) The Ghouila-Houri pass (_bicolored)
-    over the subsets of the short side of T, or of its reduced blocks,
-    under a budget of 8 * 2^s units (s = min(rows, columns of T)): 2^s_b
-    per block of s_b lines plus the nodes of its exact searches.  Its cost
-    does not grow with the number of bases.  A pass certifies T.  (3) A
-    refutation names a line subset of some size k with no balanced
-    signing, so T holds a bad minor of size at most k: the rows of T are
-    walked (_walk_witness) over row sets of at most k rows, which names
-    the first bad minor.  Only a pass that runs over its budget (CapError)
-    leaves the whole walk to decide.
+    over the subsets of the short side of T, or of its reduced blocks:
+    2^s_b units per block of s_b lines plus the nodes of its exact
+    searches.  Its cost does not grow with the number of bases.  A pass
+    certifies T.  (3) A refutation names a line subset of some size k with
+    no balanced signing, so T holds a bad minor of size at most k: the rows
+    of T are walked (_walk_witness) over row sets of at most k rows, which
+    names the first bad minor, at one unit per nonzero minor met.  Steps
+    (2) and (3) share one budget of DEFAULT_CAP units, read at each call:
+    CapError once they would run past it, before a pass allocates its
+    table.
     """
     tail, t = _tail_block(m, base)
     for q, row in enumerate(t):
         for c, x in enumerate(row):
             if x not in (0, 1, -1):
                 return (tail[q],), (c,), x
-    try:
-        size = _bicolored(t, _WORK_PER_SUBSET << min(len(tail), m.cols))
-    except CapError:
-        return _walk_witness(tail, t, m.cols)
-    return None if size is None else _walk_witness(tail, t, m.cols, size)
+    cap, spent = DEFAULT_CAP, 0
+
+    def spend(units=1):
+        nonlocal spent
+        spent += units
+        if spent > cap:
+            raise CapError(f"certification exceeds cap {cap} units")
+
+    size = _bicolored(t, spend)
+    if size is None:
+        return None
+    return _walk_witness(tail, t, m.cols, size, spend)
 
 
 def check_labels(labels, count):
@@ -557,13 +540,15 @@ def from_matrix(raw, labels=None):
     summing into {0, +-1}^m): one pass over the 2^s subsets of the s lines
     on its shorter side, or on that of each block left once unit and
     parallel lines are deleted.  A rejection walks the tail's minors up to
-    the size of a subset the pass refutes.  The witness is the first
-    offending minor in the order of a scan over every square minor (size,
-    then rows, then columns).  The check is for raw input: systems the library
-    derives from certified ones (graph systems, Gale duals, cores, direct
-    sums) are totally unimodular by construction and skip it.  Scalar
-    presentations collapse: [[2]] is accepted as the unit system, since
-    the single row is a base of the group it generates.
+    the size of a subset the pass refutes.  Pass and walk share a budget
+    of DEFAULT_CAP units (see _tu_witness); past it, CapError, raised
+    before a pass allocates a table larger than the budget.  The witness
+    is the first offending minor in the order of a scan over every square
+    minor (size, then rows, then columns).  The check is for raw input:
+    systems the library derives from certified ones (graph systems, Gale
+    duals, cores, direct sums) are totally unimodular by construction and
+    skip it.  Scalar presentations collapse: [[2]] is accepted as the unit
+    system, since the single row is a base of the group it generates.
     A non-TU input is rejected before its labels are checked.  An IntMatrix
     is held to what IntMatrix.from_rows demands of rows: plain int entries
     (PreconditionError) and rows x cols of them (DimensionError).
@@ -653,9 +638,9 @@ def enumerate_bases(sys, cap=DEFAULT_CAP):
 
     found()
     if len(tail) > sys.n:
-        _tail_minors(list(zip(*t)), visit_cols)
+        _tail_minors(list(zip(*t)), visit_cols, sys.n)
     else:
-        _tail_minors(t, visit_rows)
+        _tail_minors(t, visit_rows, sys.n)
     return sorted(tuple(sorted(b)) for b in bases)
 
 

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -192,6 +193,49 @@ def test_cap_boundary_is_the_point_count(command, src, count, tmp_path,
     out = capsys.readouterr().out
     if command == "polytope":
         assert f"points {count}" in payload(out)
+
+
+def grid_edges_text(k):
+    """The edge file of the k x k grid graph, vertex (r, c) numbered
+    r * k + c + 1: first the edges along the rows, then down the columns."""
+    edges = [(r * k + c + 1, r * k + c + 2)
+             for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c + 1, (r + 1) * k + c + 1)
+              for r in range(k - 1) for c in range(k)]
+    return f"{k * k} {len(edges)}\n" + "".join(f"{t} {h}\n" for t, h in edges)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_grid_files_exceed_the_certification_budget(k, tmp_path, capsys):
+    """check on the graphic file of the 6 x 6 grid (N = 60, n = 25) and of
+    the 7 x 7 grid (N = 84, n = 36), whose tails reduce to one block of 25
+    and of 36 lines, is refused with exit 3 and the budget message, without
+    a traceback: the block is charged its 2^s units before the pass
+    allocates a table of 2^s sums, so the traced peak stays small.  The
+    JSON error names the file's digest."""
+    edges = tmp_path / "grid-edges.txt"
+    edges.write_text(grid_edges_text(k))
+    f = str(tmp_path / "grid.txt")
+    assert run(["graph", str(edges), "--graphic", "-o", f]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = run(["check", f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (rc, err) == (3, "")
+    assert "error: certification exceeds cap 1000000 units" in out.splitlines()
+    assert peak < 8 << 20, peak
+    assert run(["check", f, "--json"]) == 3
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == ""
+    assert doc["error"]["kind"] == "CapError"
+    assert "exceeds cap 1000000" in doc["error"]["message"]
+    assert doc["inputs"] == [{"source": f,
+                              "sha256": sha256_hex(Path(f).read_text())}]
 
 
 def test_cap_zero_is_a_cap(capsys):

@@ -323,7 +323,8 @@ def test_tall_tail_scan_matches_full_scan_witness():
 # ---------------------------------------------------------------------------
 # certification by Ghouila-Houri bicolorings of the tail's short side: the
 # minor walk that certified every tail before, without a budget, is the
-# oracle (body unchanged)
+# oracle (body unchanged but for the walks' first limit, once a default:
+# the length of a line)
 
 
 def walk_tu_witness(m, base):
@@ -352,7 +353,7 @@ def walk_tu_witness(m, base):
             clean = set(minors.values()) <= {1, -1}
             return m.cols if clean else 0
 
-        _tail_minors(list(zip(*t)), visit_cols)
+        _tail_minors(list(zip(*t)), visit_cols, len(tail))
         if clean:
             return None
     best = None
@@ -365,7 +366,7 @@ def walk_tu_witness(m, base):
             best = (tuple(tail[q] for q in rs), *min(bad))
         return m.cols if best is None else len(best[0]) - 1
 
-    _tail_minors(t, visit)
+    _tail_minors(t, visit, m.cols)
     return best
 
 
@@ -460,14 +461,14 @@ def bicoloring_cases():
 
 def count_branches(monkeypatch):
     """Counter of the ways _tu_witness settles its inputs, filled in as it
-    runs: the Ghouila-Houri pass certifies, refutes or runs over its
+    runs: the Ghouila-Houri pass certifies, refutes or runs over the
     budget."""
     seen = Counter()
     bicolored = systems._bicolored
 
-    def counted_bicolored(t, budget):
+    def counted_bicolored(t, spend):
         try:
-            size = bicolored(t, budget)
+            size = bicolored(t, spend)
         except CapError:
             seen["pass over budget"] += 1
             raise
@@ -478,25 +479,45 @@ def count_branches(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("work,branches", [
-    (8, ("pass certifies", "pass refutes")),
-    # a budget of 2^s units leaves a pass over the whole short side no
-    # room for the nodes of an exact search, and each refutation runs one
-    (1, ("pass certifies", "pass refutes", "pass over budget")),
-], ids=["budget-8", "budget-1"])
-def test_bicoloring_names_the_minor_walks_witness(monkeypatch, work, branches):
-    """The Ghouila-Houri pass of _tu_witness certifies and refutes, runs
-    over its budget only when the budget is cut, and every verdict and
-    witness is the unbudgeted minor walk's."""
-    assert systems._WORK_PER_SUBSET == 8
-    monkeypatch.setattr(systems, "_WORK_PER_SUBSET", work)
-    seen = count_branches(monkeypatch)
-    verdicts = Counter()
+def certification_units(work):
+    """The units a count_work counter shows certification charged to its
+    budget: 2^s per block of s lines, one per node of an exact search and
+    one per minor walked."""
+    return (sum(1 << b for b in work["blocks"]) + work["nodes"]
+            + work["minors"])
+
+
+@pytest.mark.parametrize("cap", [10**6, 100], ids=["default-cap", "cut-cap"])
+def test_bicoloring_names_the_minor_walks_witness(monkeypatch, cap):
+    """The Ghouila-Houri pass of _tu_witness certifies and refutes, and
+    every verdict and witness is the unbudgeted minor walk's.  Under the
+    default budget every input gets one.  Cut to 100 units, the budget
+    refuses with CapError exactly the inputs whose pass and walk take more
+    units, some in the pass and some in the walk, and none of them gets a
+    verdict."""
+    assert systems.DEFAULT_CAP == 10**6
+    verdicts, outcomes = Counter(), Counter()
     for m, base, want in bicoloring_cases():
-        assert _tu_witness(m, base) == want, (m.to_lists(), base)
         verdicts[want is None] += 1
+        work = count_work(monkeypatch)
+        assert _tu_witness(m, base) == want, (m.to_lists(), base)
+        units = certification_units(work)
+        monkeypatch.undo()
+        monkeypatch.setattr(systems, "DEFAULT_CAP", cap)
+        seen = count_branches(monkeypatch)
+        if units > cap:
+            with pytest.raises(CapError, match=f"exceeds cap {cap} units$"):
+                _tu_witness(m, base)
+            where = "pass" if seen["pass over budget"] else "walk"
+            outcomes[f"{where} over budget"] += 1
+        else:
+            assert _tu_witness(m, base) == want, (m.to_lists(), base)
+            outcomes.update(seen)
+        monkeypatch.undo()
     assert min(verdicts.values()) >= 200, verdicts
-    assert set(seen) == set(branches) and min(seen.values()) >= 20, seen
+    over = {"pass over budget", "walk over budget"} if cap < 10**6 else set()
+    assert set(outcomes) == {"pass certifies", "pass refutes"} | over, outcomes
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def _block_matrices(t):
@@ -714,6 +735,10 @@ def random_raw_tails(rng, count):
     return out
 
 
+def unbudgeted(units=1):
+    """A spend that charges nothing: the pass without a budget."""
+
+
 def test_subset_pass_reaches_the_signed_sums(monkeypatch):
     """The Ghouila-Houri pass of _bicolored gives the verdict of the
     signed-sum search on every reduced block of the bicoloring inputs and
@@ -741,7 +766,7 @@ def test_subset_pass_reaches_the_signed_sums(monkeypatch):
         lines = block if len(block) <= len(block[0]) else list(zip(*block))
         want = len(signed_sum_supports(lines)) == (1 << len(lines)) - 1
         searches.clear()
-        size = _bicolored(block, math.inf)
+        size = _bicolored(block, unbudgeted)
         assert (size is None) == want, block
         assert size is None or 2 <= size <= len(lines), block
         verdicts[want] += 1
@@ -753,7 +778,7 @@ def test_subset_pass_reaches_the_signed_sums(monkeypatch):
     by_route = Counter()
     for t in random_raw_tails(random.Random(170833), 3000):
         want = full_scan_tu_witness(IntMatrix.from_rows(t))
-        size = _bicolored(t, math.inf)
+        size = _bicolored(t, unbudgeted)
         assert (size is None) == (want is None), t
         assert size is None or len(want[0]) <= size, t
         whole = (1 << min(len(t), len(t[0]))) - 1 <= len(t) * len(t[0])
@@ -790,7 +815,7 @@ def count_work(monkeypatch):
     tail_minors, subset_pass = systems._tail_minors, systems._subset_pass
     signing = systems._balanced_signing
 
-    def counted_minors(lines, visit, limit=None):
+    def counted_minors(lines, visit, limit):
         def counted(line_set, minors):
             work["minors"] += len(minors)
             return visit(line_set, minors)
@@ -866,6 +891,32 @@ def test_flipped_complete_graph_names_the_walks_witness(monkeypatch):
         with pytest.raises(NotUnimodularError) as err:
             from_matrix(rows)
         assert (err.value.rows, err.value.cols, err.value.value) == want
+        monkeypatch.undo()
+
+
+def test_certification_budget_boundary(monkeypatch):
+    """Certification charges the pass and the witness walk to one budget
+    of systems.DEFAULT_CAP units, read when it runs.  Bixby-Seymour's raw
+    rows cost 32 units, all of them in the pass; the flipped graphic
+    complete:8 rows 133 in the pass and 3718 walked minors.  Each input is
+    settled at exactly its units and refused with CapError at one less."""
+    flipped = flipped_rows(graphic_system, 8)
+    want = walk_tu_witness(*standard_form(flipped))
+    for rows, units, walked in ((_BIXBY_SEYMOUR_RAW, 32, 0),
+                                (flipped, 133 + 3718, 3718)):
+        work = count_work(monkeypatch)
+        monkeypatch.setattr(systems, "DEFAULT_CAP", units)
+        if walked:
+            with pytest.raises(NotUnimodularError) as err:
+                from_matrix(rows)
+            assert (err.value.rows, err.value.cols, err.value.value) == want
+        else:
+            assert from_matrix(rows).N == len(rows)
+        assert certification_units(work) == units, work
+        assert work["minors"] == walked, work
+        monkeypatch.setattr(systems, "DEFAULT_CAP", units - 1)
+        with pytest.raises(CapError, match=f"exceeds cap {units - 1} units$"):
+            from_matrix(rows)
         monkeypatch.undo()
 
 
