@@ -27,14 +27,16 @@ standard output closed by its reader, as in ``unimod dual FILE | head -3``.
 import os
 import sys
 import time
+from operator import attrgetter
 from types import SimpleNamespace
 
 from .catalog import entries, lookup, make, parse_reference
 from .errors import (CapError, CatalogError, ConnectivityError,
                      DegenerateSystemError, NotUnimodularError,
                      PreconditionError, RankError, UnimodError)
-from .fileio import (_int, parse_edges_text, parse_matrix_text, render_json,
-                     render_edges_text, render_matrix_text, sha256_hex)
+from .fileio import (Records, _int, parse_edges_text, parse_matrix_text,
+                     render_json, render_edges_text, render_matrix_text,
+                     sha256_hex)
 from .graphs import cographic_system, graphic_system, stabilize
 from .lattice import build_polytope_report, short_vector_census
 from .systems import (DEFAULT_CAP, are_isomorphic, automorphism_count,
@@ -267,7 +269,6 @@ def _cmd_graph(args, g):
 
 def _cmd_catalog(args):
     lines = []
-    doc = []
     for e in entries():
         if not e.takes_param:
             param = "-"
@@ -276,11 +277,9 @@ def _cmd_catalog(args):
         else:
             param = f"param (default {e.default_param})"
         lines.append(f"{e.name:<18} {e.kind:<7} {param:<19} {e.description}")
-        doc.append({"name": e.name, "kind": e.kind,
-                    "takes_param": e.takes_param,
-                    "default_param": e.default_param,
-                    "description": e.description})
-    return lines, {"entries": doc}
+    keys = ("name", "kind", "takes_param", "default_param", "description")
+    return lines, {"entries": Records(entries(), [(k, attrgetter(k))
+                                                  for k in keys])}
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ and it may carry no other key and no key twice.
 Edge-list files: first line "m N" (vertices, edges), then N lines
 "tail head" with 1-indexed vertex ids.  Reports are written as JSON by
 render_json, which gives the bytes of json.dumps(doc, indent=2) faster:
-a list of plain ints is written in one join, and a list of records is
-written column by column, so its per-value work is done by C loops.  A
-list of records is a Records (rows read through one getter per key, such
-as a report's points, which builds no dict per point) or a list of plain
-dicts sharing one key order (such as a report's facets).  Given a write
-function, render_json streams the text a chunk of records at a time, so
-a report of any size is written without its whole text in memory.
+a list of plain ints is written in one join, and a Records (a list of
+records read through one getter per key, such as a report's points and
+facets, which builds no dict per record) is written column by column, so
+its per-value work is done by C loops.  Given a write function,
+render_json streams the text a chunk of records at a time, so a report
+of any size is written without its whole text in memory.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import json
 import re
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 # hashlib loads OpenSSL's libcrypto, which weighs more than the rest of the
 # CLI together; the interpreter's built-in SHA-256 gives the same digests.
@@ -45,8 +43,8 @@ from .systems import check_labels
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-# Below this many records a list is rendered row by row: the column set-up
-# costs more than it saves (about 20 us against 7 us for one point).
+# Below this many records a Records is rendered row by row: the column
+# set-up costs more than it saves (about 20 us against 7 us for one point).
 _MIN_RECORDS = 8
 
 # Records are rendered this many rows at a time: few enough that one
@@ -210,9 +208,9 @@ def render_json(doc, write=None):
     With indent set, json.dumps runs its pure-Python encoder.  Here the
     nesting is walked in Python, but a list of plain ints (no bools) is
     written in one join and strs go through the C string encoder.  A
-    Records of at least _MIN_RECORDS records, or a list of that many plain
-    dicts that all share one key order, is written column by column
-    (_records), so a report's many points cost no Python call each.  Every
+    Records of at least _MIN_RECORDS records is written column by column
+    (_records), so a report's many points cost no Python call each; any
+    other list, however long, is written item by item.  Every
     dict key must be a str (TypeError otherwise); json.dumps would convert
     some other keys.
     """
@@ -260,20 +258,13 @@ def _render(x, nl, parts, write):
             _records(x, nl, parts, write)
             return
     elif isinstance(x, (list, tuple)):
-        types = set(map(type, x))
-        if types == {int}:
+        if set(map(type, x)) == {int}:
             parts.append("[" + inner + ("," + inner).join(map(str, x)) + nl + "]")
             return
-        if types == {dict} and len(x) >= _MIN_RECORDS:
-            keys = tuple(x[0])
-            if _column_keys(keys) and len(set(map(tuple, x))) == 1:
-                _records(Records(x, [(k, itemgetter(k)) for k in keys]),
-                         nl, parts, write)
-                return
     else:
         parts.append(json.dumps(x))
         return
-    # a short or irregular list, or a Records that is not read by columns
+    # any other list, or a Records that is not read by columns
     if not x:
         parts.append("[]")
         return
@@ -308,10 +299,12 @@ def _records(recs, nl, parts, write):
     in every row, and a column's values are rendered together.  A column of
     strs goes through the C string encoder and a column of plain ints
     through _int_texts; a column of int lists (or tuples) of one nonzero
-    length w is flattened, rendered in one pass and cut into w value
-    columns.  Any other column (bools, floats, None, nested objects, lists
-    of mixed lengths, subclasses) is rendered value by value by _text.
-    One join over the interleaved literals and values gives the text.
+    length w is flattened and rendered in one pass, and each row's w
+    texts are joined into one value, the list's text between its
+    brackets.  Any other column (bools, floats, None, nested objects,
+    lists of mixed lengths, subclasses) is rendered value by value by
+    _text.  One join over the interleaved literals and values gives the
+    text.
     """
     rows = recs.rows
     row_nl = nl + "  "
@@ -332,11 +325,9 @@ def _records(recs, nl, parts, write):
             flat = list(chain.from_iterable(col)) if width else ()
             if (width and set(map(len, col)) == {width}
                     and set(map(type, flat)) == {int}):
-                texts = _int_texts(flat)
-                for i in range(width):
-                    lits.append(lit + ("," if i else "[") + item_nl)
-                    columns.append(texts[i::width])
-                    lit = ""
+                lits.append(lit + "[" + item_nl)
+                columns.append(map(("," + item_nl).join,
+                                   zip(*[iter(_int_texts(flat))] * width)))
                 lit = field_nl + "]"
                 continue
             lits.append(lit)

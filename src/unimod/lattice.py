@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import compress, count, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
@@ -461,7 +461,8 @@ class PolytopeReport(NamedTuple):
         points is a fileio.Records over the vectors, so no dict or list is
         built per point: a record's vector is the tuple itself, its square
         N minus its count of zeros, and its coefficients the tuple of its
-        entries at base_rows.
+        entries at base_rows.  facets is a Records over the facet pairs,
+        whose one point count and one vertex count fill both sides.
         """
         vectors = self.points
         N = self.system.N
@@ -485,12 +486,13 @@ class PolytopeReport(NamedTuple):
             "vertex_count": len(self.vertices),
             "vertices": list(compress(count(), map(
                 set(self.vertices).__contains__, vectors))),
-            "facets": [{"rep_row": f.rep_row, "class_rows": list(f.class_rows),
-                        "plus_point_count": f.point_count,
-                        "minus_point_count": f.point_count,
-                        "plus_vertex_count": f.vertex_count,
-                        "minus_vertex_count": f.vertex_count}
-                       for f in self.facet_pairs],
+            "facets": Records(self.facet_pairs, (
+                ("rep_row", attrgetter("rep_row")),
+                ("class_rows", lambda f: list(f.class_rows)),
+                ("plus_point_count", attrgetter("point_count")),
+                ("minus_point_count", attrgetter("point_count")),
+                ("plus_vertex_count", attrgetter("vertex_count")),
+                ("minus_vertex_count", attrgetter("vertex_count")))),
             "min_nonzero_square": census.minimum_summary(),
             "short_vectors": {str(k): v for k, v in census.counts.items()},
             "zonotope_verified": self.zonotope_verified,

@@ -340,9 +340,10 @@ def _subset_pass(lines, spend):
     +-1 signing whose sum lies in {0, +-1}^m), otherwise the size of a
     subset that has none.
 
-    Each subset S keeps the sum of one balanced signing, as a pair of
-    bitmasks (_extend), read off the sums kept for smaller subsets: for k
-    in S, lowest first, the kept sum of S - {k} plus or minus line k.  The
+    Each subset S keeps the sum of one balanced signing, its two bitmasks
+    (_extend) at index S of the flat lists plus and minus (no tuple per
+    subset), read off the sums kept for smaller subsets: for k in S,
+    lowest first, the kept sum of S - {k} plus or minus line k.  The
     subsets are settled by their lowest line k, from the last line to the
     first, and within that in increasing bitmask order, so every S - {k'}
     a try reads is settled before S.  A subset where no k and no sign fits
@@ -353,24 +354,26 @@ def _subset_pass(lines, spend):
     s = len(lines)
     signed = [(sum(1 << i for i, x in enumerate(l) if x > 0),
                sum(1 << i for i, x in enumerate(l) if x < 0)) for l in lines]
-    kept = [(0, 0)] * (1 << s)
+    plus = [0] * (1 << s)
+    minus = [0] * (1 << s)
     for low in range(s - 1, -1, -1):
         bit = 1 << low
         lp, lm = signed[low]
         for prev in range(0, 1 << s, bit << 1):
             subset = prev | bit
-            p, m = kept[prev]
-            # _extend(kept[prev], signed[low]), inlined: nearly every subset
-            # is settled here
+            p, m = plus[prev], minus[prev]
+            # _extend of the kept sum of prev by signed[low], inlined: nearly
+            # every subset is settled here
             if not (p & lp or m & lm):
-                kept[subset] = p & ~lm | lp & ~m, m & ~lp | lm & ~p
+                plus[subset], minus[subset] = p & ~lm | lp & ~m, m & ~lp | lm & ~p
                 continue
             if not (p & lm or m & lp):
-                kept[subset] = p & ~lp | lm & ~m, m & ~lm | lp & ~p
+                plus[subset], minus[subset] = p & ~lp | lm & ~m, m & ~lm | lp & ~p
                 continue
             for k in range(low + 1, s):
                 if subset >> k & 1:
-                    found = _extend(kept[subset ^ 1 << k], signed[k])
+                    rest = subset ^ 1 << k
+                    found = _extend((plus[rest], minus[rest]), signed[k])
                     if found is not None:
                         break
             else:
@@ -378,7 +381,7 @@ def _subset_pass(lines, spend):
                     [lines[k] for k in range(s) if subset >> k & 1], spend)
                 if found is None:
                     return subset.bit_count()
-            kept[subset] = found
+            plus[subset], minus[subset] = found
     return None
 
 

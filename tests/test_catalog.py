@@ -36,6 +36,22 @@ def test_make_param_bounds():
         make("pair2", 3)        # parameter refused
 
 
+@pytest.mark.parametrize("name, param, message", [
+    ("upsilon", 0, "upsilon needs m >= 1"),
+    ("sigma", 0, "sigma needs N >= 1"),
+    ("theta", 1, "theta needs N >= 2 parallel edges"),
+    ("cycle", 2, "cycle needs N >= 3"),
+    ("complete", 1, "complete needs N >= 2"),
+])
+def test_parameter_below_the_floor_is_refused(name, param, message):
+    with pytest.raises(CatalogError, match=f"^{message}$"):
+        make(name, param)
+
+
+def test_default_parameter_is_used_when_none_is_given():
+    assert make(*parse_reference("catalog:upsilon")) == make("upsilon", 1)
+
+
 @pytest.mark.parametrize("name, param", [
     ("upsilon", 1001),          # m^2 = 1002001 matrix entries
     ("sigma", 10**6 + 1),

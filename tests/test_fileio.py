@@ -103,6 +103,26 @@ def test_non_integer_matrix_files_exit_2(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, text, message", [
+    (["check"], '{"rows": [[1, 0]', "bad JSON matrix: "),
+    (["check"], "2 x\n1\n1\n", 'matrix header must be "N n"'),
+    (["graph", "--graphic"], "", "empty edge file"),
+    (["graph", "--graphic"], "3\n", 'edge header must be "m N"'),
+    (["graph", "--graphic"], "3 1 1\n1 2\n", 'edge header must be "m N"'),
+    (["graph", "--graphic"], "3 x\n1 2\n", 'edge header must be "m N"'),
+    (["graph", "--graphic"], "3 1\n1\n", 'edge line must be "tail head"'),
+    (["graph", "--graphic"], "3 1\n1 2 3\n",
+     'edge line must be "tail head"'),
+])
+def test_malformed_input_files_exit_2_with_their_message(tmp_path, capsys,
+                                                         command, text,
+                                                         message):
+    f = tmp_path / "in.txt"
+    f.write_text(text, encoding="utf-8")
+    assert run([command[0], str(f), *command[1:]]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+
+
 def test_label_with_whitespace_exits_2(tmp_path, capsys):
     # "# labels: a b c" could not be read back as two labels
     f = tmp_path / "m.json"
@@ -219,6 +239,9 @@ def test_render_json_matches_json_dumps_on_every_report(tmp_path, capsys,
     docs = []
 
     def checked(doc, write):
+        # a long list of records must reach the writer as a Records, which
+        # it writes column by column, not as a list of dicts
+        assert all(len(x) < _MIN_RECORDS for x in _lists_of_dicts(doc)), doc
         plain = _materialized(doc)
         assert render_json(doc) == json.dumps(plain, indent=2)
         docs.append(plain)
@@ -231,6 +254,18 @@ def test_render_json_matches_json_dumps_on_every_report(tmp_path, capsys,
         out = capsys.readouterr().out
         assert out == json.dumps(docs[-1], indent=2) + "\n"
     assert codes == {0, 1, 2, 3}
+
+
+def _lists_of_dicts(x):
+    """The lists and tuples of dicts in x, at any depth outside Records."""
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from _lists_of_dicts(v)
+    elif isinstance(x, (list, tuple)):
+        if x and all(isinstance(v, dict) for v in x):
+            yield x
+        for v in x:
+            yield from _lists_of_dicts(v)
 
 
 def _fuzz_value(rng, depth):
@@ -378,12 +413,26 @@ def _record_list(rng):
     return rows
 
 
+def _records_of(rows):
+    """rows as a Records read through one itemgetter per key, or None if
+    they are not plain dicts sharing one key order."""
+    keys = tuple(rows[0])
+    if all(type(r) is dict and tuple(r) == keys for r in rows):
+        return Records(rows, [(k, itemgetter(k)) for k in keys])
+    return None
+
+
 def test_render_json_matches_json_dumps_on_record_lists():
+    # a list of dicts is written row by row, and the same rows as a
+    # Records column by column
     rng = random.Random(20261021)
     for _ in range(1500):
         rows = _record_list(rng)
         doc = rng.choice([rows, {"records": rows}, [{"nested": [rows]}]])
         assert render_json(doc) == json.dumps(doc, indent=2), doc
+        records = _records_of(rows)
+        if records is not None:
+            assert render_json(records) == json.dumps(rows, indent=2), rows
 
 
 @pytest.mark.parametrize("rows", [
@@ -400,9 +449,14 @@ def test_render_json_matches_json_dumps_on_record_lists():
     [{"a": 0, "b": 1}, {"b": 0, "a": 1}, {"a": 1, "b": 0}],
 ])
 def test_render_json_record_list_edge_cases(rows):
-    rows = rows * _MIN_RECORDS  # long enough to be written column by column
-    for doc in (rows, {"k": rows}):
-        assert render_json(doc) == json.dumps(doc, indent=2)
+    # long enough for a Records of them to be written column by column
+    rows = rows * _MIN_RECORDS
+    docs = [rows, {"k": rows}]
+    records = _records_of(rows)
+    if records is not None:
+        docs += [records, {"k": records}]
+    for doc in docs:
+        assert render_json(doc) == json.dumps(_materialized(doc), indent=2)
 
 
 def _rendered_both_ways(doc):
@@ -496,8 +550,7 @@ def test_render_json_matches_json_dumps_on_large_reports():
     systems += scrambled_copies(random.Random(20261020), [graphic_system(k5)], 1)
     for s in systems:
         doc = build_polytope_report(s).to_dict()
-        plain = dict(doc, points=list(doc["points"]))
-        assert render_json(doc) == json.dumps(plain, indent=2), s
+        assert render_json(doc) == json.dumps(_materialized(doc), indent=2), s
 
 
 @pytest.mark.parametrize("doc", [

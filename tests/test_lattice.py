@@ -335,6 +335,17 @@ def test_generation_index_rejects_non_integer_entries():
             lattice_generated_by(lat, bad)
 
 
+def test_generation_index_of_vectors_of_lower_rank():
+    # no vectors generate L exactly when n = 0; vectors of rank below n
+    # generate a sublattice of infinite index, reported as 0
+    assert generation_index(lattice_of(EMPTY_SYSTEM), []) == 1
+    s = make("bixby_seymour")
+    lat = lattice_of(s)
+    col = tuple(s.a_matrix.col(0))
+    assert generation_index(lat, []) == 0
+    assert generation_index(lat, [col, tuple(-x for x in col)] * s.n) == 0
+
+
 def test_generation_indices_of_bs_shells():
     s = make("bixby_seymour")
     lat = lattice_of(s)

@@ -324,6 +324,28 @@ def test_isomorphism_witness_verifies():
     assert corr is not None and corr.verify(a, b)
 
 
+def _double_first_row(g):
+    rows = g.to_lists()
+    return IntMatrix.from_rows([[2 * x for x in rows[0]]] + rows[1:])
+
+
+@pytest.mark.parametrize("broken", [
+    pytest.param(lambda c: c._replace(row_map=(0, 0, 1)),
+                 id="not-a-permutation"),
+    pytest.param(
+        lambda c: c._replace(base_change=_double_first_row(c.base_change)),
+        id="det-2"),
+    pytest.param(lambda c: c._replace(signs=(-c.signs[0],) + c.signs[1:]),
+                 id="one-sign-flipped"),
+])
+def test_isomorphism_witness_verify_refuses_a_broken_witness(broken):
+    a = make("triangle3")
+    b = from_matrix([[0, 1], [1, 1], [1, 0]])
+    corr = are_isomorphic(a, b)
+    assert corr.verify(a, b)
+    assert not broken(corr).verify(a, b)
+
+
 def test_isomorphism_under_random_scrambles():
     base = [make("triangle3"), make("sigma", 4),
             direct_sum(make("pair2"), make("sigma", 2))]
