@@ -13,11 +13,12 @@ k; the fundamental-cut row of an edge f is then p[head f] - p[tail f].  On
 one tree the cut rows are [I; Q] up to row order, and the fundamental-
 cycle rows are their Gale partner [-Q^T; I], one unit row per chord: the
 cut space reads the first, on the tree picked forward, and the cycle space
-the second, on the tree picked backward.  Bridges vanish on all cycles and
-loops vanish on all cuts, and those zero rows are omitted.  Such a system
-is totally unimodular by theorem (network matrices, Poincare), so it is
-certified in O(N n), not by the minor scan, against the tree its base rows
-name, which one walk checks to span; a failed certificate falls back to
+the second, on the tree picked backward, where -Q^T is read off subtree
+sums (_cycle_table) in time the size of the table.  Bridges vanish on all
+cycles and loops vanish on all cuts, and those zero rows are omitted.  Such
+a system is totally unimodular by theorem (network matrices, Poincare), so
+it is certified in O(N n), not by the minor scan, against the tree its base
+rows name, which one walk checks to span; a failed certificate falls back to
 the scan.  A disconnected graph is refused with the smallest vertex that
 vertex 1 cannot reach.  Also provides spanning-tree enumeration,
 Laplacians, and the delete-loops/contract-bridges stabilization.
@@ -26,7 +27,7 @@ Laplacians, and the delete-loops/contract-bridges stabilization.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, sub
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import (CapError, ConnectivityError, DegenerateSystemError,
@@ -208,17 +209,28 @@ def _cycle_table(g, message):
     """The tree picked backward, its chords (the other edges), and the row
     of each tree edge k over the chords' fundamental cycles.
 
-    The cycle of chord e runs along e, then back through the tree from its
-    head to its tail, so k reads (p[tail e] - p[head e])_k on it, the
-    negated cut row of e.
+    The cycle of chord j = (t, h) runs along it, then back through the tree
+    from h to t, so it crosses k when k separates t from h.  Put +e_j at t
+    and -e_j at h, and fold every vertex's sum into its parent's, leaves
+    first, on the tree rooted at vertex 1 in the walk order of _potentials:
+    k's row is then the sum at its lower end, negated when that end is k's
+    tail.  O(V c) for c chords, the size of the table.
     """
     tree = _first_tree(g, message, reverse=True)
     in_tree = set(tree)
     chords = [f for f in range(g.edge_count) if f not in in_tree]
-    p = _unit_potentials(g, tree)
-    cols = [tuple(map(sub, p[t], p[h]))
-            for t, h in map(g.edges.__getitem__, chords)]
-    return tree, chords, list(zip(*cols)) if cols else [()] * len(tree)
+    order = {v: i for i, v in enumerate(_potentials(g, dict.fromkeys(tree, ())))}
+    total = {v: [0] * len(chords) for v in order}
+    for j, (t, h) in enumerate(map(g.edges.__getitem__, chords)):
+        total[t][j] += 1
+        total[h][j] -= 1
+    rows = {}
+    for k in sorted(tree, key=lambda k: -max(map(order.get, g.edges[k]))):
+        t, h = g.edges[k]
+        low, up = (h, t) if order[h] > order[t] else (t, h)
+        total[up] = list(map(add, total[up], total[low]))
+        rows[k] = tuple(total[low]) if low == h else tuple(map(neg, total[low]))
+    return tree, chords, [rows[k] for k in tree]
 
 
 def _bridges(g, message):

@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
 Everything here works on arbitrary-precision Python ints; no floats anywhere.
-The workhorses are a fraction-free Bareiss determinant, one fraction-free
-Gauss-Jordan kernel that skips pivotless columns (the adjugate runs it on
-[M | I], and systems standardizes with it on the transposed input), a row
-Hermite normal form with unimodular transform (which yields exact rank and
-*saturated* integer kernels), adjugate-based unimodular solves, and a
-streaming minor enumerator.  All outputs are deterministic; kernel bases
-are canonicalized to a unique Hermite-reduced form with positive leading
-entries.
+The workhorse is one fraction-free Gauss-Jordan kernel that skips
+pivotless columns: determinants and minors are its last pivot, rank its
+pivot count, the adjugate runs it on [M | I], and systems standardizes
+with it on the transposed input.  Beside it are a row Hermite normal form
+with unimodular transform (for *saturated* integer kernels and canonical
+bases), adjugate-based unimodular solves, and a streaming minor
+enumerator.  All outputs are deterministic; kernel bases are canonicalized
+to a unique Hermite-reduced form with positive leading entries.
 """
 
 from __future__ import annotations
@@ -144,52 +144,11 @@ def dot(u, v):
 # determinant
 
 
-def _det_dense(a):
-    """Bareiss fraction-free elimination on a list-of-lists; destroys `a`."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        # pivot: smallest nonzero absolute value in column k at or below row k
-        piv = -1
-        best = 0
-        for i in range(k, n):
-            v = a[i][k]
-            if v != 0 and (piv < 0 or abs(v) < best):
-                piv, best = i, abs(v)
-        if piv < 0:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri = a[i]
-            rk = a[k]
-            for j in range(k + 1, n):
-                # exact by Sylvester's determinant identity
-                ri[j] = (pk * ri[j] - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
 def determinant(m):
-    """Exact determinant of a square IntMatrix (0x0 gives 1)."""
+    """Exact determinant of a square IntMatrix (0x0 gives 1), see _det."""
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    return _det_dense(m.to_lists())
+    return _det(m.row_list())
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +216,8 @@ def hermite_form(m, transform=False):
 
 
 def rank(m):
-    """Exact rank over the rationals (= rank over Z)."""
-    _, _, rk = hermite_form(m)
-    return rk
+    """Exact rank over Q (= rank over Z): the pivot count of _gauss_jordan."""
+    return len(_gauss_jordan(m.row_list(), m.cols)[0])
 
 
 def kernel_basis(m):
@@ -292,11 +250,12 @@ def square_minors(m, k):
     for rs in combinations(range(m.rows), k):
         picked = [rows[i] for i in rs]
         for cs in combinations(range(m.cols), k):
-            yield _det_dense([[pr[j] for j in cs] for pr in picked])
+            yield _det([[pr[j] for j in cs] for pr in picked])
 
 
 def _gauss_jordan(a, width):
-    """Fraction-free Gauss-Jordan on the rows a (lists, rewritten in place).
+    """Fraction-free Gauss-Jordan on the list of rows a, rewritten in place
+    (each row is replaced, never changed, so rows may be tuples).
 
     Pivots are taken from columns 0..width-1, left to right; a column with
     no nonzero entry at or below the current row is skipped, and the pass
@@ -333,6 +292,15 @@ def _gauss_jordan(a, width):
     return pivots, prev, sign
 
 
+def _det(rows):
+    """det M for the rows of a square M: sign * d from _gauss_jordan, d the
+    last pivot = det(PM) for the row swaps P, when all n columns get a pivot,
+    and 0 otherwise."""
+    n = len(rows)
+    pivots, d, sign = _gauss_jordan(list(rows), n)
+    return sign * d if len(pivots) == n else 0
+
+
 def _gauss_jordan_adjugate(rows):
     """adj(M) by fraction-free Gauss-Jordan on [M | I]; None if M is singular.
 
@@ -355,7 +323,7 @@ def _cofactor_adjugate(rows):
     for i in range(n):
         for j in range(n):
             sub = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            out[j][i] = (-1) ** (i + j) * _det_dense(sub)
+            out[j][i] = (-1) ** (i + j) * _det(sub)
     return out
 
 

@@ -39,15 +39,16 @@ block; the base left once the unit rows (coloops) are deleted; the first
 spanning tree in edge order, or the complement of the first one in
 reverse edge order.
 
-Operations: complexity (= number of bases = det of the Gram matrix), base
-enumeration by the same walk over the nonzero tail minors as the witness,
-on the shorter side (they are in bijection with the bases), direct sums,
-splitting off unit summands, Gale duality, and signed isomorphism search
-with exact invariant pruning.  Automorphisms are counted down a stabilizer
-chain: the orbit of each base row under the symmetries that fix the earlier
-base rows, closed under the symmetries already found, with one witness
-search per image that none of them reaches, times the permutations of tail
-rows equal up to sign that remain once every base row is fixed.
+Operations: complexity (= number of bases = det of the Gram matrix, on the
+short side), base enumeration by the same walk over the nonzero tail minors
+as the witness, also on the shorter side (they are in bijection with the
+bases), direct sums, splitting off unit summands, Gale duality, and signed
+isomorphism search with exact invariant pruning.  Automorphisms are counted
+down a stabilizer chain: the orbit of each base row under the symmetries
+that fix the earlier base rows, closed under the symmetries already found,
+with one witness search per image that none of them reaches, times the
+permutations of tail rows equal up to sign that remain once every base row
+is fixed.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 from math import factorial, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (CapError, DimensionError, NotUnimodularError,
                      PreconditionError, RankError)
-from .intlinalg import IntMatrix, _gauss_jordan, adjugate, determinant, vecmat
+from .intlinalg import IntMatrix, _det, _gauss_jordan, adjugate, determinant, vecmat
 
 DEFAULT_CAP = 10**6  # work budget of each exponential core, in its own units
 
@@ -586,8 +588,14 @@ def gram_matrix(sys):
 
 @lru_cache
 def complexity(sys):
-    """Number of bases of the system (Cauchy-Binet: det of the Gram matrix)."""
-    return determinant(gram_matrix(sys))
+    """Number of bases, det A^T A (Cauchy-Binet).  In standard form that is
+    det(I + T^T T) = det(I + T T^T) (Sylvester; the Gale dual's Gram matrix),
+    T the tail block, so it is taken as det(I + L L^T) of size min(n, N - n):
+    L the rows of T when T has fewer rows than columns, else its columns."""
+    _, t = _tail_block(sys.a_matrix, sys.base_rows)
+    lines = t if len(t) < sys.n else list(zip(*t))
+    return _det([[(i == j) + sum(map(mul, u, v)) for j, v in enumerate(lines)]
+                 for i, u in enumerate(lines)])
 
 
 def _picker(items):
@@ -785,10 +793,12 @@ def gale_dual(sys):
 # multiplicity classes
 
 
+@lru_cache
 def multiplicity_classes(sys):
     """Partition of row indices into classes of forms equal up to sign.
 
     Classes are ordered by smallest member; members ascend within a class.
+    Memoized, since one report reads the classes of a system several times.
     """
     seen = {}
     for i in range(sys.N):

@@ -113,6 +113,9 @@ def test_non_integer_matrix_files_exit_2(tmp_path, capsys, text):
     (["graph", "--graphic"], "3 1\n1\n", 'edge line must be "tail head"'),
     (["graph", "--graphic"], "3 1\n1 2 3\n",
      'edge line must be "tail head"'),
+    (["check"], "3\n1\n1\n1\n", 'matrix header must be "N n"'),
+    (["check"], "3 1 1\n1\n1\n1\n", 'matrix header must be "N n"'),
+    (["check"], "3 x\n1\n1\n1\n", 'matrix header must be "N n"'),
 ])
 def test_malformed_input_files_exit_2_with_their_message(tmp_path, capsys,
                                                          command, text,

@@ -93,6 +93,7 @@ def test_incidence_matrix_signs():
     g = Multigraph.build(3, [(1, 2), (3, 2), (1, 1)])
     m = incidence_matrix(g)
     assert m.to_lists() == [[-1, 1, 0], [0, 1, -1], [0, 0, 0]]  # loop row zero
+    assert incidence_matrix(Multigraph.build(3, [])) == (0, 3, ())  # no edges
 
 
 def test_connectivity_and_loops():

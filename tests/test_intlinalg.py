@@ -62,11 +62,37 @@ def test_determinant_singular():
     assert determinant(m) == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _low_rank_matrix(r, c, k):
+    """A random r x c matrix of rank at most k: a product of r x k and k x c."""
+    left, right = _random_matrix(r, k, -3, 3), _random_matrix(k, c, -3, 3)
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+            for i in range(r)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_determinant_matches_permutation_expansion(n):
-    for _ in range(25):
-        rows = _random_matrix(n, n)
+    """Random matrices, singular ones (rank n - 1), one with a zero leading
+    entry (the kernel swaps rows) and one whose middle column gets no pivot
+    (the kernel skips it, so fewer than n pivots: det 0)."""
+    cases = [_random_matrix(n, n) for _ in range(25)]
+    cases += [_low_rank_matrix(n, n, n - 1) for _ in range(5)]
+    swap = _random_matrix(n, n, 1, 6)
+    swap[0][0] = 0
+    skip = _random_matrix(n, n)
+    for row in skip:
+        row[n // 2] = 2 * row[0]
+    for rows in cases + [swap, skip]:
         assert determinant(IntMatrix.from_rows(rows)) == _perm_det(rows)
+    assert _perm_det(skip) == 0 or n == 1
+
+
+def test_rank_matches_hermite_rank():
+    for _ in range(60):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        rows = (_low_rank_matrix(r, c, rng.randint(0, 4)) if rng.random() < 0.5
+                else _random_matrix(r, c))
+        m = IntMatrix(r, c, tuple(x for row in rows for x in row))
+        assert rank(m) == hermite_form(m)[2]
 
 
 def test_determinant_large_entries_exact():
@@ -152,6 +178,20 @@ def test_square_minors_stream_order_and_count():
     # lexicographic by row set, then column set
     assert list(square_minors(m, 1)) == [1, 2, 3, 4, 5, 6]
     assert list(square_minors(m, 2)) == [-2, -4, -2]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: IntMatrix.identity(2) @ IntMatrix.identity(3), id="matmul"),
+    pytest.param(lambda: matvec(IntMatrix.identity(2), (1, 2, 3)), id="matvec"),
+    pytest.param(lambda: vecmat((1, 2, 3), IntMatrix.identity(2)), id="vecmat"),
+    pytest.param(lambda: determinant(IntMatrix.zeros(2, 3)), id="determinant"),
+    pytest.param(lambda: adjugate(IntMatrix.zeros(3, 2)), id="adjugate"),
+    pytest.param(lambda: solve_unimodular(IntMatrix.zeros(1, 2), (1,)),
+                 id="solve_unimodular"),
+])
+def test_shape_mismatch_raises_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call()
 
 
 def test_square_minors_bad_order():

@@ -20,7 +20,9 @@ against the Hermite rank of the active rows, the one-pass standardization
 against the first base by Hermite ranks with the adjugate expansion, and
 the cycle rows, cut rows, bridges and stabilization read off one
 tree-potential map against the tree walks, union-finds, deletion tests and
-contraction loop they replaced, the graph systems written in standard form
+contraction loop they replaced, the cycle table by subtree sums against
+the unit potentials it replaced, the complexity on the short side of the
+tail against the Gram determinant, the graph systems written in standard form
 over the edge-order spanning tree against the raw rows on the BFS tree put
 in standard form by elimination, the direct sums and unit-free cores
 written without elimination against the same rows standardized, the one
@@ -70,7 +72,7 @@ from unimod.graphs import (
 )
 from unimod.intlinalg import (
     IntMatrix,
-    _det_dense,
+    _det,
     adjugate,
     determinant,
     dot,
@@ -109,6 +111,7 @@ from unimod.systems import (
     form_pairing_matrix,
     from_matrix,
     gale_dual,
+    gram_matrix,
     multiplicity_classes,
     split_upsilon,
 )
@@ -184,6 +187,45 @@ def test_direct_sum_complexity_is_multiplicative():
         assert complexity(direct_sum(a, b)) == complexity(a) * complexity(b)
 
 
+def test_complexity_on_the_short_side_matches_the_gram_determinant():
+    """complexity is det(I + L L^T) over the shorter side L of the tail
+    block T; the determinant of the whole Gram matrix A^T A is the oracle,
+    with T wider than tall, taller than wide and empty (the empty system,
+    pure unit blocks), and the Gale dual, whose T is transposed, has the
+    same complexity."""
+    rng = random.Random(170835)
+    cases = _systems_under_test(170835) + random_graph_systems(rng, 200)
+    cases += [direct_sum(a, b) for a, b in zip(cases[:40:2], cases[1:40:2])]
+    cases += [EMPTY_SYSTEM, make("upsilon", 3), make("sigma", 1),
+              make("sigma", 16)]
+    shapes = Counter()
+    for s in cases:
+        tail = s.N - s.n
+        shapes[(tail > s.n) - (tail < s.n), tail == 0 or s.n == 0] += 1
+        assert complexity(s) == determinant(gram_matrix(s)), s
+        assert complexity(gale_dual(s)) == complexity(s), s
+    assert {(-1, False), (1, False), (-1, True), (0, True)} <= set(shapes)
+
+
+def test_graph_complexity_is_the_tree_count():
+    """For a connected graph with both systems, each has as many bases as
+    the graph has spanning trees: det of the deleted Laplacian (Kirchhoff)."""
+    rng = random.Random(170836)
+    gs = [random_multigraph_with_loops(rng) for _ in range(200)]
+    gs += [make("complete", k) for k in range(2, 9)]
+    gs += [make("cycle", 9), make("theta", 7)]
+    both = 0
+    for g in gs:
+        try:
+            pair = graphic_system(g), cographic_system(g)
+        except DegenerateSystemError:  # a tree, or one vertex
+            continue
+        both += 1
+        trees = determinant(deleted_laplacian(g))
+        assert [complexity(s) for s in pair] == [trees, trees], g
+    assert both > 100
+
+
 def test_scan_points_negate_and_reconstruct():
     rng = random.Random(170806)
     for _ in range(5):
@@ -236,7 +278,7 @@ def full_scan_tu_witness(m):
         for rs in combinations(range(m.rows), k):
             picked = [rows[i] for i in rs]
             for cs in combinations(range(m.cols), k):
-                d = _det_dense([[pr[j] for j in cs] for pr in picked])
+                d = _det([[pr[j] for j in cs] for pr in picked])
                 if d not in (0, 1, -1):
                     return rs, cs, d
     return None
@@ -1059,6 +1101,31 @@ def test_tree_certificate_matches_the_scan(monkeypatch):
     for build, g in cases:
         rows, kept = (_cycle_rows if build is graphic_system else _cut_rows)(g)
         assert_same_system(build(g), from_matrix(rows, edge_labels(kept)))
+
+
+def potential_cycle_table(g):
+    """The cycle table read off unit potentials (test-only oracle for the
+    subtree sums of graphs._cycle_table): the row of tree edge k over chord
+    e = (t, h) is (p[t] - p[h])_k, p under unit steps on the backward tree,
+    a vector of width V - 1 at every vertex."""
+    tree = graphs._first_tree(g, "", reverse=True)
+    chords = [f for f in range(g.edge_count) if f not in tree]
+    p = graphs._unit_potentials(g, tree)
+    cols = [tuple(map(sub, p[t], p[h])) for t, h in map(g.edges.__getitem__, chords)]
+    return tree, chords, list(zip(*cols)) if cols else [()] * len(tree)
+
+
+def test_cycle_table_by_subtree_sums_matches_unit_potentials():
+    rng = random.Random(170837)
+    cases = [random_multigraph_with_loops(rng) for _ in range(300)]
+    assert any(map(loops, cases)) and any(map(bridges, cases))
+    assert any(len(set(g.edges)) < g.edge_count for g in cases)
+    cases += [random_connected_multigraph(rng, rng.randint(10, 40),
+                                          rng.randint(0, 30)) for _ in range(20)]
+    cases += [make("complete", k) for k in range(2, 9)]
+    cases += [make("cycle", 60), make("theta", 6), Multigraph.build(1, [(1, 1)])]
+    for g in cases:
+        assert graphs._cycle_table(g, "") == potential_cycle_table(g), g
 
 
 def test_derived_systems_match_the_scan():
