@@ -1,20 +1,24 @@
 """Named example systems and graphs, constructible by string reference.
 
-System entries are built through the ordinary verification pipeline (never
-trusted blobs); graph entries return multigraphs for the graphic/cographic
-constructors.  References look like "catalog:<name>" or
+System entries are written in standard form, certified once by the tests
+(each equals from_matrix of its defining rows), so building one runs no
+elimination and no certification; the 0/1 Bixby-Seymour presentation is
+only standardized.  Graph entries return multigraphs for the
+graphic/cographic constructors.  References look like "catalog:<name>" or
 "catalog:<name>:<param>".  A parameter whose object would hold more than
 DEFAULT_CAP matrix entries or edges is refused before anything is built.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import CatalogError
 from .fileio import _DECIMAL
 from .graphs import Multigraph
-from .systems import DEFAULT_CAP, from_matrix
+from .intlinalg import IntMatrix
+from .systems import DEFAULT_CAP, UnimodularSystem, _standardize
 
 # The 10-form rank-5 system of Bixby and Seymour, in its classical 0/1
 # presentation (every maximal minor is 0 or +-2) ...
@@ -31,8 +35,8 @@ _BIXBY_SEYMOUR_RAW = (
     (0, 1, 0, 0, 1),
 )
 
-# ... and re-expanded over its first five rows, which makes it a standard
-# totally unimodular presentation of the same system.
+# ... and re-expanded over its first five rows: its standard form, which
+# makes it a totally unimodular presentation of the same system.
 _BIXBY_SEYMOUR = (
     (1, 0, 0, 0, 0),
     (0, 1, 0, 0, 0),
@@ -53,26 +57,33 @@ def _bounded(name, entries):
                            f"{DEFAULT_CAP}")
 
 
+def _standard(n, entries):
+    """The system whose standard form has these row-major entries, n per
+    row, over its first n rows (the unit vectors, in order)."""
+    return UnimodularSystem(n, IntMatrix(len(entries) // n, n, entries),
+                            tuple(range(n)))
+
+
 def _upsilon(m):
     if m < 1:
         raise CatalogError("upsilon needs m >= 1")
     _bounded("upsilon", m * m)
-    return from_matrix([[1 if i == j else 0 for j in range(m)] for i in range(m)])
+    return _standard(m, IntMatrix.identity(m).entries)
 
 
 def _sigma(n):
     if n < 1:
         raise CatalogError("sigma needs N >= 1")
     _bounded("sigma", n)
-    return from_matrix([[1]] * n)
+    return _standard(1, (1,) * n)
 
 
 def _pair2(_):
-    return from_matrix([[1, 0], [0, 1]])
+    return _standard(2, (1, 0, 0, 1))
 
 
 def _triangle3(_):
-    return from_matrix([[1, 0], [0, 1], [1, 1]])
+    return _standard(2, (1, 0, 0, 1, 1, 1))
 
 
 def _theta(n):
@@ -98,11 +109,11 @@ def _complete(n):
 
 
 def _bixby_seymour_raw(_):
-    return from_matrix(_BIXBY_SEYMOUR_RAW)
+    return _standardize(_BIXBY_SEYMOUR_RAW)
 
 
 def _bixby_seymour(_):
-    return from_matrix(_BIXBY_SEYMOUR)
+    return _standard(5, tuple(chain.from_iterable(_BIXBY_SEYMOUR)))
 
 
 class CatalogEntry(NamedTuple):

@@ -20,7 +20,8 @@ Exit codes: 0 success, 1 verification failure (a witness is printed),
 2 usage or input-format error, 3 work cap exceeded (more than ``--cap N``,
 default ``systems.DEFAULT_CAP``, points or bases found, or search nodes;
 or, for a matrix file under any command, more than ``DEFAULT_CAP`` units
-of certification, which ``--cap`` does not change), 141 (128 + SIGPIPE)
+of certification, which ``--cap`` does not change; or, under ``graph``, a
+derived system of more than ``DEFAULT_CAP`` entries), 141 (128 + SIGPIPE)
 standard output closed by its reader, as in ``unimod dual FILE | head -3``.
 """
 
@@ -110,24 +111,24 @@ def _emit(args, inputs, lines, result, elapsed_ms, error=None):
         render_json(doc, sys.stdout.write)
         sys.stdout.write("\n")
     else:
-        print(f"# unimod {args.command}")
-        for s, h in inputs:
-            print(f"# input {s} sha256={h if h else 'unavailable'}")
+        out = [f"# unimod {args.command}"]
+        out += [f"# input {s} sha256={h if h else 'unavailable'}"
+                for s, h in inputs]
         if error is not None:
-            print(f"error: {error['message']}")
+            out.append(f"error: {error['message']}")
             if "witness" in error:
                 # a minor has rows, cols and value; a zero or non-integral
                 # row has rows only; a disconnected graph has a vertex
-                print("# witness " + " ".join(
+                out.append("# witness " + " ".join(
                     f"{k}={v}" for k, v in error["witness"].items()))
         else:
-            for line in lines:
-                print(line)
-        print(f"# elapsed_ms {elapsed_ms}")
+            out += lines
+        out.append(f"# elapsed_ms {elapsed_ms}\n")
+        sys.stdout.write("\n".join(out))
 
 
 def _matrix_text(system, comments=()):
-    return render_matrix_text(system.a_matrix.to_lists(), system.labels,
+    return render_matrix_text(system.a_matrix.row_list(), system.labels,
                               comments=comments)
 
 

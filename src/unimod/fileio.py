@@ -1,13 +1,17 @@
 """Plain-text and JSON input formats.
 
 Matrix files: first non-comment line "N n", then N lines of n signed
-decimal integers ([+-]?[0-9]+); '#' starts a comment line.  "0 0" is the
-empty system, and "0 n" with n >= 1 is refused.  A comment of
-the form "# labels: a b c" carries row labels and survives a parse/render
-round trip, so each label must be a nonempty word without whitespace.  A
-JSON object {"rows": [[...]], "labels": [...]} is accepted anywhere a
-matrix file is; its entries must be JSON integers (no floats or booleans),
-and it may carry no other key and no key twice.
+decimal integers ([+-]?[0-9]+); '#' starts a comment line.  Each data
+line is checked once to hold only ASCII digits, signs and whitespace
+(_DATA_LINE), and its words are then read by int(): the check keeps out
+the underscores and non-ASCII digits int() would take, and int() refuses
+a misplaced sign, so a word is read exactly when it is a signed ASCII
+decimal.  "0 0" is the empty system, and "0 n" with n >= 1 is refused.
+A comment of the form "# labels: a b c" carries row labels and survives
+a parse/render round trip, so each label must be a nonempty word without
+whitespace.  A JSON object {"rows": [[...]], "labels": [...]} is accepted
+anywhere a matrix file is; its entries must be JSON integers (no floats
+or booleans), and it may carry no other key and no key twice.
 Edge-list files: first line "m N" (vertices, edges), then N lines
 "tail head" with 1-indexed vertex ids.  Reports are written as JSON by
 render_json, which gives the bytes of json.dumps(doc, indent=2) faster:
@@ -42,6 +46,10 @@ from .systems import check_labels
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+# A data line of a matrix file: int() reads each of its words exactly when
+# every word is a _DECIMAL (\s is the whitespace str.split() splits on).
+_DATA_LINE = re.compile(r"[-+0-9\s]*")
 
 # Below this many records a Records is rendered row by row: the column
 # set-up costs more than it saves (about 20 us against 7 us for one point).
@@ -169,7 +177,9 @@ def parse_matrix_text(text):
             raise PreconditionError(
                 f"expected {ncols} entries per row, got {len(parts)}: {line!r}")
         try:
-            rows.append(tuple(_int(x) for x in parts))
+            if not _DATA_LINE.fullmatch(line):
+                raise ValueError(line)
+            rows.append(tuple(map(int, parts)))
         except ValueError:
             raise PreconditionError(f"non-integer matrix entry in {line!r}") from None
     if labels is not None:

@@ -19,9 +19,11 @@ cycles and loops vanish on all cuts, and those zero rows are omitted.  Such
 a system is totally unimodular by theorem (network matrices, Poincare), so
 it is certified in O(N n), not by the minor scan, against the tree its base
 rows name, which one walk checks to span; a failed certificate falls back to
-the scan.  A disconnected graph is refused with the smallest vertex that
-vertex 1 cannot reach.  Also provides spanning-tree enumeration,
-Laplacians, and the delete-loops/contract-bridges stabilization.
+the scan.  A system whose table would hold more than DEFAULT_CAP entries is
+refused (CapError) before the table is built.  A disconnected graph is
+refused with the smallest vertex that vertex 1 cannot reach.  Also
+provides spanning-tree enumeration, Laplacians, and the
+delete-loops/contract-bridges stabilization.
 """
 
 from __future__ import annotations
@@ -326,8 +328,16 @@ def graphic_system(g):
     no cycle and are dropped.  A tree (no cycles at all) is degenerate.
     The form is certified totally unimodular by checking in O(N n) that it
     is the fundamental-cycle matrix of a spanning tree (see
-    _is_cycle_matrix), not by a minor scan.
+    _is_cycle_matrix), not by a minor scan.  Its table holds a row of
+    n = E - V + 1 entries for every edge, bridges included, before the
+    bridges' zero rows are dropped; a connected graph for which E n would
+    exceed DEFAULT_CAP is refused (CapError) before the table is built.
     """
+    n = g.edge_count - g.vertex_count + 1
+    if g.edge_count * n > DEFAULT_CAP:
+        _first_tree(g, _DISCONNECTED)  # refuses a disconnected graph as such
+        raise CapError(f"graphic system of {g.edge_count} x {n} entries "
+                       f"exceeds cap {DEFAULT_CAP}")
     tree, chords, tree_rows = _cycle_table(g, _DISCONNECTED)
     if not chords:
         raise DegenerateSystemError("the graph is a tree: its cycle space is zero")
@@ -354,15 +364,19 @@ def cographic_system(g):
     dropped.  A single-vertex graph has a zero cut space.  The form is
     certified totally unimodular by checking in O(N n) that it is the
     fundamental-cut matrix of a spanning tree (see _is_cut_matrix), not by
-    a minor scan.
+    a minor scan.  A graph whose N non-loop edges and n = V - 1 give N n
+    above DEFAULT_CAP is refused (CapError) before any potential is built.
     """
     tree = _first_tree(g, _DISCONNECTED)
     if not tree:
         raise DegenerateSystemError(
             "the graph has no spanning-tree edges: its cut space is zero")
-    p = _unit_potentials(g, tree)
     # the zero rows are the loops: distinct vertices have distinct tree paths
     kept = [f for f, (t, h) in enumerate(g.edges) if t != h]
+    if len(kept) * len(tree) > DEFAULT_CAP:
+        raise CapError(f"cographic system of {len(kept)} x {len(tree)} "
+                       f"entries exceeds cap {DEFAULT_CAP}")
+    p = _unit_potentials(g, tree)
     in_tree = set(tree)
     rows = [tuple(map(sub, p[h], p[t]))
             for t, h in map(g.edges.__getitem__, kept)]

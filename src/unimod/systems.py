@@ -30,14 +30,17 @@ of an exact search, one per minor walked), and CapError refuses an input
 that would run past it before a block's table of 2^s sums is allocated.
 Certification runs on raw matrix input only.  Total unimodularity
 survives transposition, submatrices and block sums, so Gale duals,
-unit-free cores and direct sums of certified systems skip it, and graph
-systems check a spanning-tree certificate instead (see graphs).  Only raw input and Gale duals go through the
-elimination.  Direct sums, unit-free cores and graph systems are written
-straight in the standard form it would give them, because their first
-maximal independent rows are known: the operands' bases, block after
-block; the base left once the unit rows (coloops) are deleted; the first
-spanning tree in edge order, or the complement of the first one in
-reverse edge order.
+unit-free cores and direct sums of certified systems skip it, graph
+systems check a spanning-tree certificate instead (see graphs), and the
+catalog's systems are constants the tests certify (see catalog).  Only
+raw input, Gale duals and the catalog's 0/1 Bixby-Seymour presentation
+go through the elimination.  Direct sums, unit-free cores, graph systems
+and the other catalog systems are written straight in the standard form
+it would give them, because their first maximal independent rows are
+known: the operands' bases, block after block; the base left once the
+unit rows (coloops) are deleted; the first spanning tree in edge order,
+or the complement of the first one in reverse edge order; the first n
+rows of a catalog constant.
 
 Operations: complexity (= number of bases = det of the Gram matrix, on the
 short side), base enumeration by the same walk over the nonzero tail minors
@@ -56,7 +59,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 from math import factorial, prod
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from .errors import (CapError, DimensionError, NotUnimodularError,
@@ -499,15 +502,19 @@ def _standardize(raw, labels=None):
     divides it exactly when row i is an integer combination of the base
     rows.  A row for which it does not lies outside the group generated by
     the base, so the maximal subsets generate different groups and the
-    input is rejected.  Raw rows must hold plain integers (PreconditionError
+    input is rejected.  When d is +-1, as for every totally unimodular
+    input, it divides everything, and the columns are read off as they
+    are (or negated).  Raw rows must hold plain integers (PreconditionError
     otherwise, so 1.7 or True is never read as 1).  The 0 x 0 matrix gives
     EMPTY_SYSTEM, the Gale dual of a pure unit block, so that a written
-    dual reads back; rows of width 0 are refused.  Two callers: from_matrix,
-    which scans the result, and gale_dual, whose result is totally
-    unimodular.  The systems derived otherwise (direct_sum, the
-    split_upsilon core, graphs.graphic_system and graphs.cographic_system)
-    are written straight in the form this pass would give them, over the
-    same base: each knows its first maximal independent rows in row order.
+    dual reads back; rows of width 0 are refused.  Three callers:
+    from_matrix, which scans the result; gale_dual, whose result is totally
+    unimodular; and the catalog's 0/1 Bixby-Seymour presentation, whose
+    standard form the tests certify.  The systems derived otherwise
+    (direct_sum, the split_upsilon core, graphs.graphic_system and
+    graphs.cographic_system) are written straight in the form this pass
+    would give them, over the same base: each knows its first maximal
+    independent rows in row order.
     """
     m = raw if isinstance(raw, IntMatrix) else IntMatrix.from_rows(raw)
     N, n = m.rows, m.cols
@@ -515,21 +522,25 @@ def _standardize(raw, labels=None):
         raise PreconditionError("a system needs at least one coordinate")
     if N < n:
         raise RankError(f"only {N} rows cannot have rank {n}")
-    for i in range(N):
-        if not any(m.row(i)):
-            raise NotUnimodularError(f"row {i} is the zero form", rows=(i,))
-    a = [list(m.col(j)) for j in range(n)]
+    rows = list(zip(*[iter(m.entries)] * n))
+    if not all(map(any, rows)):
+        i = next(i for i, row in enumerate(rows) if not any(row))
+        raise NotUnimodularError(f"row {i} is the zero form", rows=(i,))
+    a = list(zip(*rows))
     base, d, _ = _gauss_jordan(a, N)
     if len(base) < n:
         raise RankError(f"matrix rank {len(base)} is below the column count {n}")
-    out = []
-    for i, col in enumerate(zip(*a)):
-        if any(x % d for x in col):
-            raise NotUnimodularError(
-                f"row {i} is not an integer combination of the base rows "
-                f"{tuple(base)}: the maximal independent subsets generate "
-                f"different groups", rows=(*base, i))
-        out.extend(x // d for x in col)
+    out = chain.from_iterable(zip(*a))  # d times the standard form
+    if d == -1:
+        out = map(neg, out)
+    elif d != 1:
+        for i, col in enumerate(zip(*a)):
+            if any(x % d for x in col):
+                raise NotUnimodularError(
+                    f"row {i} is not an integer combination of the base rows "
+                    f"{tuple(base)}: the maximal independent subsets generate "
+                    f"different groups", rows=(*base, i))
+        out = (x // d for x in out)
     if labels is not None:
         labels = check_labels(labels, N)
     return UnimodularSystem(n=n, a_matrix=IntMatrix(N, n, tuple(out)),
@@ -552,8 +563,9 @@ def from_matrix(raw, labels=None):
     minor (size, then rows, then columns).  The check is for raw input:
     systems the library derives from certified ones (graph systems, Gale
     duals, cores, direct sums) are totally unimodular by construction and
-    skip it.  Scalar presentations collapse: [[2]] is accepted as the unit
-    system, since the single row is a base of the group it generates.
+    skip it, as do the catalog's systems.  Scalar presentations collapse:
+    [[2]] is accepted as the unit system, since the single row is a base
+    of the group it generates.
     A non-TU input is rejected before its labels are checked.  An IntMatrix
     is held to what IntMatrix.from_rows demands of rows: plain int entries
     (PreconditionError) and rows x cols of them (DimensionError).

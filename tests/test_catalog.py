@@ -135,3 +135,62 @@ def test_reference_parameter_is_ascii_decimal(ref):
 
 def test_make_accepts_ints_and_decimal_strings():
     assert make("sigma", 4) == make("sigma", "4") == make("sigma", "+4")
+
+
+BIXBY_SEYMOUR_RAW = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0],
+                     [0, 0, 0, 1, 1], [1, 0, 0, 0, 1], [1, 0, 1, 0, 0],
+                     [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [1, 0, 0, 1, 0],
+                     [0, 1, 0, 0, 1]]
+
+
+def _defining_rows():
+    """(name, param, rows) for every catalog system: the rows each entry
+    is defined by, as a raw presentation."""
+    cases = [("upsilon", m, [[int(i == j) for j in range(m)]
+                             for i in range(m)]) for m in range(1, 9)]
+    cases += [("sigma", n, [[1]] * n) for n in range(1, 13)]
+    cases += [("pair2", None, [[1, 0], [0, 1]]),
+              ("triangle3", None, [[1, 0], [0, 1], [1, 1]]),
+              ("bixby_seymour", None, BIXBY_SEYMOUR_RAW),
+              ("bixby_seymour_raw", None, BIXBY_SEYMOUR_RAW)]
+    return cases
+
+
+@pytest.mark.parametrize("name, param, rows", _defining_rows(),
+                         ids=lambda x: None if isinstance(x, list) else str(x))
+def test_catalog_system_is_its_certified_standard_form(name, param, rows):
+    # the entries are written in standard form; from_matrix, which
+    # eliminates and certifies the defining rows, is the oracle
+    got, want = make(name, param), from_matrix(rows)
+    assert got == want
+    assert got.a_matrix.entries == want.a_matrix.entries
+    assert (got.n, got.base_rows, got.labels) == (want.n, want.base_rows, None)
+
+
+def test_every_catalog_system_is_covered_by_the_oracle():
+    covered = {name for name, _, _ in _defining_rows()}
+    assert covered == {e.name for e in entries() if e.kind == "system"}
+
+
+def test_make_runs_no_certification(monkeypatch):
+    # building a catalog system certifies nothing, and only the 0/1
+    # Bixby-Seymour presentation is eliminated
+    from unimod import systems
+
+    def refuse(*args):
+        raise AssertionError("make certified a catalog system")
+
+    eliminated = []
+    kernel = systems._gauss_jordan
+
+    def counted(*args, **kwargs):
+        eliminated.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "_tu_witness", refuse)
+    monkeypatch.setattr(systems, "from_matrix", refuse)
+    monkeypatch.setattr(systems, "_gauss_jordan", counted)
+    for name, param, _ in _defining_rows():
+        del eliminated[:]
+        make(name, param)
+        assert len(eliminated) == (name == "bixby_seymour_raw"), name

@@ -967,3 +967,35 @@ def test_non_utf8_input_is_an_input_error(argv, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["inputs"] == [{"source": str(f), "sha256": None}]
     assert doc["error"]["kind"] == "PreconditionError"
+
+
+def test_text_report_is_written_whole_and_keeps_its_bytes(tmp_path,
+                                                          monkeypatch):
+    # an error report with a witness line, byte for byte apart from the
+    # timing, and passed to standard output in one write
+    f = tmp_path / "bad.txt"
+    f.write_text(BAD_MINOR_MATRIX)
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert run(["check", str(f)]) == 1
+    assert len(writes) == 1
+    head, elapsed = writes[0].rsplit("# elapsed_ms ", 1)
+    assert head == (
+        "# unimod check\n"
+        f"# input {f} sha256={sha256_hex(BAD_MINOR_MATRIX)}\n"
+        "error: minor on rows (2, 3), columns (0, 1) equals -2\n"
+        "# witness rows=[2, 3] cols=[0, 1] value=-2\n")
+    assert elapsed.endswith("\n") and float(elapsed) >= 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "catalog:theta:2000", "--graphic"],
+     "graphic system of 2000 x 1999 entries exceeds cap 1000000"),
+    (["graph", "catalog:cycle:100000", "--cographic"],
+     "cographic system of 100000 x 99999 entries exceeds cap 1000000"),
+])
+def test_graph_past_the_derived_size_budget_exits_3(capsys, argv, message):
+    # both built for seconds (the second for more than half a minute) and
+    # are now refused before their tables are allocated
+    assert run(argv) == 3
+    assert f"error: {message}" in capsys.readouterr().out.splitlines()

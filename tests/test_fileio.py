@@ -18,6 +18,8 @@ from unimod.fileio import (
     _CHUNK,
     _MIN_RECORDS,
     Records,
+    _data_lines,
+    _int,
     parse_edges_text,
     parse_matrix_text,
     render_edges_text,
@@ -564,3 +566,52 @@ def test_render_json_matches_json_dumps_on_large_reports():
 def test_render_json_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         render_json(doc)
+
+
+def _per_token_rows(text):
+    """The data rows of a matrix file, each token read by _int (a
+    _DECIMAL.fullmatch, then int): the oracle of the line-wise parser."""
+    lines, _ = _data_lines(text)
+    return [tuple(_int(x) for x in line.split()) for line in lines[1:]]
+
+
+def test_line_wise_parse_matches_per_token_parse():
+    # signs, "+", leading zeros, CRLF line ends and the Unicode spaces
+    # str.split() splits on (no-break space, em space), all accepted
+    rng = random.Random(34)
+    separators = [" ", "  ", "\t", "\u00a0", "\u2003", " \u00a0 "]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-120, 120) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+
+        def token(x):
+            sign = "-" if x < 0 else rng.choice(["", "", "+"])
+            return sign + "0" * rng.choice([0, 0, 1, 3]) + str(abs(x))
+
+        def line(words):
+            pad = rng.choice(["", " ", "\u2003"])
+            return pad + rng.choice(separators).join(words) + pad
+
+        body = [line(map(str, (len(rows), n)))]
+        body += [line(map(token, r)) for r in rows]
+        if rng.random() < 0.3:
+            body.insert(rng.randint(0, len(body)), "# a comment")
+        text = rng.choice(["\n", "\r\n"]).join(body) + "\n"
+        parsed, labels = parse_matrix_text(text)
+        assert parsed == _per_token_rows(text) == rows, text
+        assert labels is None
+
+
+@pytest.mark.parametrize("word", ["1_0", "\u0661", "0x1", "+-1", "1.0"])
+@pytest.mark.parametrize("sep", [" ", "\u00a0"])
+def test_line_wise_parse_refuses_what_int_alone_would_read(word, sep):
+    # int() reads the first two as 10 and 1; each keeps the refusal of the
+    # per-token parse
+    line = sep.join(["0", word])
+    text = f"2 2\n1 0\n{line}\n"
+    with pytest.raises(ValueError):
+        _per_token_rows(text)
+    with pytest.raises(PreconditionError) as info:
+        parse_matrix_text(text)
+    assert str(info.value) == f"non-integer matrix entry in {line!r}"

@@ -7,6 +7,7 @@ from enum import IntEnum
 
 import pytest
 
+from unimod import graphs
 from unimod.catalog import make
 from unimod.errors import (
     CapError,
@@ -355,3 +356,37 @@ def test_stabilize_fixpoint_returns_same_object():
 def test_stabilize_tree_collapses_to_point():
     h = stabilize(_path(4))
     assert h.vertex_count == 1 and h.edge_count == 0
+
+
+@pytest.mark.parametrize("derive, g, shape", [
+    (graphic_system, make("theta", 1001), "1001 x 1000"),
+    (graphic_system, make("theta", 2000), "2000 x 1999"),
+    (graphic_system, make("complete", 46), "1035 x 990"),
+    (cographic_system, make("cycle", 1001), "1001 x 1000"),
+    (cographic_system, make("cycle", 100000), "100000 x 99999"),
+    (cographic_system, make("complete", 127), "8001 x 126"),
+])
+def test_derived_system_past_the_budget_is_refused_unbuilt(monkeypatch,
+                                                           derive, g, shape):
+    # a row of n entries per edge (graphic n = E - V + 1, cographic
+    # n = V - 1) would exceed DEFAULT_CAP: refused before the cycle table
+    # or the potentials are built.  Only inputs above the bound are built
+    # here, and none of their tables
+    def refuse(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(graphs, "_cycle_table", refuse)
+    monkeypatch.setattr(graphs, "_unit_potentials", refuse)
+    kind = derive.__name__.split("_")[0]
+    with pytest.raises(CapError, match=f"^{kind} system of {shape} entries "
+                                       "exceeds cap 1000000$"):
+        derive(g)
+
+
+@pytest.mark.parametrize("derive", [graphic_system, cographic_system])
+def test_disconnected_graph_past_the_budget_is_refused_as_disconnected(derive):
+    g = Multigraph.build(1100, [(1, 2)] * 1100 + [(k, k + 1)
+                                                   for k in range(2, 1099)])
+    with pytest.raises(ConnectivityError) as info:
+        derive(g)
+    assert info.value.vertex == 1100

@@ -10,6 +10,7 @@ from unimod.errors import DimensionError, PreconditionError
 from unimod.intlinalg import (
     IntMatrix,
     _cofactor_adjugate,
+    _gauss_jordan,
     _gauss_jordan_adjugate,
     adjugate,
     determinant,
@@ -358,3 +359,37 @@ def test_intmatrix_indexes_entries_and_has_no_tuple_arithmetic():
     for op in (lambda: m + m, lambda: m * 2, lambda: 2 * m):
         with pytest.raises(TypeError):
             op()
+
+
+def test_forward_elimination_has_the_pivots_of_the_full_pass():
+    # determinant and rank stop at forward elimination: the pivot columns,
+    # the last pivot and the swap sign must be those of the full pass, on
+    # square, wide and tall matrices, singular ones and ones with a
+    # pivotless column among them
+    rng = random.Random(34)
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(c)]
+                for _ in range(r)]
+        if rng.random() < 0.3:  # a dependent row
+            rows.append([x - y for x, y in zip(rows[0], rows[-1])])
+        full, forward = [list(x) for x in rows], [list(x) for x in rows]
+        assert (_gauss_jordan(forward, c, forward=True)
+                == _gauss_jordan(full, c)), rows
+        assert rank(IntMatrix.from_rows(rows)) == len(_gauss_jordan(
+            [list(x) for x in rows], c)[0])
+        if len(rows) == c:
+            assert determinant(IntMatrix.from_rows(rows)) == _leibniz(rows)
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total

@@ -425,3 +425,27 @@ def test_records_are_immutable():
         for name in r._fields:
             with pytest.raises(AttributeError):
                 setattr(r, name, getattr(r, name))
+
+
+def test_standard_form_under_every_last_pivot():
+    # [[2]] (last pivot 2) still collapses to the unit system; [[2], [1]]
+    # (last pivot 2, row 1 half of the base row) is still refused, naming
+    # the base and the row; a base of determinant -1 is read off negated
+    assert from_matrix([[2]]) == from_matrix([[1]]) == make("upsilon", 1)
+    with pytest.raises(NotUnimodularError) as info:
+        from_matrix([[2], [1]])
+    assert info.value.rows == (0, 1)
+    assert str(info.value) == (
+        "row 1 is not an integer combination of the base rows (0,): the "
+        "maximal independent subsets generate different groups")
+    negated = from_matrix([[1, 1], [1, 0], [0, 1]])
+    assert negated.a_matrix.to_lists() == [[1, 0], [0, 1], [1, -1]]
+
+
+def test_raw_rows_are_checked_for_type_before_shape():
+    # a ragged presentation holding a non-integer is refused for the entry
+    with pytest.raises(PreconditionError, match=r"^row 1 \(1, 0.5\) has a "
+                                                r"non-integer entry$"):
+        from_matrix([[1], [1, 0.5]])
+    with pytest.raises(DimensionError, match="^ragged rows$"):
+        from_matrix([[1, 0], [1]])
