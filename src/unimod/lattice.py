@@ -9,14 +9,22 @@ unimodularity makes its vertices lattice points (Hoffman-Kruskal), so the
 census below holds them all.  A point of D is a vertex when its active
 forms have rank n, and that rank is taken over GF(2), valid because the
 system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
-it is odd.  An exact census is a search over the base coordinates of the
-points: the point search _box_points over the columns of A; the argument
-that it meets every point of D is polytope_points'.  D is centrally
-symmetric, and the module uses that once: the search returns one of each
-+-pair of nonzero points, the sorted point list adds the negations and the
-origin, and the vertices, facet pairs and square histogram
-(_square_counts) are read off the half after the origin.  The census is also a complete certificate for lattice vectors
-of square <= 3, all of which lie in D.
+it is odd.  The base rows are unit vectors, so a point with no zero base
+coordinate is a vertex outright, and any other is a vertex exactly when
+its active rows, masked to its zero base coordinates, have full GF(2)
+rank there (_gap_verdict).
+
+An exact census is a search over the base coordinates of the points: the
+point search _box_points over the columns of A; the argument that it
+meets every point of D is polytope_points'.  D is centrally symmetric, and
+the module uses that once.  The search returns one of each +-pair of
+nonzero points, those whose first nonzero base coordinate is 1.  The base
+is the first maximal independent row set in row order, so that half is
+the lexicographically positive one: polytope_points sorts it alone and
+puts its negations, reversed, and the origin before it.  The vertices,
+facet pairs and square histogram (_square_counts) are read off that half.
+The census is also a complete certificate for lattice vectors of square
+<= 3, all of which lie in D.
 
 The report stores each fact once: a point is its vector w, a plain tuple
 of ints (its square is N minus its count of zeros, its coefficients are w
@@ -36,10 +44,11 @@ it takes integer comparisons only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress, count, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, count, repeat
+from operator import add, and_, attrgetter, contains, itemgetter, not_
 from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
@@ -157,9 +166,9 @@ def _box_points(cols, cap):
 
 def polytope_points(sys, cap=DEFAULT_CAP):
     """All lattice points of D as vectors, plain tuples of ints, sorted
-    lexicographically: the half the point search over the columns of A
-    returns (_box_points, under the same cap), its negations and
-    the origin.
+    lexicographically: the negations of the half the point search over the
+    columns of A returns (_box_points, under the same cap), the origin,
+    then that half.  Only the half is sorted.
 
     The search is complete by the base-coordinate argument: a point of L
     is w = A x for one integer x, and the base rows of A are unit vectors,
@@ -170,17 +179,19 @@ def polytope_points(sys, cap=DEFAULT_CAP):
     +-pair of nonzero points, those whose first nonzero base coordinate
     is 1.
 
-    Negation reverses the lexicographic order, so the sorted list is
-    symmetric: point k from the end is minus point k, the origin sits in
-    the middle, and the points after it, pts[len(pts) // 2 + 1:], are one
-    of each +-pair.
+    That half is the lexicographically positive one.  The base is the
+    first maximal independent row set in row order, so every row before
+    base row b_j is spanned by b_0..b_{j-1}; a point whose first nonzero
+    base coordinate is x_j = 1 is 0 on those rows and 1 on row b_j, so its
+    first nonzero entry is 1.  Negation reverses the lexicographic order,
+    so the sorted list is symmetric: point k from the end is minus point
+    k, the origin sits in the middle, and the points after it,
+    pts[len(pts) // 2 + 1:], are the sorted half.
     """
-    found = _box_points([sys.a_matrix.col(j) for j in range(sys.n)], cap)
-    # tuple of a list, not of a map, so that each is allocated at its size
-    found.extend([tuple([-x for x in w]) for w in found])
-    found.append((0,) * sys.N)
-    found.sort()
-    return tuple(found)
+    half = _box_points([sys.a_matrix.col(j) for j in range(sys.n)], cap)
+    half.sort()
+    return tuple(chain([tuple([-x for x in w]) for w in reversed(half)],
+                       ((0,) * sys.N,), half))
 
 
 @lru_cache
@@ -211,28 +222,43 @@ def vertex_test(sys, point):
 def _is_vertex(rows, n, point):
     """Whether the rows active at point (bitmasks mod 2) have GF(2) rank n.
 
-    Only the support of point is read: the rows where it is nonzero.  The
-    active rows are reduced against an XOR basis keyed by leading bit,
-    stopping as soon as the rank reaches n.
+    Only the support of point is read: the rows where it is nonzero.
     """
-    if n == 0:
+    return _rank_reaches(compress(rows, point), n)
+
+
+def _rank_reaches(rows, rank):
+    """Whether the bitmasks span a GF(2) space of the given rank or more:
+    they are reduced against an XOR basis keyed by leading bit, stopping
+    as soon as the rank is reached."""
+    if rank == 0:
         return True
-    active = [i for i, x in enumerate(point) if x]
-    if len(active) < n:
-        return False
     basis = {}  # leading bit -> basis row
-    for i in active:
-        v = rows[i]
+    for v in rows:
         while v:
             top = v.bit_length() - 1
             b = basis.get(top)
             if b is None:
                 basis[top] = v
-                if len(basis) == n:
+                if len(basis) == rank:
                     return True
                 break
             v ^= b
     return False
+
+
+def _gap_verdict(rows, base, support):
+    """Whether a point with this support (bytes, 1 where the point is
+    nonzero) is a vertex, given that it has a zero base coordinate.
+
+    Row b_k is the unit vector e_k, so the active rows already span e_k
+    for every k with w at b_k nonzero.  The active rows have rank n
+    exactly when, masked to the gap C = {k : w at b_k is 0}, they have
+    GF(2) rank |C|; the active base rows mask to zero.
+    """
+    gap = sum(1 << k for k, i in enumerate(base) if not support[i])
+    return _rank_reaches(map(and_, compress(rows, support), repeat(gap)),
+                         gap.bit_count())
 
 
 class FacetPair(NamedTuple):
@@ -247,38 +273,67 @@ class FacetPair(NamedTuple):
 
 
 def _vertices_and_facets(sys, half, squares):
-    """The vertex vectors (in point order) and the facet pairs of D, read
-    off the half of the sorted points after the origin (one of each +-pair
-    of nonzero points) and the list of their squares.
+    """The positions in half of its vertices, ascending, and the facet
+    pairs of D, read off the sorted half of the points after the origin
+    (one of each +-pair of nonzero points) and the list of their squares.
 
     A point is a vertex when its active rows have GF(2) rank n, so only the
-    points of square >= n are candidates, and the verdict depends on the
-    support alone: w, -w and every point with the same nonzero pattern
-    share it.  It is taken on the half, once per support, keyed by the
-    pattern as bytes; the per-point work (keys, cache hits, facet counts)
-    runs in C loops.  The vertices before the origin are the negations of
-    those after it in reverse order; for n = 0 the origin is the vertex.
+    points of square >= n are candidates.  A candidate with no zero base
+    coordinate is a vertex at once: its active base rows are the n unit
+    vectors.  Any other is judged by _gap_verdict, whose verdict depends on
+    the support alone (w, -w and every point with the same nonzero pattern
+    share it), so it is taken once per support, keyed by the pattern as
+    bytes.  The per-point work (coordinates, keys, cache hits, facet
+    counts) runs in C loops.
+
     A point lies on the + side of a pair when it is 1 on the rep form, so
     -w lies on the - side, and each side holds one of each pair nonzero on
     the rep form: either side's count is that of the half's points (and
-    vertices) that are.  Each class counts them through the half, one class
-    at a time: a transposed copy of the points would nearly double the
-    memory they hold.
+    vertices) that are, read at the rep row of _nonzero_counts.
     """
     n = sys.n
     candidates = list(compress(half, map(n.__le__, squares)))
-    verdict = lru_cache(maxsize=None)(partial(_is_vertex, _odd_rows(sys), n))
-    supports = map(bytes, map(map, repeat(abs), candidates))
-    upper = tuple(compress(candidates, map(verdict, supports)))
-    lower = tuple([tuple([-x for x in v]) for v in reversed(upper)])
-    middle = ((0,) * sys.N,) if n == 0 else ()
-    out = []
-    for cls in multiplicity_classes(sys):
-        side = itemgetter(cls[0])
-        on_points = sum(map(abs, map(side, half)))
-        on_vertices = sum(map(abs, map(side, upper)))
-        out.append(FacetPair(cls[0], cls, on_points, on_vertices))
-    return lower + middle + upper, tuple(out)
+    gapped = list(map(contains, map(_base_coordinates(sys.base_rows),
+                                    candidates), repeat(0)))
+    verdict = lru_cache(maxsize=None)(
+        partial(_gap_verdict, _odd_rows(sys), sys.base_rows))
+    supports = map(bytes, map(map, repeat(abs), compress(candidates, gapped)))
+    # the candidates' positions in half, made one at a time, so that only
+    # those of the vertices are kept; the two runs ascend, and sorted
+    # merges them in one pass
+    free = compress(compress(count(), map(n.__le__, squares)),
+                    map(not_, gapped))
+    judged = compress(compress(compress(count(), map(n.__le__, squares)),
+                               gapped), map(verdict, supports))
+    upper = sorted(chain(free, judged))
+    on_points = _nonzero_counts(half, sys.N)
+    on_vertices = _nonzero_counts(list(map(half.__getitem__, upper)), sys.N)
+    return upper, tuple(
+        FacetPair(cls[0], cls, on_points[cls[0]], on_vertices[cls[0]])
+        for cls in multiplicity_classes(sys))
+
+
+def _base_coordinates(base):
+    """w -> the tuple of w's entries at the base rows, its coefficients."""
+    # itemgetter of one index returns the entry, not a 1-tuple
+    if len(base) > 1:
+        return itemgetter(*base)
+    return lambda w: tuple(map(w.__getitem__, base))
+
+
+_COUNT_CHUNK = 1024  # points transposed at once by _nonzero_counts
+
+
+def _nonzero_counts(points, width):
+    """For each of the width coordinates, how many of the points are
+    nonzero there.  The points are read _COUNT_CHUNK at a time, each chunk
+    transposed by zip and its zeros counted by tuple.count; a transposed
+    copy of all the points would nearly double the memory they hold."""
+    zeros = [0] * width
+    for start in range(0, len(points), _COUNT_CHUNK):
+        chunk = zip(*points[start:start + _COUNT_CHUNK])
+        zeros = list(map(add, zeros, map(tuple.count, chunk, repeat(0))))
+    return [len(points) - z for z in zeros]
 
 
 def facets(sys, cap=DEFAULT_CAP):
@@ -456,7 +511,8 @@ class PolytopeReport(NamedTuple):
     def to_dict(self):
         """The report as a JSON document (schema polytope result v2).
 
-        Each point is listed once: vertices index into points, and both
+        Each point is listed once: vertices index into points, found by
+        binary search since both are sorted, so no point is hashed; both
         sides of a facet pair (levels +-1 of rep_row) take its one count.
         points is a fileio.Records over the vectors, so no dict or list is
         built per point: a record's vector is the tuple itself, its square
@@ -467,9 +523,6 @@ class PolytopeReport(NamedTuple):
         vectors = self.points
         N = self.system.N
         base = self.system.base_rows
-        # itemgetter of one index returns the entry, not a 1-tuple
-        coefficients = (itemgetter(*base) if len(base) > 1 else
-                        lambda v: tuple(map(v.__getitem__, base)))
         census = self.census
         return {
             "N": N,
@@ -482,10 +535,10 @@ class PolytopeReport(NamedTuple):
             "points": Records(vectors, (
                 ("vector", tuple),
                 ("square", lambda v: N - v.count(0)),
-                ("coefficients", coefficients))),
+                ("coefficients", _base_coordinates(base)))),
             "vertex_count": len(self.vertices),
-            "vertices": list(compress(count(), map(
-                set(self.vertices).__contains__, vectors))),
+            "vertices": list(map(bisect_left, repeat(vectors),
+                                 self.vertices)),
             "facets": Records(self.facet_pairs, (
                 ("rep_row", attrgetter("rep_row")),
                 ("class_rows", lambda f: list(f.class_rows)),
@@ -504,16 +557,18 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     """Assemble the full polytope report from one point search.
 
     The points come from one base-coordinate search (polytope_points), under
-    the same cap, which finds one of each +-pair; the vertices, facet pairs
-    and census are derived in one pass over the half of the sorted list
-    after the origin (_vertices_and_facets).  The squares of that half are
-    taken once, as a list, which picks the vertex candidates and feeds the
-    histogram (_square_counts).  The form matrix mod 2 is taken once, and
-    the vertex verdict (_is_vertex: GF(2) rank, valid because the system is TU)
-    is taken once per support, that is once per nonzero pattern among the
-    half's points of square >= n, without vertex_test's check that the
-    point lies in D, which the search guarantees.  The list holds every
-    vertex of D: the system was certified totally unimodular when it was
+    the same cap, which finds one of each +-pair and sorts only that half;
+    the vertices, facet pairs and census are derived in one pass over the
+    half after the origin (_vertices_and_facets).  The squares of that half
+    are taken once, as a list, which picks the vertex candidates and feeds
+    the histogram (_square_counts).  The form matrix mod 2 is taken once.
+    A candidate with no zero base coordinate is a vertex outright; for the
+    others the verdict (GF(2) rank, valid because the system is TU) is
+    taken once per support, on the active rows masked to the zero base
+    coordinates, without vertex_test's check that the point lies in D,
+    which the search guarantees.  The vertices are read off the sorted
+    points by position, so no point is negated or hashed again.  The list
+    holds every vertex of D: the system was certified totally unimodular when it was
     built, so by Hoffman-Kruskal (Schrijver, Theory of Linear and Integer
     Programming, ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is
     integral, a lattice point.  The inequalities |f_i| <= 1 are primitive,
@@ -526,9 +581,16 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     census and to_dict read the one square histogram, square_counts.
     """
     pts = polytope_points(sys, cap=cap)
-    half = pts[len(pts) // 2 + 1:]
+    h = len(pts) // 2  # the origin's index, and the size of either half
+    half = pts[h + 1:]
     squares = list(_squares(sys, half))
-    vertices, fp = _vertices_and_facets(sys, half, squares)
+    upper, fp = _vertices_and_facets(sys, half, squares)
+    # the half's vertices sit at h + 1 + their position in it, those before
+    # the origin mirror them, and for n = 0 the origin is the one vertex
+    middle = (h,) if sys.n == 0 else ()
+    vertices = tuple(map(pts.__getitem__, chain(
+        map((h - 1).__sub__, reversed(upper)), middle,
+        map((h + 1).__add__, upper))))
     reflexive = sys.n == 0 or all(f.vertex_count for f in fp)
     return PolytopeReport(system=sys,
                           discriminant=complexity(sys),

@@ -38,7 +38,7 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, product
 from math import factorial, prod
-from operator import sub
+from operator import itemgetter, sub
 
 import pytest
 
@@ -81,8 +81,11 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
+    _base_coordinates,
     _box_points,
     _coefficients,
+    _gap_verdict,
+    _odd_rows,
     build_polytope_report,
     facets,
     polytope_points,
@@ -2148,17 +2151,37 @@ def per_point_vertices_and_facets(sys, pts):
     return vertices, pairs
 
 
-def test_report_vertices_match_vertex_test():
-    # the sweep, scrambled copies of it, and complete graphs, whose points
-    # share supports many times over (7839 points, 1024 supports at k = 6)
-    rng = random.Random(170815)
+def report_subjects(seed):
+    """The polytope report's inputs: the sweep, scrambled copies of it,
+    complete graphs, whose points share supports many times over (7839
+    points, 1024 supports at k = 6), seeded graph systems, direct sums with
+    unit summands whose rows are shuffled, so that tail rows may come
+    before base rows, the 0/1 Bixby-Seymour presentation, the empty system
+    and sigma:16."""
+    rng = random.Random(seed)
     sweep = [s for _, s in catalog_sweep()]
     systems = sweep + [c for s in sweep for c in scrambled_copies(rng, [s], 1)]
     for k in (5, 6):
         g = make("complete", k)
         systems += [graphic_system(g), cographic_system(g)]
     systems += random_graph_systems(rng, 60)
-    for s in systems:
+    for s in rng.sample(sweep[3:], 12):
+        unit = make("upsilon", rng.randint(1, 2))
+        rows = direct_sum(unit, s).a_matrix.to_lists()
+        rng.shuffle(rows)
+        systems.append(from_matrix(rows))
+    return systems + [make("bixby_seymour_raw"), EMPTY_SYSTEM,
+                      make("sigma", 16)]
+
+
+def test_report_subjects_put_tail_rows_first():
+    # a base row after a tail row is the case the half-sort argument covers
+    assert any(s.base_rows != tuple(range(s.n))
+               for s in report_subjects(170815))
+
+
+def test_report_vertices_match_vertex_test():
+    for s in report_subjects(170815):
         rep = build_polytope_report(s)
         vertices, pairs = per_point_vertices_and_facets(s, rep.points)
         assert rep.vertices == vertices, s
@@ -2176,6 +2199,54 @@ def test_report_vertices_match_vertex_test():
         del counts[0]  # the origin
         assert rep.square_counts == dict(sorted(counts.items())), s
         assert short_vector_census(s) == rep.census, s
+
+
+def sorted_whole_points(sys):
+    """The points of D as polytope_points built them before it sorted only
+    the half: the search's half, its negations and the origin, all sorted
+    together."""
+    half = _box_points([sys.a_matrix.col(j) for j in range(sys.n)],
+                       systems.DEFAULT_CAP)
+    return tuple(sorted(half + [tuple(-x for x in w) for w in half]
+                        + [(0,) * sys.N]))
+
+
+def test_sorted_half_gives_the_sorted_points():
+    # the search's half is the lexicographically positive one, whatever
+    # the order of the base and tail rows
+    for s in report_subjects(170815):
+        assert polytope_points(s) == sorted_whole_points(s), s
+
+
+def test_zero_base_coordinate_verdict_matches_vertex_test():
+    # a point with no zero base coordinate is a vertex outright; any other
+    # is judged on its active rows masked to its zero base coordinates
+    for s in report_subjects(170815):
+        rows, coefficients = _odd_rows(s), _base_coordinates(s.base_rows)
+        for v in polytope_points(s):
+            support = bytes(map(abs, v))
+            verdict = (0 not in coefficients(v)
+                       or _gap_verdict(rows, s.base_rows, support))
+            assert verdict == vertex_test(s, v), (s, v)
+
+
+def test_report_counts_and_indices_match_per_class_sums():
+    # each class's counts as the report took them before it counted each
+    # row once: a sum over the half per class; the JSON vertex indices as
+    # the report took them before it searched for each vertex: every point
+    # looked up in the set of vertices
+    for s in report_subjects(170815):
+        rep = build_polytope_report(s)
+        half = rep.points[len(rep.points) // 2 + 1:]
+        vertices = [v for v in rep.points if vertex_test(s, v)]
+        upper = vertices[len(vertices) // 2 + (s.n == 0):]
+        for f in rep.facet_pairs:
+            on = itemgetter(f.rep_row)
+            assert f.point_count == sum(map(abs, map(on, half))), s
+            assert f.vertex_count == sum(map(abs, map(on, upper))), s
+        listed = set(vertices)
+        assert rep.to_dict()["vertices"] == [
+            k for k, v in enumerate(rep.points) if v in listed], s
 
 
 def test_zonotope_closed_form_matches_sign_scan():
