@@ -9,10 +9,8 @@ unimodularity makes its vertices lattice points (Hoffman-Kruskal), so the
 census below holds them all.  A point of D is a vertex when its active
 forms have rank n, and that rank is taken over GF(2), valid because the
 system is TU: every minor is 0 or +-1, so a minor is nonzero exactly when
-it is odd.  The base rows are unit vectors, so a point with no zero base
-coordinate is a vertex outright, and any other is a vertex exactly when
-its active rows, masked to its zero base coordinates, have full GF(2)
-rank there (_gap_verdict).
+it is odd.  That verdict (_is_vertex) reads only the support of the
+point, so the report takes it once per support.
 
 An exact census is a search over the base coordinates of the points: the
 point search _box_points over the columns of A; the argument that it
@@ -47,8 +45,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import chain, compress, count, repeat
-from operator import add, and_, attrgetter, contains, itemgetter, not_
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import CapError, MembershipError, PreconditionError
@@ -102,7 +100,7 @@ def _coefficients(sys, z):
 
 def _squares(sys, vectors):
     """The squares of the vectors, each N minus its count of zeros."""
-    return map(sys.N.__sub__, map(tuple.count, vectors, repeat(0)))
+    return [sys.N - w.count(0) for w in vectors]
 
 
 def _box_points(cols, cap):
@@ -222,43 +220,24 @@ def vertex_test(sys, point):
 def _is_vertex(rows, n, point):
     """Whether the rows active at point (bitmasks mod 2) have GF(2) rank n.
 
-    Only the support of point is read: the rows where it is nonzero.
+    Only the support of point is read: the rows where it is nonzero.  They
+    are reduced against an XOR basis keyed by leading bit, stopping as soon
+    as the rank is reached.
     """
-    return _rank_reaches(compress(rows, point), n)
-
-
-def _rank_reaches(rows, rank):
-    """Whether the bitmasks span a GF(2) space of the given rank or more:
-    they are reduced against an XOR basis keyed by leading bit, stopping
-    as soon as the rank is reached."""
-    if rank == 0:
+    if n == 0:
         return True
     basis = {}  # leading bit -> basis row
-    for v in rows:
+    for v in compress(rows, point):
         while v:
             top = v.bit_length() - 1
             b = basis.get(top)
             if b is None:
                 basis[top] = v
-                if len(basis) == rank:
+                if len(basis) == n:
                     return True
                 break
             v ^= b
     return False
-
-
-def _gap_verdict(rows, base, support):
-    """Whether a point with this support (bytes, 1 where the point is
-    nonzero) is a vertex, given that it has a zero base coordinate.
-
-    Row b_k is the unit vector e_k, so the active rows already span e_k
-    for every k with w at b_k nonzero.  The active rows have rank n
-    exactly when, masked to the gap C = {k : w at b_k is 0}, they have
-    GF(2) rank |C|; the active base rows mask to zero.
-    """
-    gap = sum(1 << k for k, i in enumerate(base) if not support[i])
-    return _rank_reaches(map(and_, compress(rows, support), repeat(gap)),
-                         gap.bit_count())
 
 
 class FacetPair(NamedTuple):
@@ -278,13 +257,10 @@ def _vertices_and_facets(sys, half, squares):
     (one of each +-pair of nonzero points) and the list of their squares.
 
     A point is a vertex when its active rows have GF(2) rank n, so only the
-    points of square >= n are candidates.  A candidate with no zero base
-    coordinate is a vertex at once: its active base rows are the n unit
-    vectors.  Any other is judged by _gap_verdict, whose verdict depends on
-    the support alone (w, -w and every point with the same nonzero pattern
-    share it), so it is taken once per support, keyed by the pattern as
-    bytes.  The per-point work (coordinates, keys, cache hits, facet
-    counts) runs in C loops.
+    points of square >= n are candidates.  The verdict (_is_vertex, as in
+    vertex_test) depends on the support alone (w, -w and every point with
+    the same nonzero pattern share it), so it is taken once per support,
+    keyed by the pattern as bytes.
 
     A point lies on the + side of a pair when it is 1 on the rep form, so
     -w lies on the - side, and each side holds one of each pair nonzero on
@@ -292,22 +268,11 @@ def _vertices_and_facets(sys, half, squares):
     vertices) that are, read at the rep row of _nonzero_counts.
     """
     n = sys.n
-    candidates = list(compress(half, map(n.__le__, squares)))
-    gapped = list(map(contains, map(_base_coordinates(sys.base_rows),
-                                    candidates), repeat(0)))
-    verdict = lru_cache(maxsize=None)(
-        partial(_gap_verdict, _odd_rows(sys), sys.base_rows))
-    supports = map(bytes, map(map, repeat(abs), compress(candidates, gapped)))
-    # the candidates' positions in half, made one at a time, so that only
-    # those of the vertices are kept; the two runs ascend, and sorted
-    # merges them in one pass
-    free = compress(compress(count(), map(n.__le__, squares)),
-                    map(not_, gapped))
-    judged = compress(compress(compress(count(), map(n.__le__, squares)),
-                               gapped), map(verdict, supports))
-    upper = sorted(chain(free, judged))
+    verdict = lru_cache(maxsize=None)(partial(_is_vertex, _odd_rows(sys), n))
+    upper = [p for p, (w, s) in enumerate(zip(half, squares))
+             if s >= n and verdict(bytes(map(abs, w)))]
     on_points = _nonzero_counts(half, sys.N)
-    on_vertices = _nonzero_counts(list(map(half.__getitem__, upper)), sys.N)
+    on_vertices = _nonzero_counts([half[p] for p in upper], sys.N)
     return upper, tuple(
         FacetPair(cls[0], cls, on_points[cls[0]], on_vertices[cls[0]])
         for cls in multiplicity_classes(sys))
@@ -318,7 +283,7 @@ def _base_coordinates(base):
     # itemgetter of one index returns the entry, not a 1-tuple
     if len(base) > 1:
         return itemgetter(*base)
-    return lambda w: tuple(map(w.__getitem__, base))
+    return lambda w: tuple([w[i] for i in base])
 
 
 _COUNT_CHUNK = 1024  # points transposed at once by _nonzero_counts
@@ -332,7 +297,7 @@ def _nonzero_counts(points, width):
     zeros = [0] * width
     for start in range(0, len(points), _COUNT_CHUNK):
         chunk = zip(*points[start:start + _COUNT_CHUNK])
-        zeros = list(map(add, zeros, map(tuple.count, chunk, repeat(0))))
+        zeros = [z + c.count(0) for z, c in zip(zeros, chunk)]
     return [len(points) - z for z in zeros]
 
 
@@ -537,8 +502,7 @@ class PolytopeReport(NamedTuple):
                 ("square", lambda v: N - v.count(0)),
                 ("coefficients", _base_coordinates(base)))),
             "vertex_count": len(self.vertices),
-            "vertices": list(map(bisect_left, repeat(vectors),
-                                 self.vertices)),
+            "vertices": [bisect_left(vectors, v) for v in self.vertices],
             "facets": Records(self.facet_pairs, (
                 ("rep_row", attrgetter("rep_row")),
                 ("class_rows", lambda f: list(f.class_rows)),
@@ -562,35 +526,33 @@ def build_polytope_report(sys, cap=DEFAULT_CAP):
     half after the origin (_vertices_and_facets).  The squares of that half
     are taken once, as a list, which picks the vertex candidates and feeds
     the histogram (_square_counts).  The form matrix mod 2 is taken once.
-    A candidate with no zero base coordinate is a vertex outright; for the
-    others the verdict (GF(2) rank, valid because the system is TU) is
-    taken once per support, on the active rows masked to the zero base
-    coordinates, without vertex_test's check that the point lies in D,
-    which the search guarantees.  The vertices are read off the sorted
-    points by position, so no point is negated or hashed again.  The list
-    holds every vertex of D: the system was certified totally unimodular when it was
-    built, so by Hoffman-Kruskal (Schrijver, Theory of Linear and Integer
-    Programming, ch. 19) every vertex of D = {w in W : |f_i(w)| <= 1} is
-    integral, a lattice point.  The inequalities |f_i| <= 1 are primitive,
-    so D is reflexive; reflexive_verified further checks that every facet
-    pair has vertices on its sides (one count serves both, as D = -D).  The
-    zonotope flag is zonotope_check's exact verdict on whether D equals the
-    cube's shadow, a count of the classes of parallel forms: the report
-    never builds the projection matrix.  Points and vertices are vectors, a
-    facet pair holds one point count and one vertex count per side, and
-    census and to_dict read the one square histogram, square_counts.
+    The vertex verdict is vertex_test's GF(2) rank (valid because the
+    system is TU), taken once per support and without vertex_test's check
+    that the point lies in D, which the search guarantees.  The vertices
+    are read off the sorted points by position, so no point is negated or
+    hashed again.  The list holds every vertex of D: the system was
+    certified totally unimodular when it was built, so by Hoffman-Kruskal
+    (Schrijver, Theory of Linear and Integer Programming, ch. 19) every
+    vertex of D = {w in W : |f_i(w)| <= 1} is integral, a lattice point.
+    The inequalities |f_i| <= 1 are primitive, so D is reflexive;
+    reflexive_verified further checks that every facet pair has vertices
+    on its sides (one count serves both, as D = -D).  The zonotope flag is
+    zonotope_check's exact verdict on whether D equals the cube's shadow,
+    a count of the classes of parallel forms: the report never builds the
+    projection matrix.  Points and vertices are vectors, a facet pair
+    holds one point count and one vertex count per side, and census and
+    to_dict read the one square histogram, square_counts.
     """
     pts = polytope_points(sys, cap=cap)
     h = len(pts) // 2  # the origin's index, and the size of either half
     half = pts[h + 1:]
-    squares = list(_squares(sys, half))
+    squares = _squares(sys, half)
     upper, fp = _vertices_and_facets(sys, half, squares)
     # the half's vertices sit at h + 1 + their position in it, those before
     # the origin mirror them, and for n = 0 the origin is the one vertex
-    middle = (h,) if sys.n == 0 else ()
-    vertices = tuple(map(pts.__getitem__, chain(
-        map((h - 1).__sub__, reversed(upper)), middle,
-        map((h + 1).__add__, upper))))
+    middle = [pts[h]] if sys.n == 0 else []
+    vertices = tuple([pts[h - 1 - p] for p in reversed(upper)] + middle
+                     + [pts[h + 1 + p] for p in upper])
     reflexive = sys.n == 0 or all(f.vertex_count for f in fp)
     return PolytopeReport(system=sys,
                           discriminant=complexity(sys),

@@ -1057,12 +1057,13 @@ def automorphism_count(sys, cap=DEFAULT_CAP):
     if sys.N == 0:
         return 1
     N, ba, row = sys.N, sys.base_rows, sys.row
-    classes = {}
-    for i in sys.tail_rows():
-        classes.setdefault(_normalize_row(row(i)), []).append(i)
-    count = prod(factorial(len(c)) for c in classes.values())
+    # the tail rows of each class of parallel forms; a class holds at most
+    # one base row, as the base rows are independent
+    classes = [[i for i in c if i not in ba]
+               for c in multiplicity_classes(sys)]
+    count = prod(factorial(len(c)) for c in classes)
     gens = [_swap(u, v, 1 if row(u) == row(v) else -1)
-            for c in classes.values() for u, v in zip(c, c[1:])]
+            for c in classes for u, v in zip(c, c[1:])]
     first = _correspondence_search(sys, sys, cap)
     fits = _pairing_test(sys, sys)
     fixed = tuple((r, 1) for r in ba)

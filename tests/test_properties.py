@@ -42,7 +42,7 @@ from operator import itemgetter, sub
 
 import pytest
 
-from unimod import graphs, intlinalg, systems
+from unimod import graphs, intlinalg, lattice, systems
 from unimod.catalog import _BIXBY_SEYMOUR_RAW, make
 from unimod.errors import (
     CapError,
@@ -81,11 +81,8 @@ from unimod.intlinalg import (
     vecmat,
 )
 from unimod.lattice import (
-    _base_coordinates,
     _box_points,
     _coefficients,
-    _gap_verdict,
-    _odd_rows,
     build_polytope_report,
     facets,
     polytope_points,
@@ -2114,8 +2111,10 @@ def test_basic_vertices_match_adjugate_route():
 def hermite_vertex_test(sys, point):
     """Whether a point of D is a vertex, by the exact rank of its active rows.
 
-    The rank comes from the Hermite form over Z, so this oracle does not
-    rely on total unimodularity, as the GF(2) rank in vertex_test does.
+    The rank is intlinalg.rank's, the pivot count of fraction-free
+    Gauss-Jordan over Z, so this oracle does not rely on total
+    unimodularity, as the GF(2) rank in vertex_test does, and shares no
+    code with it.
     """
     active = [i for i, x in enumerate(point) if x]
     if len(active) < sys.n:
@@ -2136,12 +2135,13 @@ def per_point_vertices_and_facets(sys, pts):
     """The vertices of D and, per facet pair, its rep row, its class and the
     point and vertex counts of both sides, derived point by point.
 
-    vertex_test runs on every point, and each class lists the level of
-    every point and vertex on its rep row; the report instead takes the
-    verdict once per support, counts the levels in C loops, and counts
-    one side only, since w -> -w swaps them.
+    hermite_vertex_test, the exact rank, runs on every point, and each
+    class lists the level of every point and vertex on its rep row; the
+    report instead takes the GF(2) verdict once per support, counts the
+    levels a chunk of points at a time, and counts one side only, since
+    w -> -w swaps them.
     """
-    vertices = tuple(v for v in pts if vertex_test(sys, v))
+    vertices = tuple(v for v in pts if hermite_vertex_test(sys, v))
     pairs = []
     for cls in multiplicity_classes(sys):
         levels = [v[cls[0]] for v in pts]
@@ -2218,16 +2218,26 @@ def test_sorted_half_gives_the_sorted_points():
         assert polytope_points(s) == sorted_whole_points(s), s
 
 
-def test_zero_base_coordinate_verdict_matches_vertex_test():
-    # a point with no zero base coordinate is a vertex outright; any other
-    # is judged on its active rows masked to its zero base coordinates
-    for s in report_subjects(170815):
-        rows, coefficients = _odd_rows(s), _base_coordinates(s.base_rows)
-        for v in polytope_points(s):
-            support = bytes(map(abs, v))
-            verdict = (0 not in coefficients(v)
-                       or _gap_verdict(rows, s.base_rows, support))
-            assert verdict == vertex_test(s, v), (s, v)
+@pytest.mark.parametrize("order, supports, candidates",
+                         [(5, 26, 72), (6, 171, 1797)])
+def test_report_takes_one_verdict_per_support(monkeypatch, order, supports,
+                                              candidates):
+    # the vertex verdict depends on the support alone, so one report judges
+    # each distinct support of the points of square >= n once
+    s = graphic_system(make("complete", order))
+    calls = []
+    is_vertex = lattice._is_vertex
+
+    def counted(rows, n, point):
+        calls.append(point)
+        return is_vertex(rows, n, point)
+
+    monkeypatch.setattr(lattice, "_is_vertex", counted)
+    build_polytope_report(s)
+    pts = polytope_points(s)
+    half = pts[len(pts) // 2 + 1:]
+    assert sum(1 for w in half if s.N - w.count(0) >= s.n) == candidates
+    assert len(calls) == len(set(calls)) == supports
 
 
 def test_report_counts_and_indices_match_per_class_sums():
